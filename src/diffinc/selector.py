@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .setmap import Box, CompactSet, Vector, as_vector, distance
+from .setmap import Box, CompactSet, Vector, as_vector, distance, finite_vector
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,8 @@ class WcmInfeasible(RuntimeError):
 
 def _constrain_box(box: Box, prev_v: Vector, signs: SignPattern,
                    slack: float) -> Box | None:
+    # Each bound is a box corner or the prev_v bound that replaced it
+    # because it is tighter, so a kept box is finite with lo <= hi.
     lo = list(box.lo)
     hi = list(box.hi)
     for j, s in enumerate(signs):
@@ -135,7 +137,7 @@ def _constrain_box(box: Box, prev_v: Vector, signs: SignPattern,
             hi[j] = min(hi[j], prev_v[j] + slack)
         if lo[j] > hi[j]:
             return None
-    return Box(tuple(lo), tuple(hi))
+    return Box._trusted(tuple(lo), tuple(hi))
 
 
 def feasible_region(image: CompactSet, prev_v: Sequence[float],
@@ -157,12 +159,19 @@ def feasible_region(image: CompactSet, prev_v: Sequence[float],
     ]
     if not kept:
         return None
-    return CompactSet(tuple(kept))
+    return CompactSet._trusted(tuple(kept))
 
 
 def _nearest_point(region: CompactSet, target: Vector) -> Vector:
-    """Clamp target into each box; nearest wins, ties by box order then
-    lexicographic order (all comparisons exact)."""
+    """Clamp target into each box; nearest wins, ties by box index.
+
+    Clamping is exact (each coordinate is a box corner or the target's
+    own coordinate), and so is the tie-break by box index and then by
+    lexicographic order of the clamped point.  The ranking distance is
+    the rounded ``math.hypot`` of the clamped offsets, so two candidates
+    whose true distances differ by less than its rounding can rank
+    either way (or tie, and fall to the box index).
+    """
     best: tuple[float, int, Vector] | None = None
     for i, box in enumerate(region.boxes):
         p = box.clamp(target)
@@ -194,7 +203,7 @@ def initial_velocity(image: CompactSet,
                      override: Sequence[float] | None = None) -> Vector:
     """First velocity: policy-chosen from the image, or a validated override."""
     if override is not None:
-        v = as_vector(override)
+        v = finite_vector(override, "v0 (initial velocity override)")
         if len(v) != image.dim:
             raise ValueError(
                 f"initial velocity has dimension {len(v)}, image has {image.dim}"

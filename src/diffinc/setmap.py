@@ -9,17 +9,35 @@ computed without tolerances.
 
 Maps are immutable and evaluation is pure: the same input vector always
 produces the same box list, bit for bit.
+
+Validation happens once, at the boundary.  A map's public ``evaluate``
+checks the point's dimension and converts it to a float tuple; below
+that, maps pass trusted float tuples to each other through ``_eval``,
+and a piecewise map runs code compiled once, at construction, from its
+expression trees (one function per image box).  The computed corners
+are still checked for ``lo <= hi`` and finiteness on every evaluation,
+so a bad image raises the same ``MapDefinitionError`` as ever.  Image
+boxes, and the feasible regions the selector cuts from them, are built
+with ``Box._trusted`` / ``CompactSet._trusted``, which skip re-checking
+what was just checked; every other construction validates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+import struct
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 Vector = tuple[float, ...]
 
 MAX_VERTEX_DIM = 16
+
+_INF = math.inf
+_NINF = -math.inf
+_new = object.__new__
+_set = object.__setattr__
 
 
 class MapDefinitionError(ValueError):
@@ -34,17 +52,17 @@ def norm(x: Sequence[float]) -> float:
     return math.hypot(*x)
 
 
-def _midpoint_cube_cmp(r1: float, r2: float, a_num: int, a_den: int) -> int:
-    """Exact sign of ((r1 + r2) / 2)**3 - a_num/a_den (all denominators
-    are powers of two, so the midpoint is an exact rational)."""
-    n1, d1 = r1.as_integer_ratio()
-    n2, d2 = r2.as_integer_ratio()
-    d = max(d1, d2)
-    num = n1 * (d // d1) + n2 * (d // d2)
-    den = 2 * d
-    lhs = num * num * num * a_den
-    rhs = a_num * den * den * den
-    return (lhs > rhs) - (lhs < rhs)
+def finite_vector(x: Sequence[float], what: str) -> Vector:
+    """``as_vector(x)``, raising ValueError naming ``what`` unless every
+    coordinate is finite."""
+    v = as_vector(x)
+    if not all(math.isfinite(c) for c in v):
+        raise ValueError(f"{what} must be finite, got {v}")
+    return v
+
+
+_TWO53 = float(2 ** 53)
+_TWO52 = 2 ** 52
 
 
 def real_cbrt(v: float) -> float:
@@ -53,20 +71,39 @@ def real_cbrt(v: float) -> float:
     ``float ** (1/3)`` can be off by an ulp depending on the platform's
     pow; the selection logic compares cube roots of nearby states
     exactly, so the result must be the nearest double (which also makes
-    the function weakly monotone).  The candidate from pow is verified
-    against the half-ulp windows in exact integer arithmetic and nudged
-    if needed.
+    the function weakly monotone).  The candidate ``r`` from pow is
+    accepted only if the midpoints between it and its two neighbours
+    bracket the cube root, decided by one exact integer comparison of
+    both midpoints' cubes with ``|v|``; otherwise it is nudged one ulp
+    and checked again.  No cube root of a double lies on a midpoint, so
+    exactly one double passes.
     """
-    if v == 0.0 or math.isnan(v) or math.isinf(v):
+    if v == 0.0 or not math.isfinite(v):
         return v
     a = abs(v)
-    r = a ** (1.0 / 3.0)
-    a_num, a_den = a.as_integer_ratio()
-    while _midpoint_cube_cmp(math.nextafter(r, 0.0), r, a_num, a_den) > 0:
-        r = math.nextafter(r, 0.0)
-    while _midpoint_cube_cmp(r, math.nextafter(r, math.inf), a_num, a_den) < 0:
-        r = math.nextafter(r, math.inf)
-    return math.copysign(r, v)
+    m, e = math.frexp(a)
+    big_a = int(m * _TWO53)  # a = big_a * 2**(e - 53), exactly
+    # pow on the mantissa part (in [0.5, 4)) is within an ulp or so;
+    # on a itself it drifts by up to ~100 ulps at extreme exponents
+    q, k = divmod(e, 3)
+    r = math.ldexp(math.ldexp(m, k) ** (1.0 / 3.0), q)
+    while True:
+        # r is a normal double (a >= 2**-1074 gives r > 2**-359), so
+        # r = big_r * 2**(f - 53) with a 53-bit integer big_r; in units
+        # of 2**(f - 55) the midpoints to its neighbours are lo and hi
+        # (the lower gap halves when r is a power of two).
+        m, f = math.frexp(r)
+        big_r = int(m * _TWO53)
+        lo = 4 * big_r - (1 if big_r == _TWO52 else 2)
+        hi = 4 * big_r + 2
+        shift = 3 * f - e - 112  # midpoint**3 / a = (mid**3 / big_a) * 2**shift
+        if shift >= 0:
+            lo3, hi3, target = lo ** 3 << shift, hi ** 3 << shift, big_a
+        else:
+            lo3, hi3, target = lo ** 3, hi ** 3, big_a << -shift
+        if lo3 <= target <= hi3:
+            return math.copysign(r, v)
+        r = math.nextafter(r, 0.0 if lo3 > target else _INF)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +113,7 @@ def real_cbrt(v: float) -> float:
 _EXPR_OPS = ("const", "var", "neg", "add", "sub", "mul", "sign", "cbrt", "abs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """Expression tree over constants, coordinates and {+,-,*,sign,cbrt,abs}.
 
@@ -90,10 +127,15 @@ class Expr:
     args: tuple["Expr", ...] = ()
     value: float = 0.0
     index: int = 0
+    # (function, variable indices in evaluation order), built on first use
+    _compiled: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _EXPR_OPS:
             raise ValueError(f"unknown expression op {self.op!r}")
+        if self.op == "const":
+            _set(self, "value", float(self.value))
 
     @classmethod
     def const(cls, v: float) -> "Expr":
@@ -134,30 +176,18 @@ class Expr:
         return cls("abs", args=(e,))
 
     def evaluate(self, x: Sequence[float]) -> float:
-        op = self.op
-        if op == "const":
-            return self.value
-        if op == "var":
-            if self.index >= len(x):
-                raise MapDefinitionError(
-                    f"expression uses x{self.index + 1} but the point has "
-                    f"dimension {len(x)}"
-                )
-            return float(x[self.index])
-        if op == "neg":
-            return -self.args[0].evaluate(x)
-        if op == "add":
-            return self.args[0].evaluate(x) + self.args[1].evaluate(x)
-        if op == "sub":
-            return self.args[0].evaluate(x) - self.args[1].evaluate(x)
-        if op == "mul":
-            return self.args[0].evaluate(x) * self.args[1].evaluate(x)
-        v = self.args[0].evaluate(x)
-        if op == "sign":
-            return float((v > 0) - (v < 0))
-        if op == "cbrt":
-            return real_cbrt(v)
-        return abs(v)
+        compiled = self._compiled
+        if compiled is None:
+            compiled = _compile_expr(self)
+            _set(self, "_compiled", compiled)
+        fn, var_order = compiled
+        if var_order and max(var_order) >= len(x):
+            bad = next(i for i in var_order if i >= len(x))
+            raise MapDefinitionError(
+                f"expression uses x{bad + 1} but the point has "
+                f"dimension {len(x)}"
+            )
+        return fn(x)
 
     def max_var_index(self) -> int:
         if self.op == "var":
@@ -195,6 +225,155 @@ class Expr:
 
 
 # ---------------------------------------------------------------------------
+# Compilation of expression trees to straight-line Python
+# ---------------------------------------------------------------------------
+
+_pack_double = struct.Struct("<d").pack
+
+_UNARY = {
+    "neg": "-{}",
+    "sign": "1.0 if {0} > 0 else -1.0 if {0} < 0 else 0.0",
+    "cbrt": "real_cbrt({})",
+    "abs": "abs({})",
+}
+_BINARY = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}"}
+
+
+_CHUNK = 2048  # source characters compiled together, at most one box more
+
+
+class _Codegen:
+    """Builds functions of x from Expr trees, one statement per distinct
+    subtree.
+
+    Constants become parameters of a factory function, so each float is
+    bound as an object and never printed; they are keyed by their bits,
+    so 0.0 and -0.0 (equal under ``==``) stay distinct.  Within one
+    function a subtree equal to one already computed reuses its
+    temporary; evaluation is pure, so this changes no result.
+    ``real_cbrt`` is looked up in this module's globals at call time.
+    """
+
+    def __init__(self, load: str):
+        self.load = load  # how a coordinate is read from x
+        self.consts: dict[bytes, str] = {}
+        self.values: list[float] = []
+        self.lines: list[str] = []
+        self.count = 0
+        self.size = 0
+
+    def begin(self) -> None:
+        self.body: list[str] = []
+        self.memo: dict[tuple, str] = {}
+        self.var_order: list[int] = []
+
+    def end(self, tail: list[str]) -> None:
+        self.lines.append(f"    def f{self.count}(x):")
+        self.lines.extend("        " + ln for ln in self.body + tail)
+        self.size += sum(map(len, self.body + tail))
+        self.count += 1
+
+    def operand(self, e: Expr) -> str:
+        """Emit the statements computing e; return the name holding it."""
+        op = e.op
+        if op == "const":
+            bits = _pack_double(e.value)
+            name = self.consts.get(bits)
+            if name is None:
+                name = self.consts[bits] = f"c{len(self.values)}"
+                self.values.append(e.value)
+            return name
+        if op == "var":
+            key: tuple = ("var", e.index)
+            args: tuple[str, ...] = ()
+            self.var_order.append(e.index)
+        else:
+            args = tuple(self.operand(a) for a in e.args)
+            key = (op, *args)
+        name = self.memo.get(key)
+        if name is None:
+            name = self.memo[key] = f"t{len(self.memo)}"
+            if op == "var":
+                rhs = self.load.format(e.index)
+            else:
+                rhs = (_BINARY.get(op) or _UNARY[op]).format(*args)
+            self.body.append(f"{name} = {rhs}")
+        return name
+
+    def build(self, **bound: object) -> list[Callable]:
+        """The functions emitted so far; ``bound`` names further objects
+        they use."""
+        src = "\n".join([
+            f"def factory({', '.join([*self.consts.values(), *bound])}):",
+            *self.lines,
+            f"    return [{', '.join(f'f{k}' for k in range(self.count))}]",
+        ])
+        scope: dict = {}
+        exec(compile(src, "<diffinc compiled map>", "exec"), globals(), scope)
+        return scope["factory"](*self.values, *bound.values())
+
+
+def _compile_expr(e: Expr) -> tuple[Callable[[Sequence[float]], float], tuple[int, ...]]:
+    """(x -> value, variable indices in evaluation order) for Expr.evaluate."""
+    gen = _Codegen("float(x[{}])")
+    gen.begin()
+    gen.end([f"return {gen.operand(e)}"])
+    return gen.build()[0], tuple(gen.var_order)
+
+
+def _compile_boxes(boxes: Sequence[tuple[tuple[Expr, Expr], ...]],
+                   label: str) -> list[Callable[[Vector], tuple[Vector, Vector]]]:
+    """One function ``x -> (lo, hi)`` per image box of map ``label``, at
+    trusted float tuples x.  A box with a corner that is not finite, or
+    with lo > hi, raises through ``_bad_box``.  A valid box of constants
+    is folded to its value.  The others are compiled a few kilobytes of
+    source at a time: one compile for a small map, and a bounded
+    compiler working set for a large one."""
+    fns: list = []
+    gens: list[tuple[_Codegen, list[int]]] = []  # with the indices they fill
+    for box in boxes:
+        if all(e.op == "const" for pair in box for e in pair):
+            pair = (tuple(a.value for a, _ in box), tuple(b.value for _, b in box))
+            if all(_NINF < a <= b < _INF for a, b in zip(*pair)):
+                fns.append(lambda x, pair=pair: pair)
+                continue
+        if not gens or gens[-1][0].size > _CHUNK:
+            gens.append((_Codegen("x[{}]"), []))
+        gen, slots = gens[-1]
+        gen.begin()
+        los, his = [], []
+        ok = {}  # ordered set: a repeated coordinate is checked once
+        for lo_e, hi_e in box:
+            a = gen.operand(lo_e)
+            b = a if hi_e is lo_e else gen.operand(hi_e)
+            los.append(a)
+            his.append(b)
+            ok[f"_NINF < {a} < _INF" if a == b else f"_NINF < {a} <= {b} < _INF"] = None
+        gen.end([f"lo = ({''.join(n + ', ' for n in los)})",
+                 f"hi = ({''.join(n + ', ' for n in his)})",
+                 "if (" + "\n        and ".join(ok) + "):",
+                 "    return lo, hi",
+                 "_bad_box(label, x, lo, hi)"])
+        slots.append(len(fns))
+        fns.append(None)
+    for gen, slots in gens:
+        for k, fn in zip(slots, gen.build(label=label)):
+            fns[k] = fn
+    return fns
+
+
+def _bad_box(label: str, x: Vector, lo: Vector, hi: Vector) -> None:
+    """Raise for a box that failed its corner checks: the first lo > hi
+    in coordinate order, else a corner that is not finite."""
+    for a, b in zip(lo, hi):
+        if a > b:
+            raise MapDefinitionError(
+                f"map {label!r} produced lo {a!r} > hi {b!r} at {x}"
+            )
+    raise MapDefinitionError("box corners must be finite")
+
+
+# ---------------------------------------------------------------------------
 # Boxes and box-union sets
 # ---------------------------------------------------------------------------
 
@@ -218,6 +397,15 @@ class Box:
                 raise MapDefinitionError("box corners must be finite")
             if a > b:
                 raise MapDefinitionError(f"box has lo {a!r} > hi {b!r}")
+
+    @classmethod
+    def _trusted(cls, lo: Vector, hi: Vector) -> "Box":
+        """Box from float tuples already known to be finite, of one
+        dimension >= 1, with lo <= hi; nothing is re-checked."""
+        b = _new(cls)
+        _set(b, "lo", lo)
+        _set(b, "hi", hi)
+        return b
 
     @property
     def dim(self) -> int:
@@ -271,6 +459,14 @@ class CompactSet:
         d = boxes[0].dim
         if any(b.dim != d for b in boxes):
             raise MapDefinitionError("all boxes of a set must share a dimension")
+
+    @classmethod
+    def _trusted(cls, boxes: tuple[Box, ...]) -> "CompactSet":
+        """Set from a nonempty tuple of boxes already known to share one
+        dimension; nothing is re-checked."""
+        s = _new(cls)
+        _set(s, "boxes", boxes)
+        return s
 
     @property
     def dim(self) -> int:
@@ -327,11 +523,11 @@ def vertices(s: CompactSet) -> list[Vector]:
 # ---------------------------------------------------------------------------
 
 _REGION_OPS = {
-    "lt": lambda v, b: v < b,
-    "le": lambda v, b: v <= b,
-    "ge": lambda v, b: v >= b,
-    "gt": lambda v, b: v > b,
-    "eq": lambda v, b: v == b,
+    "lt": operator.lt,
+    "le": operator.le,
+    "ge": operator.ge,
+    "gt": operator.gt,
+    "eq": operator.eq,
 }
 
 
@@ -350,9 +546,6 @@ class Condition:
             raise MapDefinitionError("condition variable index must be >= 0")
         object.__setattr__(self, "bound", float(self.bound))
 
-    def holds(self, x: Sequence[float]) -> bool:
-        return _REGION_OPS[self.op](x[self.var], self.bound)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -365,9 +558,6 @@ class Region:
     """
 
     conditions: tuple[Condition, ...] = ()
-
-    def matches(self, x: Sequence[float]) -> bool:
-        return all(c.holds(x) for c in self.conditions)
 
     def max_var_index(self) -> int:
         return max((c.var for c in self.conditions), default=-1)
@@ -417,6 +607,11 @@ class SetValuedMap:
     def evaluate(self, x: Sequence[float]) -> CompactSet:
         raise NotImplementedError
 
+    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
+        """Image boxes as (lo, hi) pairs at a trusted point: a float tuple
+        of the map's dimension.  Each pair is finite with lo <= hi."""
+        raise NotImplementedError
+
     def _check_point(self, x: Sequence[float]) -> Vector:
         if len(x) != self.dim:
             raise ValueError(
@@ -460,31 +655,31 @@ class PiecewiseMap(SetValuedMap):
                             f"image expression uses x{bad + 1} in a "
                             f"{dim}-dimensional map"
                         )
+        fns = iter(_compile_boxes([b for p in self.pieces for b in p.image], self.label))
+        # (region as (var, comparator, bound) tuples, box functions) per piece
+        self._compiled = tuple(
+            (tuple((c.var, _REGION_OPS[c.op], c.bound) for c in p.region.conditions),
+             tuple(next(fns) for _ in p.image))
+            for p in self.pieces
+        )
 
     def evaluate(self, x: Sequence[float]) -> CompactSet:
-        x = self._check_point(x)
-        boxes: list[Box] = []
-        for p in self.pieces:
-            if not p.region.matches(x):
-                continue
-            for expr_box in p.image:
-                lo = []
-                hi = []
-                for lo_e, hi_e in expr_box:
-                    a = lo_e.evaluate(x)
-                    b = a if hi_e is lo_e else hi_e.evaluate(x)
-                    if a > b:
-                        raise MapDefinitionError(
-                            f"map {self.label!r} produced lo {a!r} > hi {b!r} at {x}"
-                        )
-                    lo.append(a)
-                    hi.append(b)
-                boxes.append(Box(tuple(lo), tuple(hi)))
+        return _image(self._eval(self._check_point(x)))
+
+    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
+        boxes = []
+        for conditions, fns in self._compiled:
+            for var, holds, bound in conditions:
+                if not holds(x[var], bound):
+                    break
+            else:
+                for fn in fns:
+                    boxes.append(fn(x))
         if not boxes:
             raise MapDefinitionError(
                 f"map {self.label!r} has an empty image at {x} (no piece matches)"
             )
-        return CompactSet(tuple(boxes))
+        return boxes
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         acc: dict[int, set[float]] = {}
@@ -512,15 +707,13 @@ class ProductMap(SetValuedMap):
         self.right = right
 
     def evaluate(self, x: Sequence[float]) -> CompactSet:
-        x = self._check_point(x)
-        a = self.left.evaluate(x[: self.left.dim])
-        b = self.right.evaluate(x[self.left.dim :])
-        boxes = tuple(
-            Box(ba.lo + bb.lo, ba.hi + bb.hi)
-            for ba in a.boxes
-            for bb in b.boxes
-        )
-        return CompactSet(boxes)
+        return _image(self._eval(self._check_point(x)))
+
+    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
+        d = self.left.dim
+        a = self.left._eval(x[:d])
+        b = self.right._eval(x[d:])
+        return [(la + lb, ha + hb) for la, ha in a for lb, hb in b]
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         out = dict(self.left.region_boundaries())
@@ -550,8 +743,10 @@ class UnionMap(SetValuedMap):
         self.right = right
 
     def evaluate(self, x: Sequence[float]) -> CompactSet:
-        x = self._check_point(x)
-        return CompactSet(self.left.evaluate(x).boxes + self.right.evaluate(x).boxes)
+        return _image(self._eval(self._check_point(x)))
+
+    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
+        return self.left._eval(x) + self.right._eval(x)
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         out: dict[int, set[float]] = {
@@ -580,7 +775,12 @@ class NativeMap(SetValuedMap):
         self._boundaries = dict(boundaries or {})
 
     def evaluate(self, x: Sequence[float]) -> CompactSet:
-        x = self._check_point(x)
+        return self._call(self._check_point(x))
+
+    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
+        return [(b.lo, b.hi) for b in self._call(x).boxes]
+
+    def _call(self, x: Vector) -> CompactSet:
         s = self._fn(x)
         if s.dim != self.dim:
             raise MapDefinitionError(
@@ -590,6 +790,11 @@ class NativeMap(SetValuedMap):
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         return dict(self._boundaries)
+
+
+def _image(pairs: list[tuple[Vector, Vector]]) -> CompactSet:
+    """The CompactSet of checked (lo, hi) pairs from ``_eval``."""
+    return CompactSet._trusted(tuple([Box._trusted(lo, hi) for lo, hi in pairs]))
 
 
 def product(f: SetValuedMap, g: SetValuedMap) -> SetValuedMap:

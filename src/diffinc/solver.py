@@ -35,7 +35,7 @@ from .selector import (
     initial_velocity,
     select_velocity,
 )
-from .setmap import SetValuedMap, Vector, as_vector, norm
+from .setmap import SetValuedMap, Vector, finite_vector, norm
 
 __all__ = [
     "GrowthBounds",
@@ -145,6 +145,13 @@ class Trajectory:
         return tuple(xc + dt * vc for xc, vc in zip(self.nodes[i], v))
 
 
+def _check_horizon(horizon: float) -> None:
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
+    if horizon <= 0:
+        raise ValueError("horizon must be > 0")
+
+
 def _mesh_times(horizon: float, n: int) -> tuple[float, ...]:
     return tuple((i / n) * horizon for i in range(n + 1))
 
@@ -167,13 +174,13 @@ def euler_polygon(
     checked and a warning is issued.
 
     Raises WcmInfeasible, annotated with step, time and state, when no
-    image point satisfies the sign constraint at some node.
+    image point satisfies the sign constraint at some node, and
+    ValueError naming the argument when x0, horizon or v0 is not finite.
     """
-    x0 = as_vector(x0)
+    x0 = finite_vector(x0, "x0")
     if len(x0) != m.dim:
         raise ValueError(f"x0 has dimension {len(x0)}, map has {m.dim}")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    _check_horizon(horizon)
 
     bounds = None
     if m.growth is not None:
@@ -286,11 +293,15 @@ def converge(
 
     Starts at max(n0, declared mesh minimum).  Levels are independent
     solves (selections are not nested across levels).  WcmInfeasible is
-    re-raised annotated with the level at which it occurred.
+    re-raised annotated with the level at which it occurred; x0, horizon
+    and v0 must be finite (ValueError otherwise).
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
-    x0 = as_vector(x0)
+    x0 = finite_vector(x0, "x0")
+    _check_horizon(horizon)
+    if v0 is not None:
+        v0 = finite_vector(v0, "v0 (initial velocity override)")
     start = n0
     if m.growth is not None:
         bounds = gronwall_bounds(m.growth[0], m.growth[1], norm(x0), horizon)

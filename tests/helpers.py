@@ -2,7 +2,118 @@
 
 import math
 
-from diffinc.setmap import Expr, Piece, PiecewiseMap, Region, product
+from diffinc.setmap import (
+    Expr,
+    MapDefinitionError,
+    Piece,
+    PiecewiseMap,
+    ProductMap,
+    Region,
+    UnionMap,
+    product,
+)
+
+
+def _midpoint_cube_cmp(r1, r2, a_num, a_den):
+    n1, d1 = r1.as_integer_ratio()
+    n2, d2 = r2.as_integer_ratio()
+    d = max(d1, d2)
+    num = n1 * (d // d1) + n2 * (d // d2)
+    den = 2 * d
+    lhs = num * num * num * a_den
+    rhs = a_num * den * den * den
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def reference_real_cbrt(v):
+    """Correctly rounded cube root by one-sided midpoint tests in exact
+    rationals: the original implementation, kept as the oracle."""
+    if v == 0.0 or math.isnan(v) or math.isinf(v):
+        return v
+    a = abs(v)
+    r = a ** (1.0 / 3.0)
+    a_num, a_den = a.as_integer_ratio()
+    while _midpoint_cube_cmp(math.nextafter(r, 0.0), r, a_num, a_den) > 0:
+        r = math.nextafter(r, 0.0)
+    while _midpoint_cube_cmp(r, math.nextafter(r, math.inf), a_num, a_den) < 0:
+        r = math.nextafter(r, math.inf)
+    return math.copysign(r, v)
+
+
+def tree_eval(e, x):
+    """Recursive tree-walking evaluation of an Expr: the original
+    evaluator, kept as the oracle for the compiled one."""
+    op = e.op
+    if op == "const":
+        return e.value
+    if op == "var":
+        if e.index >= len(x):
+            raise MapDefinitionError(
+                f"expression uses x{e.index + 1} but the point has "
+                f"dimension {len(x)}"
+            )
+        return float(x[e.index])
+    if op == "neg":
+        return -tree_eval(e.args[0], x)
+    if op == "add":
+        return tree_eval(e.args[0], x) + tree_eval(e.args[1], x)
+    if op == "sub":
+        return tree_eval(e.args[0], x) - tree_eval(e.args[1], x)
+    if op == "mul":
+        return tree_eval(e.args[0], x) * tree_eval(e.args[1], x)
+    v = tree_eval(e.args[0], x)
+    if op == "sign":
+        return float((v > 0) - (v < 0))
+    if op == "cbrt":
+        return reference_real_cbrt(v)
+    return abs(v)
+
+
+_REFERENCE_REGION_OPS = {
+    "lt": lambda v, b: v < b,
+    "le": lambda v, b: v <= b,
+    "ge": lambda v, b: v >= b,
+    "gt": lambda v, b: v > b,
+    "eq": lambda v, b: v == b,
+}
+
+
+def reference_image(m, x):
+    """Image of a piecewise/product/union map at the float tuple x as a
+    list of (lo, hi) pairs, by tree walking, with the original checks and
+    messages (lo > hi per coordinate as evaluated, then finiteness)."""
+    if isinstance(m, ProductMap):
+        d = m.left.dim
+        return [(la + lb, ha + hb)
+                for la, ha in reference_image(m.left, x[:d])
+                for lb, hb in reference_image(m.right, x[d:])]
+    if isinstance(m, UnionMap):
+        return reference_image(m.left, x) + reference_image(m.right, x)
+    assert isinstance(m, PiecewiseMap)
+    boxes = []
+    for p in m.pieces:
+        if not all(_REFERENCE_REGION_OPS[c.op](x[c.var], c.bound)
+                   for c in p.region.conditions):
+            continue
+        for expr_box in p.image:
+            lo, hi = [], []
+            for lo_e, hi_e in expr_box:
+                a = tree_eval(lo_e, x)
+                b = a if hi_e is lo_e else tree_eval(hi_e, x)
+                if a > b:
+                    raise MapDefinitionError(
+                        f"map {m.label!r} produced lo {a!r} > hi {b!r} at {x}"
+                    )
+                lo.append(a)
+                hi.append(b)
+            if not all(math.isfinite(c) for c in lo + hi):
+                raise MapDefinitionError("box corners must be finite")
+            boxes.append((tuple(lo), tuple(hi)))
+    if not boxes:
+        raise MapDefinitionError(
+            f"map {m.label!r} has an empty image at {x} (no piece matches)"
+        )
+    return boxes
 
 
 def reference_eval(src, x):

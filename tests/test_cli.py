@@ -198,6 +198,23 @@ class TestUsageErrors:
         code, _, err = run(capsys, "solve", "--map", "example1", "--x0", "a,b", "--T", "1")
         assert code == 1
 
+    def test_non_finite_x0(self, capsys):
+        code, out, err = run(capsys, "solve", "--map", "example1", "--x0", "nan", "--T", "1")
+        assert code == 1 and out == ""
+        assert "x0 must be finite" in err
+
+    def test_non_finite_v0(self, capsys):
+        code, out, err = run(capsys, "solve", "--map", "example3", "--x0", "0,0", "--T", "1",
+                             "--N", "50", "--v0", "nan,1")
+        assert code == 1 and out == ""
+        assert "v0" in err and "must be finite" in err
+
+    def test_non_finite_horizon(self, capsys):
+        code, _, err = run(capsys, "converge", "--map", "example1", "--x0", "0", "--T", "inf",
+                           "--N0", "8", "--levels", "2")
+        assert code == 1
+        assert "horizon must be finite" in err
+
     def test_invalid_map_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 1, "pieces": [{"region": [{"var": 1, "op": "gt", "bound": 0}], "image": [[["0", "1"]]]}]}')

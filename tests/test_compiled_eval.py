@@ -1,0 +1,237 @@
+"""The compiled evaluation path against the tree-walking oracles.
+
+Expressions and piecewise/product/union maps are compiled once into
+straight-line Python; these properties check that the compiled code
+returns what the original recursive evaluator returned, bit for bit,
+and raises the same errors.
+"""
+
+import math
+import struct
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from diffinc.setmap import (
+    Condition,
+    Expr,
+    MapDefinitionError,
+    Piece,
+    PiecewiseMap,
+    ProductMap,
+    Region,
+    UnionMap,
+    real_cbrt,
+)
+
+from helpers import reference_image, reference_real_cbrt, tree_eval
+
+
+def bits(v):
+    return struct.pack("<d", v)
+
+
+def box_bits(pairs):
+    return [(tuple(map(bits, lo)), tuple(map(bits, hi))) for lo, hi in pairs]
+
+
+def outcome(fn, *args):
+    """("ok", value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as e:  # MapDefinitionError included
+        return type(e), str(e)
+
+
+# ±0.0 must stay distinct, 1e308 overflows to inf under + and *, and
+# tiny values reach the subnormal range
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 1e308, -1e308, 5e-324, 1e-310]
+constants = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 8.0, -27.0, 1e200, -1e-300]),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(allow_nan=False),
+)
+
+UNARY = ["neg", "sign", "cbrt", "abs"]
+BINARY = ["add", "sub", "mul"]
+
+
+def _unary(t):
+    return Expr(t[0], args=(t[1],))
+
+
+def _binary(t):
+    return Expr(t[0], args=t[1:])
+
+
+def _shared(t):
+    # one subtree used twice, as the same object
+    return Expr(t[0], args=(t[1], t[1]))
+
+
+def exprs(n_vars, max_leaves):
+    leaves = st.one_of(constants.map(Expr.const),
+                       st.integers(0, n_vars - 1).map(Expr.var))
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from(UNARY), kids).map(_unary),
+            st.tuples(st.sampled_from(BINARY), kids, kids).map(_binary),
+            st.tuples(st.sampled_from(BINARY), kids).map(_shared),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+TREES = {n: exprs(n, 10) for n in (1, 2, 3)}
+SMALL_TREES = {n: exprs(n, 6) for n in (1, 2, 3)}
+
+
+@st.composite
+def expr_and_point(draw):
+    n_vars = draw(st.integers(1, 3))
+    e = draw(TREES[n_vars])
+    # sometimes shorter than the variables used, to compare the error
+    dim = draw(st.integers(max(0, n_vars - 2), n_vars))
+    return e, tuple(draw(coordinates) for _ in range(dim))
+
+
+@settings(max_examples=500, deadline=None)
+@given(expr_and_point())
+def test_expression_matches_tree_walker(case):
+    e, x = case
+    got = outcome(e.evaluate, x)
+    want = outcome(tree_eval, e, x)
+    if got[0] == "ok" and want[0] == "ok":
+        assert bits(got[1]) == bits(want[1])
+    else:
+        assert got == want
+
+
+def test_signed_zero_constants_stay_distinct():
+    e = Expr.add(Expr.const(-0.0), Expr.mul(Expr.const(0.0), Expr.const(-0.0)))
+    assert bits(e.evaluate(())) == bits(tree_eval(e, ())) == bits(-0.0)
+    assert bits(Expr.const(-0.0).evaluate(())) == bits(-0.0)
+
+
+def test_first_out_of_range_variable_is_reported():
+    e = Expr.add(Expr.var(3), Expr.var(5))
+    got = outcome(e.evaluate, (1.0,))
+    assert got == outcome(tree_eval, e, (1.0,))
+    assert "x4" in got[1]
+
+
+REGION_OPS = ["lt", "le", "ge", "gt", "eq"]
+BOUNDS = [0.0, -0.0, 1.0, -1.5, 2.0]
+
+
+@st.composite
+def piecewise_maps(draw, dim):
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        conditions = tuple(
+            Condition(draw(st.integers(0, dim - 1)), draw(st.sampled_from(REGION_OPS)),
+                      draw(st.sampled_from(BOUNDS)))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        image = []
+        for _ in range(draw(st.integers(1, 2))):
+            coords = []
+            for _ in range(dim):
+                lo = draw(SMALL_TREES[dim])
+                kind = draw(st.sampled_from(["point", "shifted", "free"]))
+                if kind == "point":
+                    hi = lo
+                elif kind == "shifted":
+                    hi = Expr.add(lo, Expr.const(draw(st.sampled_from([0.0, 0.5, 2.0]))))
+                else:
+                    hi = draw(SMALL_TREES[dim])
+                coords.append((lo, hi))
+            image.append(tuple(coords))
+        pieces.append(Piece(Region(conditions), tuple(image)))
+    return PiecewiseMap(dim, pieces, label=f"m{draw(st.integers(0, 9))}")
+
+
+@st.composite
+def maps(draw, dim, depth=2):
+    kind = draw(st.sampled_from(["pieces", "product", "union"]) if depth else st.just("pieces"))
+    if kind == "product" and dim >= 2:
+        d = draw(st.integers(1, dim - 1))
+        return ProductMap(draw(maps(d, depth - 1)), draw(maps(dim - d, depth - 1)))
+    if kind == "union":
+        return UnionMap(draw(maps(dim, depth - 1)), draw(maps(dim, depth - 1)))
+    return draw(piecewise_maps(dim))
+
+
+@st.composite
+def map_and_point(draw):
+    dim = draw(st.integers(1, 3))
+    m = draw(maps(dim))
+    point = st.one_of(st.sampled_from(BOUNDS), coordinates)
+    return m, tuple(draw(point) for _ in range(dim))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(map_and_point())
+def test_map_evaluation_matches_reference(case):
+    m, x = case
+    got = outcome(lambda p: [(b.lo, b.hi) for b in m.evaluate(p).boxes], x)
+    want = outcome(reference_image, m, x)
+    if got[0] == "ok" and want[0] == "ok":
+        assert box_bits(got[1]) == box_bits(want[1])
+    else:
+        assert got == want
+
+
+def test_each_error_kind_matches_reference():
+    x = Expr.var(0)
+    big = Expr.const(1e308)
+    cases = {
+        "lo > hi": (((Expr.const(1.0), Expr.const(0.0)),), (1.0,)),
+        "overflow": (((Expr.mul(big, Expr.add(x, big)), Expr.const(0.0)),), (1.0,)),
+        "nan corner": (((Expr.sub(Expr.mul(big, big), Expr.mul(big, big)),
+                         Expr.const(0.0)),), (1.0,)),
+    }
+    for name, (box, point) in cases.items():
+        m = PiecewiseMap(1, (Piece(Region(), (box,)),), label=name)
+        got = outcome(m.evaluate, point)
+        assert got[0] is MapDefinitionError
+        assert got == outcome(reference_image, m, point)
+    empty = PiecewiseMap(1, (Piece(Region((Condition(0, "gt", 0.0),)),
+                                   (((x, x),),)),), label="half")
+    got = outcome(empty.evaluate, (-1.0,))
+    assert "empty image" in got[1]
+    assert got == outcome(reference_image, empty, (-1.0,))
+
+
+def _cube(k):
+    return float(k) ** 3
+
+
+def _scaled_cube(t):
+    return math.ldexp(float(t[0]) ** 3, 3 * t[1])
+
+
+def exact_cubes():
+    small = st.integers(-(2 ** 17), 2 ** 17).map(_cube)
+    scaled = st.tuples(st.integers(1, 2 ** 17), st.integers(-350, 320)).map(_scaled_cube)
+    return st.one_of(small, scaled)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.floats(), st.floats(max_value=1e-300, min_value=-1e-300),
+                 exact_cubes()))
+def test_real_cbrt_matches_reference(v):
+    assert bits(real_cbrt(v)) == bits(reference_real_cbrt(v))
+
+
+def test_real_cbrt_extremes_match_reference():
+    for v in (5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+              1.7976931348623157e308, math.inf, -math.inf, -0.0, 1e-310, 27.0):
+        assert bits(real_cbrt(v)) == bits(reference_real_cbrt(v))
+    assert math.isnan(real_cbrt(math.nan))

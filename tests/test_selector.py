@@ -1,5 +1,6 @@
 """Sign-constrained selection: exactness, soundness, completeness."""
 
+import math
 import random
 
 import pytest
@@ -183,3 +184,10 @@ class TestInitialVelocity:
             initial_velocity(img, override=(1.05,))
         got = initial_velocity(img, SelectionPolicy(slack=0.1), override=(1.05,))
         assert got == (1.05,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_override_names_v0(self, bad):
+        # a NaN coordinate is at no distance > slack from anything
+        img = CompactSet.of_intervals((-1.0, 1.0), (-1.0, 1.0))
+        with pytest.raises(ValueError, match="v0"):
+            initial_velocity(img, SelectionPolicy(slack=math.inf), override=(bad, 1.0))

@@ -143,6 +143,21 @@ class TestEulerPolygon:
         with pytest.raises(ValueError):
             euler_polygon(m, (0.0,), -1.0, 4)
 
+    @pytest.mark.parametrize("solve", [
+        lambda m, x0, horizon, v0: euler_polygon(m, x0, horizon, 16, v0=v0),
+        lambda m, x0, horizon, v0: converge(m, x0, horizon, 16, 2, v0=v0),
+    ], ids=["euler_polygon", "converge"])
+    @pytest.mark.parametrize("arg, x0, horizon, v0", [
+        ("x0", (math.nan,), 1.0, None),
+        ("x0", (-math.inf,), 1.0, None),
+        ("horizon", (0.5,), math.nan, None),
+        ("horizon", (0.5,), math.inf, None),
+        ("v0", (0.5,), 1.0, (math.nan,)),
+    ])
+    def test_non_finite_inputs_name_the_argument(self, solve, arg, x0, horizon, v0):
+        with pytest.raises(ValueError, match=f"^{arg}"):
+            solve(builtin("example1"), x0, horizon, v0)
+
     def test_monotone_by_construction(self):
         rng = random.Random(31)
         for name, params in [("example1", None), ("example2_F", None),
