@@ -7,24 +7,36 @@ Per-pair decisions are exact for box-union images:
   hardest corners — in each coordinate the constraint on w is tightest
   at one end of the v-box, so one corner decides the whole box;
 * the monotonicity form <x-y, v-w> is linear in v and w separately, so
-  its minimum over box unions is attained at vertices (evaluated in
-  exact rational arithmetic, so the sign is decided rigorously);
-* cyclic sums split per cycle point and minimise vertex-wise, also in
-  exact arithmetic (telescoping sums come out exactly zero).
+  its minimum over a box union is attained at a vertex.  Per box the
+  minimising corner is read off the signs of d = x-y: ``lo_j`` where
+  ``d_j >= 0`` or ``lo_j == hi_j``, ``hi_j`` otherwise; the first box
+  with the strictly smallest value wins.  That is the first minimising
+  corner in ``vertices()`` order, found without enumerating 2^n
+  corners, so there is no dimension limit;
+* cyclic sums split per cycle point and minimise per box the same way.
 
-Only the pair/cycle *sampling* is approximate: a ``pass-sampled``
-verdict claims absence of counterexamples within the budget, never a
-proof.  Every ``fail`` verdict carries a certificate that re-verifies
-by direct evaluation.
+The bilinear sums are exact: every finite double is an integer multiple
+of 2^-1074, so each coordinate is scaled to a plain ``int`` and sums of
+products are exact integers (telescoping sums come out exactly zero).
+A reported ``value`` is one correctly rounded int/int division, equal
+to ``float`` of the same rational.
+
+Checks draw their random pairs or cycles one at a time, after the
+deterministic battery and only up to the first failure; the draws come
+from the seeded generator in a fixed order, so a report does not depend
+on how far the search went.  Only the pair/cycle *sampling* is
+approximate: a ``pass-sampled`` verdict claims absence of
+counterexamples within the budget, never a proof.  Every ``fail``
+verdict carries a certificate that re-verifies by direct evaluation.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .selector import SignPattern, feasible_region
 from .setmap import (
@@ -126,30 +138,40 @@ def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
     return tuple(rng.uniform(-radius, radius) for _ in range(n))
 
 
-def _first_failure(
-    items: Sequence,
-    decide: Callable,
-    threads: int | None,
-) -> tuple[int, dict | None]:
-    """Index of the lowest failing item and its certificate.
+def _check_budget(radius: float, count: int) -> None:
+    if not math.isfinite(radius) or radius <= 0:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
 
-    The item list is fixed up front, so the outcome is independent of
-    the number of worker threads.
+
+def _sampled_check(
+    condition: str,
+    items: Iterable,
+    decide: Callable,
+    seed: int,
+    radius: float,
+    extra: dict | None = None,
+) -> CheckReport:
+    """Decide items in order up to the first failure.
+
+    ``samples`` counts the items decided: all of them on a pass, up to
+    and including the failing one on a fail.  ``items`` may be lazy, so
+    nothing past the first failure is drawn.
     """
-    if threads is not None and threads > 1 and len(items) > 64:
-        chunk = 512
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for base in range(0, len(items), chunk):
-                part = items[base : base + chunk]
-                for i, cert in enumerate(pool.map(decide, part)):
-                    if cert is not None:
-                        return base + i, cert
-        return len(items), None
-    for i, item in enumerate(items):
+    samples = 0
+    for samples, item in enumerate(items, 1):
         cert = decide(item)
         if cert is not None:
-            return i, cert
-    return len(items), None
+            return CheckReport(condition, "fail", samples, seed, radius, cert, extra)
+    return CheckReport(condition, "pass-sampled", samples, seed, radius, None, extra)
+
+
+def _random_tuples(seed: int, n: int, radius: float, count: int, size: int):
+    """`count` tuples of `size` random points, drawn one tuple at a time."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(_random_point(rng, n, radius) for _ in range(size))
 
 
 # ---------------------------------------------------------------------------
@@ -216,165 +238,110 @@ def check_wcm_pair(m: SetValuedMap, x: Sequence[float], y: Sequence[float]) -> d
     return wcm_pair_feasible(m.evaluate(x), m.evaluate(y), x, y)
 
 
-def check_wcm(
-    m: SetValuedMap,
-    radius: float,
-    count: int,
-    seed: int,
-    threads: int | None = None,
-) -> CheckReport:
-    """Sample `count` random pairs in [-radius, radius]^n plus the
+def check_wcm(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckReport:
+    """Sample `count` random pairs in [-radius, radius]^n after the
     deterministic battery; first failure short-circuits."""
-    if radius <= 0 or count < 1:
-        raise ValueError("need radius > 0 and count >= 1")
-    rng = random.Random(seed)
-    pairs = structured_pairs(m, radius)
-    pairs.extend(
-        (_random_point(rng, m.dim, radius), _random_point(rng, m.dim, radius))
-        for _ in range(count)
-    )
-    index, cert = _first_failure(
-        pairs, lambda p: check_wcm_pair(m, p[0], p[1]), threads
-    )
-    return CheckReport(
-        condition="wcm",
-        verdict="fail" if cert is not None else "pass-sampled",
-        samples=index + 1 if cert is not None else len(pairs),
-        seed=seed,
-        radius=radius,
-        certificate=cert,
+    _check_budget(radius, count)
+    pairs = chain(structured_pairs(m, radius),
+                  _random_tuples(seed, m.dim, radius, count, 2))
+    return _sampled_check(
+        "wcm", pairs, lambda p: check_wcm_pair(m, p[0], p[1]), seed, radius
     )
 
 
 # ---------------------------------------------------------------------------
-# Monotonicity and cyclic monotonicity (vertex-exact minimisation)
+# Monotonicity and cyclic monotonicity (exact per-box minimisation)
 # ---------------------------------------------------------------------------
-# Floats are exact rationals; doing the bilinear arithmetic in Fraction
-# makes the sign decision rigorous (telescoping cycle sums come out as
-# an exact 0 instead of summation noise).
+
+_SCALE = 1074  # every finite double is an integer multiple of 2**-_SCALE
+_PRODUCT_UNIT = 1 << (2 * _SCALE)  # a product of two scaled coordinates
 
 
-def _exact_diff(x: Vector, y: Vector) -> tuple[Fraction, ...]:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
+def _exact(c: float) -> int:
+    """c * 2**1074, exactly."""
+    num, den = c.as_integer_ratio()
+    return num << (_SCALE + 1 - den.bit_length())
 
 
-def _exact_dot(d: Sequence[Fraction], v: Vector) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(d, v):
-        total += a * Fraction(b)
-    return total
+def _min_vertex(image: CompactSet, d: Sequence[int]) -> tuple[int, Vector]:
+    """Minimum of <d, v> over the image (scaled by 2**2148) and the first
+    corner in ``vertices()`` order that attains it; ``d`` is scaled by
+    2**1074."""
+    best = best_v = None
+    for box in image.boxes:
+        v = tuple(lo if c >= 0 or lo == hi else hi
+                  for c, lo, hi in zip(d, box.lo, box.hi))
+        val = sum(c * _exact(a) for c, a in zip(d, v) if c)
+        if best is None or val < best:
+            best, best_v = val, v
+    assert best_v is not None
+    return best, best_v
 
 
-def _min_vertex(image: CompactSet, d: Sequence[Fraction]) -> tuple[Fraction, Vector]:
-    best: tuple[Fraction, Vector] | None = None
-    for v in vertices(image):
-        val = _exact_dot(d, v)
-        if best is None or val < best[0]:
-            best = (val, v)
-    assert best is not None
-    return best
-
-
-def _max_vertex(image: CompactSet, d: Sequence[Fraction]) -> tuple[Fraction, Vector]:
-    val, v = _min_vertex(image, tuple(-c for c in d))
+def _max_vertex(image: CompactSet, d: Sequence[int]) -> tuple[int, Vector]:
+    val, v = _min_vertex(image, [-c for c in d])
     return -val, v
 
 
 def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
     if x == y:
         return None
-    d = _exact_diff(x, y)
+    d = [_exact(a) - _exact(b) for a, b in zip(x, y)]
     lo_v, v = _min_vertex(m.evaluate(x), d)
     hi_w, w = _max_vertex(m.evaluate(y), d)
     value = lo_v - hi_w
     if value < 0:
         return {"x": list(x), "y": list(y), "v": list(v), "w": list(w),
-                "value": float(value)}
+                "value": value / _PRODUCT_UNIT}
     return None
 
 
 def find_monotonicity_violation(
-    m: SetValuedMap,
-    radius: float,
-    count: int,
-    seed: int,
-    threads: int | None = None,
+    m: SetValuedMap, radius: float, count: int, seed: int
 ) -> CheckReport:
-    """Search for <x-y, v-w> < 0; exact per pair via vertex minimisation."""
-    if radius <= 0 or count < 1:
-        raise ValueError("need radius > 0 and count >= 1")
-    rng = random.Random(seed)
-    pairs = structured_pairs(m, radius)
-    pairs.extend(
-        (_random_point(rng, m.dim, radius), _random_point(rng, m.dim, radius))
-        for _ in range(count)
-    )
-    index, cert = _first_failure(
-        pairs, lambda p: _monotone_gap(m, p[0], p[1]), threads
-    )
-    return CheckReport(
-        condition="monotone",
-        verdict="fail" if cert is not None else "pass-sampled",
-        samples=index + 1 if cert is not None else len(pairs),
-        seed=seed,
-        radius=radius,
-        certificate=cert,
+    """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
+    _check_budget(radius, count)
+    pairs = chain(structured_pairs(m, radius),
+                  _random_tuples(seed, m.dim, radius, count, 2))
+    return _sampled_check(
+        "monotone", pairs, lambda p: _monotone_gap(m, p[0], p[1]), seed, radius
     )
 
 
 def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
-    total = Fraction(0)
+    scaled = [[_exact(c) for c in p] for p in points]
+    total = 0
     chosen: list[Vector] = []
     length = len(points)
     for i in range(1, length + 1):
-        here = points[i % length]
-        prev = points[i - 1]
-        d = _exact_diff(here, prev)
-        val, v = _min_vertex(m.evaluate(here), d)
+        d = [a - b for a, b in zip(scaled[i % length], scaled[i - 1])]
+        val, v = _min_vertex(m.evaluate(points[i % length]), d)
         total += val
         chosen.append(v)
     if total < 0:
         cycle = [list(p) for p in points] + [list(points[0])]
         return {"cycle": cycle, "velocities": [list(v) for v in chosen],
-                "value": float(total)}
+                "value": total / _PRODUCT_UNIT}
     return None
 
 
 def find_cyclic_violation(
-    m: SetValuedMap,
-    radius: float,
-    cycle_len: int,
-    count: int,
-    seed: int,
-    threads: int | None = None,
+    m: SetValuedMap, radius: float, cycle_len: int, count: int, seed: int
 ) -> CheckReport:
     """Search cycles whose minimal circulation sum is negative.
 
-    The sum splits per cycle point, so each term is minimised over the
-    vertices of that point's image independently (exact per cycle).
+    The sum splits per cycle point, so each term is minimised over that
+    point's image independently (exact per cycle).
     """
     if cycle_len < 2:
         raise ValueError("cycles need at least 2 points")
-    if radius <= 0 or count < 1:
-        raise ValueError("need radius > 0 and count >= 1")
-    rng = random.Random(seed)
-    cycles: list[tuple[Vector, ...]] = [
-        (a, b) for a, b in structured_pairs(m, radius) if a != b
-    ]
-    cycles.extend(
-        tuple(_random_point(rng, m.dim, radius) for _ in range(cycle_len))
-        for _ in range(count)
+    _check_budget(radius, count)
+    cycles = chain(
+        ((a, b) for a, b in structured_pairs(m, radius) if a != b),
+        _random_tuples(seed, m.dim, radius, count, cycle_len),
     )
-    index, cert = _first_failure(cycles, lambda c: _cycle_gap(m, c), threads)
-    return CheckReport(
-        condition="cyclic",
-        verdict="fail" if cert is not None else "pass-sampled",
-        samples=index + 1 if cert is not None else len(cycles),
-        seed=seed,
-        radius=radius,
-        certificate=cert,
-        extra={"cycle_len": cycle_len},
-    )
+    return _sampled_check("cyclic", cycles, lambda c: _cycle_gap(m, c), seed,
+                          radius, {"cycle_len": cycle_len})
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +356,9 @@ class GrowthFit:
     Max-based, never an underestimate on the sampled points: b is the
     steepest observed slope of the norm against |x| (clipped at 0) and a
     closes the largest remaining gap.  ``declared_violation`` is the
-    worst excess over the map's declared constants (None if undeclared).
+    worst excess ``g - (a + b*r)`` of a sampled norm g over the map's
+    declared bound evaluated in floats at r = |x| (None if undeclared),
+    so it is 0 exactly when no sampled norm exceeds that float bound.
     """
 
     a: float
@@ -401,8 +370,7 @@ class GrowthFit:
 def estimate_growth(
     m: SetValuedMap, radius: float, count: int, seed: int
 ) -> GrowthFit:
-    if radius <= 0 or count < 1:
-        raise ValueError("need radius > 0 and count >= 1")
+    _check_budget(radius, count)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j in range(m.dim):
@@ -428,7 +396,7 @@ def estimate_growth(
     violation = None
     if m.growth is not None:
         da, db = m.growth
-        violation = max(0.0, max(g - da - db * r for r, g in data))
+        violation = max(0.0, max(g - (da + db * r) for r, g in data))
     return GrowthFit(a, b, violation, len(points))
 
 
@@ -454,10 +422,9 @@ def check_closed_graph(
     Open-region piece encodings are the typical culprit.  Boundary
     points of piecewise maps are probed first.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if radius <= 0 or count < 1:
-        raise ValueError("need radius > 0 and count >= 1")
+    if not math.isfinite(eps) or eps <= 0:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    _check_budget(radius, count)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j, bounds in sorted(m.region_boundaries().items()):
@@ -501,16 +468,7 @@ def check_closed_graph(
                 }
         return None
 
-    index, cert = _first_failure(points, probe, None)
-    return CheckReport(
-        condition="closed-graph",
-        verdict="fail" if cert is not None else "pass-sampled",
-        samples=index + 1 if cert is not None else len(points),
-        seed=seed,
-        radius=radius,
-        certificate=cert,
-        extra={"eps": eps},
-    )
+    return _sampled_check("closed-graph", points, probe, seed, radius, {"eps": eps})
 
 
 # ---------------------------------------------------------------------------

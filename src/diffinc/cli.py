@@ -122,18 +122,6 @@ def _policy(args: argparse.Namespace) -> SelectionPolicy:
     return SelectionPolicy(args.policy.replace("-", "_"), args.slack)
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("DIFFINC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"DIFFINC_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -169,8 +157,6 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write the report/trajectory here")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp field (byte-reproducible output)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: DIFFINC_THREADS or all cores)")
 
 
 def build_parser() -> _Parser:
@@ -268,7 +254,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
     report = solver.converge(
         m, x0, args.T, args.N0, args.levels, _policy(args), v0,
         samples_per_interval=args.samples_per_interval,
-        threads=_threads(args),
     )
     _emit(report.to_json_dict(), args)
     return 0
@@ -282,15 +267,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     samples = args.samples
     if samples is None:
         samples = _CHECK_DEFAULT_SAMPLES.get(args.condition, 10000)
-    threads = _threads(args)
     if args.condition == "wcm":
-        report = analyzer.check_wcm(m, args.radius, samples, args.seed, threads)
+        report = analyzer.check_wcm(m, args.radius, samples, args.seed)
     elif args.condition == "monotone":
         report = analyzer.find_monotonicity_violation(
-            m, args.radius, samples, args.seed, threads)
+            m, args.radius, samples, args.seed)
     elif args.condition == "cyclic":
         report = analyzer.find_cyclic_violation(
-            m, args.radius, args.cycle_len, samples, args.seed, threads)
+            m, args.radius, args.cycle_len, samples, args.seed)
     elif args.condition == "graph":
         report = analyzer.check_closed_graph(
             m, args.radius, samples, args.seed, args.eps)

@@ -29,7 +29,11 @@ Expression grammar (precedence low to high)::
 Whitespace is insignificant.  ``x`` names the single coordinate of a
 1-D map; ``x1 .. xn`` name coordinates of higher-dimensional maps
 (range-checking against the map dimension happens during map
-validation, not expression parsing).
+validation, not expression parsing).  Expressions nest at most
+``MAX_EXPR_DEPTH`` levels: each parenthesis, sign, function call and
+binary operator adds one, so an operator chain counts as deep as it is
+long; deeper input is a ``ParseError`` at the offset where the limit
+is crossed.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .setmap import (
 )
 
 _REGION_OPS = ("lt", "le", "ge", "gt", "eq")
+MAX_EXPR_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -121,45 +126,62 @@ class _ExprParser:
         )
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr(0)
         if self.peek()[0] != "eof":
             raise self.fail(("+", "-", "*", "end of input"))
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    # Each rule takes the nesting level it starts at and returns its
+    # expression with the depth of that expression's tree.
+
+    def deeper(self, depth: int, pos: int) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+                _byte_offset(self.src, pos),
+            )
+        return depth
+
+    def expr(self, level: int) -> tuple[Expr, int]:
+        e, depth = self.term(level)
         while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
+            _, op, pos = self.advance()
+            rhs, rdepth = self.term(level)
+            depth = self.deeper(max(depth, rdepth) + 1, pos)
             e = Expr.add(e, rhs) if op == "+" else Expr.sub(e, rhs)
-        return e
+        return e, depth
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self, level: int) -> tuple[Expr, int]:
+        e, depth = self.factor(level)
         while self.peek()[1] == "*":
-            self.advance()
-            e = Expr.mul(e, self.factor())
-        return e
+            pos = self.advance()[2]
+            rhs, rdepth = self.factor(level)
+            depth = self.deeper(max(depth, rdepth) + 1, pos)
+            e = Expr.mul(e, rhs)
+        return e, depth
 
-    def factor(self) -> Expr:
+    def factor(self, level: int) -> tuple[Expr, int]:
         kind, text, pos = self.peek()
+        if text in ("-", "("):
+            self.deeper(level + 1, pos)
         if text == "-":
             self.advance()
-            return Expr.neg(self.factor())
+            e, depth = self.factor(level + 1)
+            return Expr.neg(e), self.deeper(depth + 1, pos)
         if text == "(":
             self.advance()
-            e = self.expr()
+            e, depth = self.expr(level + 1)
             if self.peek()[1] != ")":
                 raise self.fail((")",))
             self.advance()
-            return e
+            return e, depth
         if kind == "number":
             self.advance()
-            return Expr.const(float(text))
+            return Expr.const(float(text)), 1
         if kind == "name":
             self.advance()
             if text == "x":
-                return Expr.var(0)
+                return Expr.var(0), 1
             m = re.fullmatch(r"x(\d+)", text)
             if m:
                 index = int(m.group(1))
@@ -169,7 +191,7 @@ class _ExprParser:
                         _byte_offset(self.src, pos),
                         ("x1", "x2", "..."),
                     )
-                return Expr.var(index - 1)
+                return Expr.var(index - 1), 1
             if self.peek()[1] == "(":
                 if text not in ("sign", "cbrt", "abs"):
                     raise ParseError(
@@ -177,12 +199,13 @@ class _ExprParser:
                         _byte_offset(self.src, pos),
                         ("sign", "cbrt", "abs"),
                     )
+                self.deeper(level + 1, pos)
                 self.advance()
-                e = self.expr()
+                e, depth = self.expr(level + 1)
                 if self.peek()[1] != ")":
                     raise self.fail((")",))
                 self.advance()
-                return Expr(text, args=(e,))
+                return Expr(text, args=(e,)), self.deeper(depth + 1, pos)
             raise ParseError(
                 f"unknown name {text!r}",
                 _byte_offset(self.src, pos),

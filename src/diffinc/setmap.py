@@ -505,10 +505,17 @@ def distance(s: CompactSet, v: Sequence[float]) -> float:
 
 
 def vertices(s: CompactSet) -> list[Vector]:
-    """All box corners (duplicates across boxes allowed).
+    """All box corners (duplicates across boxes allowed), box by box in
+    ``Box.corners()`` order.
 
     Every linear functional attains its extremum over the set on this
-    list.  Guarded to dimension 16 to avoid the 2^n corner blow-up.
+    list.  Guarded to dimension 16 to avoid the 2^n corner blow-up.  The
+    analyzer's monotone and cyclic checks do not enumerate: per box, the
+    first corner in this order that minimises <d, v> takes ``lo_j``
+    where ``d_j >= 0`` or ``lo_j == hi_j`` (which keeps a ``[-0.0, 0.0]``
+    coordinate at -0.0) and ``hi_j`` otherwise, and the first box with
+    the strictly smallest value wins, with the sums taken exactly in
+    integers scaled by 2^1074.
     """
     if s.dim > MAX_VERTEX_DIM:
         raise ValueError(f"vertices limited to dimension {MAX_VERTEX_DIM}")

@@ -24,7 +24,6 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import analyzer
@@ -287,7 +286,6 @@ def converge(
     policy: SelectionPolicy = SelectionPolicy(),
     v0: Sequence[float] | None = None,
     samples_per_interval: int = 4,
-    threads: int | None = None,
 ) -> ConvergenceReport:
     """Run `levels` polygons with N, 2N, 4N, ... steps and compare them.
 
@@ -308,30 +306,15 @@ def converge(
         start = max(n0, min_steps(bounds))
     ns = [start * (2 ** k) for k in range(levels)]
 
-    def solve(n: int) -> Trajectory:
-        return euler_polygon(m, x0, horizon, n, policy, v0)
-
     trajectories: list[Trajectory] = []
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(solve, n) for n in ns]
-            for lvl, fut in enumerate(futures):
-                try:
-                    trajectories.append(fut.result())
-                except WcmInfeasible as e:
-                    raise WcmInfeasible(
-                        e.prev_v, e.signs, e.image, state=e.state,
-                        step=e.step, time=e.time, level=lvl,
-                    ) from None
-    else:
-        for lvl, n in enumerate(ns):
-            try:
-                trajectories.append(solve(n))
-            except WcmInfeasible as e:
-                raise WcmInfeasible(
-                    e.prev_v, e.signs, e.image, state=e.state,
-                    step=e.step, time=e.time, level=lvl,
-                ) from None
+    for lvl, n in enumerate(ns):
+        try:
+            trajectories.append(euler_polygon(m, x0, horizon, n, policy, v0))
+        except WcmInfeasible as e:
+            raise WcmInfeasible(
+                e.prev_v, e.signs, e.image, state=e.state,
+                step=e.step, time=e.time, level=lvl,
+            ) from None
 
     deltas = tuple(
         _grid_delta(coarse, fine)

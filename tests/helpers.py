@@ -1,7 +1,15 @@
 """Shared test utilities: independent oracles and random generators."""
 
 import math
+import random
+from fractions import Fraction
 
+from diffinc.analyzer import (
+    CheckReport,
+    _random_point,
+    check_wcm_pair,
+    structured_pairs,
+)
 from diffinc.setmap import (
     Expr,
     MapDefinitionError,
@@ -11,6 +19,7 @@ from diffinc.setmap import (
     Region,
     UnionMap,
     product,
+    vertices,
 )
 
 
@@ -268,3 +277,105 @@ def random_monotone_map(rng, dim):
     for f in factors[1:]:
         m = product(m, f)
     return m
+
+
+# ---------------------------------------------------------------------------
+# Sampled checks: the original eager, vertex-enumerating implementation
+# ---------------------------------------------------------------------------
+
+
+def _exact_dot(d, v):
+    total = Fraction(0)
+    for a, b in zip(d, v):
+        total += a * Fraction(b)
+    return total
+
+
+def reference_min_vertex(image, d):
+    """Minimum of <d, v> over all corners in ``vertices()`` order (first
+    minimiser wins), in Fraction; ``d`` holds Fractions."""
+    best = None
+    for v in vertices(image):
+        val = _exact_dot(d, v)
+        if best is None or val < best[0]:
+            best = (val, v)
+    return best
+
+
+def reference_max_vertex(image, d):
+    val, v = reference_min_vertex(image, tuple(-c for c in d))
+    return -val, v
+
+
+def _exact_diff(x, y):
+    return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
+
+
+def _monotone_gap(m, x, y):
+    if x == y:
+        return None
+    d = _exact_diff(x, y)
+    lo_v, v = reference_min_vertex(m.evaluate(x), d)
+    hi_w, w = reference_max_vertex(m.evaluate(y), d)
+    value = lo_v - hi_w
+    if value < 0:
+        return {"x": list(x), "y": list(y), "v": list(v), "w": list(w),
+                "value": float(value)}
+    return None
+
+
+def _cycle_gap(m, points):
+    total = Fraction(0)
+    chosen = []
+    length = len(points)
+    for i in range(1, length + 1):
+        here = points[i % length]
+        d = _exact_diff(here, points[i - 1])
+        val, v = reference_min_vertex(m.evaluate(here), d)
+        total += val
+        chosen.append(v)
+    if total < 0:
+        cycle = [list(p) for p in points] + [list(points[0])]
+        return {"cycle": cycle, "velocities": [list(v) for v in chosen],
+                "value": float(total)}
+    return None
+
+
+def _eager_report(condition, items, decide, seed, radius, extra=None):
+    for i, item in enumerate(items):
+        cert = decide(item)
+        if cert is not None:
+            return CheckReport(condition, "fail", i + 1, seed, radius, cert, extra)
+    return CheckReport(condition, "pass-sampled", len(items), seed, radius, None, extra)
+
+
+def _eager_pairs(m, radius, count, seed):
+    rng = random.Random(seed)
+    pairs = structured_pairs(m, radius)
+    pairs.extend(
+        (_random_point(rng, m.dim, radius), _random_point(rng, m.dim, radius))
+        for _ in range(count)
+    )
+    return pairs
+
+
+def reference_check_wcm(m, radius, count, seed):
+    pairs = _eager_pairs(m, radius, count, seed)
+    return _eager_report("wcm", pairs, lambda p: check_wcm_pair(m, *p), seed, radius)
+
+
+def reference_monotone(m, radius, count, seed):
+    pairs = _eager_pairs(m, radius, count, seed)
+    return _eager_report("monotone", pairs, lambda p: _monotone_gap(m, *p),
+                         seed, radius)
+
+
+def reference_cyclic(m, radius, cycle_len, count, seed):
+    rng = random.Random(seed)
+    cycles = [(a, b) for a, b in structured_pairs(m, radius) if a != b]
+    cycles.extend(
+        tuple(_random_point(rng, m.dim, radius) for _ in range(cycle_len))
+        for _ in range(count)
+    )
+    return _eager_report("cyclic", cycles, lambda c: _cycle_gap(m, c), seed,
+                         radius, {"cycle_len": cycle_len})

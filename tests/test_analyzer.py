@@ -146,12 +146,6 @@ class TestCheckWcm:
         b = check_wcm(builtin("normgrad", {"n": 2, "k": 4}), 5.0, 500, 42)
         assert a == b
 
-    def test_threads_do_not_change_the_report(self):
-        m = builtin("normgrad", {"n": 2, "k": 4})
-        seq = check_wcm(m, 5.0, 800, 9)
-        par = check_wcm(m, 5.0, 800, 9, threads=4)
-        assert seq == par
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             check_wcm(builtin("example1"), 0.0, 10, 1)

@@ -103,7 +103,7 @@ class TestConverge:
         code, out, _ = run(
             capsys, "converge", "--map", "example2F", "--x0", "1", "--v0", "1",
             "--policy", "lex-max", "--T", "1", "--N0", "125", "--levels", "3",
-            "--no-timestamp", "--threads", "2",
+            "--no-timestamp",
         )
         assert code == 0
         deltas = json.loads(out)["deltas"]
@@ -144,6 +144,15 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["fit"] == {"a": 1.0, "b": 0.0}
         assert doc["declared_violation"] == 0.0
+
+    def test_growth_declared_bound_met_in_floats(self, capsys):
+        # g - A - B*r rounded to 4.4e-16 here although g <= A + B*r
+        code, out, _ = run(
+            capsys, "check", "growth", "--map", "example2G", "--radius", "3.37",
+            "--samples", "100", "--seed", "810910", "--no-timestamp",
+        )
+        assert code == 0
+        assert json.loads(out)["declared_violation"] == 0.0
 
     def test_graph_check_runs(self, capsys):
         code, out, _ = run(
@@ -221,6 +230,30 @@ class TestUsageErrors:
         code, _, err = run(capsys, "solve", "--map", str(bad), "--x0", "0", "--T", "1")
         assert code == 1
         assert "empty image" in err
+
+    @pytest.mark.parametrize("condition", ["wcm", "monotone", "cyclic", "growth", "graph"])
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius(self, capsys, condition, radius):
+        code, out, err = run(capsys, "check", condition, "--map", "example1",
+                             "--radius", radius, "--samples", "10")
+        assert code == 1 and out == ""
+        assert "radius must be finite" in err
+
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_non_finite_graph_eps(self, capsys, eps):
+        code, out, err = run(capsys, "check", "graph", "--map", "example1",
+                             "--eps", eps, "--samples", "10")
+        assert code == 1 and out == ""
+        assert "eps must be finite" in err
+
+    def test_deep_expression_in_map_file(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        expr = "(" * 3000 + "x" + ")" * 3000
+        deep.write_text(json.dumps({"dim": 1, "pieces": [
+            {"region": [], "image": [[[expr, "1"]]]}]}))
+        code, out, err = run(capsys, "check", "monotone", "--map", str(deep))
+        assert code == 1 and out == ""
+        assert "nested deeper" in err
 
     def test_exit_codes_stay_in_contract(self, capsys):
         codes = set()

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import random_expr, reference_eval
 
-from diffinc.mapdsl import ParseError, parse_expr, parse_map, roundtrip
+from diffinc.mapdsl import MAX_EXPR_DEPTH, ParseError, parse_expr, parse_map, roundtrip
 from diffinc.setmap import (
     CompactSet,
     Expr,
@@ -62,6 +62,26 @@ class TestParseExpr:
             parse_expr("1 2")
         with pytest.raises(ParseError):
             parse_expr("x0")
+
+    @pytest.mark.parametrize("src, offset", [
+        ("(" * 3000 + "x" + ")" * 3000, MAX_EXPR_DEPTH),
+        ("-" * 3000 + "x", MAX_EXPR_DEPTH),
+        ("abs(" * 3000 + "x" + ")" * 3000, 4 * MAX_EXPR_DEPTH),
+        ("+".join(["x"] * 3000), 2 * MAX_EXPR_DEPTH - 1),
+    ])
+    def test_deep_expressions_are_parse_errors(self, src, offset):
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse_expr(src)
+        assert err.value.offset == offset
+
+    def test_depth_limit_is_inclusive(self):
+        for src in ("(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+                    "-" * (MAX_EXPR_DEPTH - 1) + "x",
+                    "+".join(["x"] * MAX_EXPR_DEPTH)):
+            e = parse_expr(src)
+            assert abs(e.evaluate((0.5,))) in (0.5, MAX_EXPR_DEPTH / 2)
+        with pytest.raises(ParseError):
+            parse_expr("-" * MAX_EXPR_DEPTH + "x")
 
     def test_out_of_range_variable_deferred_to_map_validation(self):
         e = parse_expr("x5")   # fine on its own

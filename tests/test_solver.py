@@ -246,14 +246,6 @@ class TestConverge:
         assert rep.trajectories[0].steps == min_steps(gronwall_bounds(1, 1, 1, 1))
         assert rep.trajectories[1].steps == 2 * rep.trajectories[0].steps
 
-    def test_thread_count_does_not_change_results(self):
-        kw = dict(v0=(1.0,))
-        seq = converge(builtin("example2_F"), (1.0,), 1.0, 50, 3, LEX_MAX, **kw)
-        par = converge(builtin("example2_F"), (1.0,), 1.0, 50, 3, LEX_MAX,
-                       threads=4, **kw)
-        assert seq.deltas == par.deltas
-        assert [t.terminal for t in seq.trajectories] == [t.terminal for t in par.trajectories]
-
     def test_report_json_shape(self):
         rep = converge(builtin("example4", {"n": 1}), (-1.0,), 1.0, 8, 2, v0=(-1.0,))
         doc = rep.to_json_dict()
