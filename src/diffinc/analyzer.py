@@ -19,7 +19,8 @@ The bilinear sums are exact: every finite double is an integer multiple
 of 2^-1074, so each coordinate is scaled to a plain ``int`` and sums of
 products are exact integers (telescoping sums come out exactly zero).
 A reported ``value`` is one correctly rounded int/int division, equal
-to ``float`` of the same rational.
+to ``float`` of the same rational, or -inf when that rational lies
+below the double range (IEEE round-to-nearest; ``float`` would raise).
 
 Checks draw their random pairs or cycles one at a time, after the
 deterministic battery and only up to the first failure; the draws come
@@ -43,6 +44,7 @@ from .setmap import (
     CompactSet,
     SetValuedMap,
     Vector,
+    _distance,
     as_vector,
     distance,
     norm,
@@ -283,6 +285,16 @@ def _max_vertex(image: CompactSet, d: Sequence[int]) -> tuple[int, Vector]:
     return -val, v
 
 
+def _violation_value(value: int) -> float:
+    """The negative sum ``value`` (scaled by 2**2148) as a correctly
+    rounded float.  A quotient below -DBL_MAX that int/int division
+    cannot represent is -inf, as IEEE round-to-nearest rounds it."""
+    try:
+        return value / _PRODUCT_UNIT
+    except OverflowError:
+        return -math.inf
+
+
 def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
     if x == y:
         return None
@@ -292,7 +304,7 @@ def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
     value = lo_v - hi_w
     if value < 0:
         return {"x": list(x), "y": list(y), "v": list(v), "w": list(w),
-                "value": value / _PRODUCT_UNIT}
+                "value": _violation_value(value)}
     return None
 
 
@@ -321,7 +333,7 @@ def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
     if total < 0:
         cycle = [list(p) for p in points] + [list(points[0])]
         return {"cycle": cycle, "velocities": [list(v) for v in chosen],
-                "value": total / _PRODUCT_UNIT}
+                "value": _violation_value(total)}
     return None
 
 
@@ -398,6 +410,25 @@ def estimate_growth(
         da, db = m.growth
         violation = max(0.0, max(g - (da + db * r) for r, g in data))
     return GrowthFit(a, b, violation, len(points))
+
+
+def check_growth(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckReport:
+    """The growth fit as a report: ``fail`` when some sampled norm
+    exceeds the declared bound (see GrowthFit), else ``pass-sampled``;
+    a map that declares no growth constants always passes.  The fit,
+    the declared constants and the violation go to the report's extra
+    fields; there is no certificate."""
+    fit = estimate_growth(m, radius, count, seed)
+    failed = fit.declared_violation is not None and fit.declared_violation > 0
+    return CheckReport(
+        "growth", "fail" if failed else "pass-sampled", fit.samples, seed,
+        radius, None,
+        {
+            "fit": {"a": fit.a, "b": fit.b},
+            "declared": list(m.growth) if m.growth else None,
+            "declared_violation": fit.declared_violation,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +561,19 @@ def check_trajectory_monotone(traj) -> tuple[CoordinateMonotone, ...]:
     return tuple(out)
 
 
+def _checked_points(points: Sequence[Sequence[float]], m: SetValuedMap,
+                    what: str) -> list[Vector]:
+    """Each point as a float tuple, after checking that it has the
+    map's dimension (ValueError otherwise)."""
+    for p in points:
+        if len(p) != m.dim:
+            raise ValueError(
+                f"trajectory {what} has dimension {len(p)}, map {m.label!r} "
+                f"has {m.dim}"
+            )
+    return [as_vector(p) for p in points]
+
+
 def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[float, float]:
     """(max node residual, max interior residual).
 
@@ -537,20 +581,36 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     image at its node — 0 by selection soundness.  The interior residual
     samples strictly inside each interval; expected O(h) away from image
     discontinuities.
+
+    Every node image and every interior image is evaluated afresh from
+    the map, independently of the solve that built the trajectory, so a
+    selection bug shows as a nonzero node residual.  The node and
+    velocity dimensions are checked once, here (ValueError on a
+    mismatch); the images then come from the map's trusted ``_eval``.
+    Membership is exact: a distance is 0.0 exactly when the velocity
+    lies in the image, because a float difference is 0 only between
+    equal values and never changes sign, so each coordinate gap
+    ``max(lo - v, v - hi, 0.0)`` is 0.0 exactly when ``lo <= v <= hi``.
+    A nonzero distance is ``math.hypot`` of rounded gaps, accurate to a
+    few ulps, and the interior sample states carry the rounding of
+    ``x + dt * v``.
     """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
+    nodes = _checked_points(traj.nodes, m, "node")
+    velocities = _checked_points(traj.velocities, m, "velocity")
+    evaluate = m._eval
     node_res = 0.0
-    for x, v in zip(traj.nodes, traj.velocities):
-        node_res = max(node_res, distance(m.evaluate(x), v))
+    for x, v in zip(nodes, velocities):
+        node_res = max(node_res, _distance(evaluate(x), v))
     interval_res = 0.0
-    for i in range(traj.steps):
-        t0 = traj.times[i]
-        span = traj.times[i + 1] - t0
-        v = traj.velocities[i]
-        x = traj.nodes[i]
-        for k in range(1, samples_per_interval + 1):
-            dt = span * k / (samples_per_interval + 1)
-            state = tuple(c + dt * vc for c, vc in zip(x, v))
-            interval_res = max(interval_res, distance(m.evaluate(state), v))
+    parts = samples_per_interval + 1
+    times = traj.times
+    for i, (x, v) in enumerate(zip(nodes, velocities)):
+        t0 = times[i]
+        span = times[i + 1] - t0
+        for k in range(1, parts):
+            dt = span * k / parts
+            state = tuple([c + dt * vc for c, vc in zip(x, v)])
+            interval_res = max(interval_res, _distance(evaluate(state), v))
     return node_res, interval_res

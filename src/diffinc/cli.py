@@ -279,21 +279,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = analyzer.check_closed_graph(
             m, args.radius, samples, args.seed, args.eps)
     else:
-        fit = analyzer.estimate_growth(m, args.radius, samples, args.seed)
-        failed = fit.declared_violation is not None and fit.declared_violation > 0
-        report = analyzer.CheckReport(
-            condition="growth",
-            verdict="fail" if failed else "pass-sampled",
-            samples=fit.samples,
-            seed=args.seed,
-            radius=args.radius,
-            certificate=None,
-            extra={
-                "fit": {"a": fit.a, "b": fit.b},
-                "declared": list(m.growth) if m.growth else None,
-                "declared_violation": fit.declared_violation,
-            },
-        )
+        report = analyzer.check_growth(m, args.radius, samples, args.seed)
     payload = report.to_json_dict()
     payload["map"] = m.label
     _emit(payload, args)

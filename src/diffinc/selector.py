@@ -6,6 +6,11 @@ sign of the previous displacement.  For box-union images that feasible
 set is again a box union (each coordinate interval is clipped by a
 half-line), so feasibility and the selection itself are exact interval
 operations with no tolerances beyond the explicit ``slack``.
+
+One core works on (lo, hi) pairs: ``_clip`` cuts them by the sign
+constraint and ``_pick`` takes the policy's point.  The public
+functions run it on a ``CompactSet``; the solver's step loop runs it on
+the pairs a map's ``_eval`` returns, with a plain sign tuple.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .setmap import Box, CompactSet, Vector, as_vector, distance, finite_vector
+from .setmap import CompactSet, Vector, _image, as_vector, distance, finite_vector
 
 
 @dataclass(frozen=True)
@@ -124,20 +129,59 @@ class WcmInfeasible(RuntimeError):
         return out
 
 
-def _constrain_box(box: Box, prev_v: Vector, signs: SignPattern,
-                   slack: float) -> Box | None:
-    # Each bound is a box corner or the prev_v bound that replaced it
-    # because it is tighter, so a kept box is finite with lo <= hi.
-    lo = list(box.lo)
-    hi = list(box.hi)
-    for j, s in enumerate(signs):
-        if s > 0:
-            lo[j] = max(lo[j], prev_v[j] - slack)
-        elif s < 0:
-            hi[j] = min(hi[j], prev_v[j] + slack)
-        if lo[j] > hi[j]:
-            return None
-    return Box._trusted(tuple(lo), tuple(hi))
+def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
+          signs: Sequence[int], slack: float) -> list[tuple[Vector, Vector]]:
+    """The (lo, hi) pairs cut by the sign constraint, empty boxes dropped.
+
+    Where ``s_j > 0`` the lower bound becomes ``max(lo_j, prev_v_j -
+    slack)``, where ``s_j < 0`` the upper bound becomes ``min(hi_j,
+    prev_v_j + slack)``.  Each bound is a box corner or the prev_v bound
+    that replaced it because it is tighter, so a kept box is finite with
+    lo <= hi.
+    """
+    cuts = [(j, s, prev_v[j] - slack if s > 0 else prev_v[j] + slack)
+            for j, s in enumerate(signs) if s]
+    kept = []
+    for lo, hi in pairs:
+        lo = list(lo)
+        hi = list(hi)
+        for j, s, bound in cuts:
+            if s > 0:
+                lo[j] = max(lo[j], bound)
+            else:
+                hi[j] = min(hi[j], bound)
+            if lo[j] > hi[j]:
+                break
+        else:
+            kept.append((tuple(lo), tuple(hi)))
+    return kept
+
+
+def _pick(pairs: Sequence[tuple[Vector, Vector]], target: Vector,
+          variant: str) -> Vector:
+    """The point a policy variant takes from a nonempty box union.
+
+    ``project`` clamps target into each box, and the nearest clamped
+    point wins; on a tie the first box wins.  Clamping is exact (each
+    coordinate is a box corner or the target's own coordinate), and so
+    is the tie-break.  The ranking distance is the rounded
+    ``math.hypot`` of the clamped offsets, so two candidates whose true
+    distances differ by less than its rounding can rank either way (or
+    tie, and fall to the box order).  ``lex_min`` / ``lex_max`` take the
+    lexicographically least lower / greatest upper corner.
+    """
+    if variant == "project":
+        best = best_d = None
+        for lo, hi in pairs:
+            p = tuple([min(max(c, a), b) for a, b, c in zip(lo, hi, target)])
+            d = math.hypot(*[a - b for a, b in zip(p, target)])
+            if best is None or d < best_d:
+                best, best_d = p, d
+        assert best is not None
+        return best
+    if variant == "lex_min":
+        return min(lo for lo, _ in pairs)
+    return max(hi for _, hi in pairs)
 
 
 def feasible_region(image: CompactSet, prev_v: Sequence[float],
@@ -153,34 +197,8 @@ def feasible_region(image: CompactSet, prev_v: Sequence[float],
             f"dimension mismatch: image {image.dim}, prev_v {len(prev_v)}, "
             f"signs {len(signs)}"
         )
-    kept = [
-        b for box in image.boxes
-        if (b := _constrain_box(box, prev_v, signs, slack)) is not None
-    ]
-    if not kept:
-        return None
-    return CompactSet._trusted(tuple(kept))
-
-
-def _nearest_point(region: CompactSet, target: Vector) -> Vector:
-    """Clamp target into each box; nearest wins, ties by box index.
-
-    Clamping is exact (each coordinate is a box corner or the target's
-    own coordinate), and so is the tie-break by box index and then by
-    lexicographic order of the clamped point.  The ranking distance is
-    the rounded ``math.hypot`` of the clamped offsets, so two candidates
-    whose true distances differ by less than its rounding can rank
-    either way (or tie, and fall to the box index).
-    """
-    best: tuple[float, int, Vector] | None = None
-    for i, box in enumerate(region.boxes):
-        p = box.clamp(target)
-        d = math.hypot(*(a - b for a, b in zip(p, target)))
-        key = (d, i, p)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[2]
+    kept = _clip(image._pairs(), prev_v, signs.signs, slack)
+    return _image(kept) if kept else None
 
 
 def select_velocity(image: CompactSet, prev_v: Sequence[float],
@@ -191,11 +209,7 @@ def select_velocity(image: CompactSet, prev_v: Sequence[float],
     region = feasible_region(image, prev_v, signs, policy.slack)
     if region is None:
         raise WcmInfeasible(prev_v, signs, image)
-    if policy.variant == "project":
-        return _nearest_point(region, prev_v)
-    if policy.variant == "lex_min":
-        return min(b.lo for b in region.boxes)
-    return max(b.hi for b in region.boxes)
+    return _pick(region._pairs(), prev_v, policy.variant)
 
 
 def initial_velocity(image: CompactSet,
@@ -214,8 +228,4 @@ def initial_velocity(image: CompactSet,
                 f"{distance(image, v)!r} exceeds slack {policy.slack!r})"
             )
         return v
-    if policy.variant == "project":
-        return _nearest_point(image, (0.0,) * image.dim)
-    if policy.variant == "lex_min":
-        return min(b.lo for b in image.boxes)
-    return max(b.hi for b in image.boxes)
+    return _pick(image._pairs(), (0.0,) * image.dim, policy.variant)

@@ -20,6 +20,12 @@ so a bad image raises the same ``MapDefinitionError`` as ever.  Image
 boxes, and the feasible regions the selector cuts from them, are built
 with ``Box._trusted`` / ``CompactSet._trusted``, which skip re-checking
 what was just checked; every other construction validates.
+
+Two loops outside this module call ``_eval`` directly on float tuples
+they build themselves and work on its (lo, hi) pairs without building
+boxes: the solver's Euler step loop (through the selector core) and
+the analyzer's ``residual`` (through ``_distance``, which ``distance``
+runs too).
 """
 
 from __future__ import annotations
@@ -423,13 +429,6 @@ class Box:
     def contains(self, v: Sequence[float]) -> bool:
         return all(a <= c <= b for a, b, c in zip(self.lo, self.hi, v))
 
-    def clamp(self, v: Sequence[float]) -> Vector:
-        return tuple(min(max(c, a), b) for a, b, c in zip(self.lo, self.hi, v))
-
-    def distance(self, v: Sequence[float]) -> float:
-        gaps = [max(a - c, c - b, 0.0) for a, b, c in zip(self.lo, self.hi, v)]
-        return math.hypot(*gaps)
-
     def corners(self) -> list[Vector]:
         if self.dim > MAX_VERTEX_DIM:
             raise ValueError(
@@ -483,6 +482,10 @@ class CompactSet:
     def contains(self, v: Sequence[float]) -> bool:
         return any(b.contains(v) for b in self.boxes)
 
+    def _pairs(self) -> list[tuple[Vector, Vector]]:
+        """The boxes as (lo, hi) pairs, the form ``_eval`` returns."""
+        return [(b.lo, b.hi) for b in self.boxes]
+
 
 def sup_norm(s: CompactSet) -> float:
     """sup of the Euclidean norm over the set.
@@ -501,7 +504,23 @@ def distance(s: CompactSet, v: Sequence[float]) -> float:
     """Euclidean distance from v to the set; exactly 0 iff v lies in it."""
     if len(v) != s.dim:
         raise ValueError(f"point has dimension {len(v)}, set has {s.dim}")
-    return min(b.distance(v) for b in s.boxes)
+    return _distance(s._pairs(), v)
+
+
+def _distance(pairs: Sequence[tuple[Vector, Vector]], v: Sequence[float]) -> float:
+    """Distance from v, of the pairs' dimension, to the union of the
+    (lo, hi) boxes: the minimum over boxes of ``hypot`` of the per-
+    coordinate gaps, the first minimum on ties as with ``min``.  It
+    stops at the first box at distance 0.0, which no later box can
+    undercut."""
+    best = None
+    for lo, hi in pairs:
+        d = math.hypot(*[max(a - c, c - b, 0.0) for a, b, c in zip(lo, hi, v)])
+        if best is None or d < best:
+            best = d
+            if d == 0.0:
+                break
+    return best
 
 
 def vertices(s: CompactSet) -> list[Vector]:
@@ -785,7 +804,7 @@ class NativeMap(SetValuedMap):
         return self._call(self._check_point(x))
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
-        return [(b.lo, b.hi) for b in self._call(x).boxes]
+        return self._call(x)._pairs()
 
     def _call(self, x: Vector) -> CompactSet:
         s = self._fn(x)

@@ -31,10 +31,11 @@ from .selector import (
     SelectionPolicy,
     SignPattern,
     WcmInfeasible,
+    _clip,
+    _pick,
     initial_velocity,
-    select_velocity,
 )
-from .setmap import SetValuedMap, Vector, finite_vector, norm
+from .setmap import SetValuedMap, Vector, _image, finite_vector, norm
 
 __all__ = [
     "GrowthBounds",
@@ -47,7 +48,12 @@ __all__ = [
     "converge",
     "trajectory_to_csv",
     "trajectory_from_csv",
+    "MAX_STEPS",
 ]
+
+# The most mesh steps one polygon may take: 10**7 steps of a 1-D
+# trajectory hold about 2 GB of nodes, velocities and times.
+MAX_STEPS = 10 ** 7
 
 
 class MeshTooCoarse(ValueError):
@@ -83,8 +89,17 @@ def gronwall_bounds(a: float, b: float, x0_norm: float, horizon: float) -> Growt
 
 
 def min_steps(bounds: GrowthBounds) -> int:
-    """Smallest N with (T/N) * M < 1, i.e. floor(T*M) + 1."""
-    return int(math.floor(bounds.horizon * bounds.velocity_bound)) + 1
+    """Smallest N with (T/N) * M < 1, i.e. floor(T*M) + 1.
+
+    Raises ValueError when T*M overflows to infinity, since then no
+    finite N meets the condition."""
+    tm = bounds.horizon * bounds.velocity_bound
+    if not math.isfinite(tm):
+        raise ValueError(
+            f"no finite mesh meets h*M < 1: T*M = {tm!r} (the a-priori "
+            "bounds overflow)"
+        )
+    return int(math.floor(tm)) + 1
 
 
 @dataclass(frozen=True)
@@ -151,6 +166,13 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError("horizon must be > 0")
 
 
+def _check_steps(n: int) -> None:
+    if n > MAX_STEPS:
+        raise ValueError(
+            f"N = {n} mesh steps exceeds the limit of MAX_STEPS = {MAX_STEPS}"
+        )
+
+
 def _mesh_times(horizon: float, n: int) -> tuple[float, ...]:
     return tuple((i / n) * horizon for i in range(n + 1))
 
@@ -173,8 +195,10 @@ def euler_polygon(
     checked and a warning is issued.
 
     Raises WcmInfeasible, annotated with step, time and state, when no
-    image point satisfies the sign constraint at some node, and
-    ValueError naming the argument when x0, horizon or v0 is not finite.
+    image point satisfies the sign constraint at some node, ValueError
+    naming the argument when x0, horizon or v0 is not finite, and
+    ValueError before anything is allocated when n, given or derived
+    from the growth constants, exceeds MAX_STEPS.
     """
     x0 = finite_vector(x0, "x0")
     if len(x0) != m.dim:
@@ -192,6 +216,7 @@ def euler_polygon(
         n = min_steps(bounds)
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_steps(n)
     if bounds is None:
         warnings.warn(
             f"map {m.label!r} declares no growth constants; "
@@ -213,18 +238,21 @@ def euler_polygon(
     v = initial_velocity(m.evaluate(x0), policy, v0)
     velocities = [v]
     x = x0
+    # the points built here are float tuples of the map's dimension, so
+    # they go to _eval and the selector core without re-validation
+    evaluate = m._eval
+    slack = policy.slack
+    variant = policy.variant
     for i in range(1, n):
-        x = tuple(xc + h * vc for xc, vc in zip(x, v))
+        x = tuple([xc + h * vc for xc, vc in zip(x, v)])
         nodes.append(x)
-        signs = SignPattern.of_vector(v)
-        image = m.evaluate(x)
-        try:
-            v = select_velocity(image, v, signs, policy)
-        except WcmInfeasible as e:
-            raise WcmInfeasible(
-                e.prev_v, e.signs, e.image,
-                state=x, step=i, time=times[i],
-            ) from None
+        signs = tuple([(c > 0) - (c < 0) for c in v])
+        image = evaluate(x)
+        region = _clip(image, v, signs, slack)
+        if not region:
+            raise WcmInfeasible(v, SignPattern(signs), _image(image),
+                                state=x, step=i, time=times[i])
+        v = _pick(region, v, variant)
         velocities.append(v)
     nodes.append(tuple(xc + h * vc for xc, vc in zip(x, v)))
     return Trajectory(times, tuple(nodes), tuple(velocities), m.label, policy)
@@ -292,7 +320,8 @@ def converge(
     Starts at max(n0, declared mesh minimum).  Levels are independent
     solves (selections are not nested across levels).  WcmInfeasible is
     re-raised annotated with the level at which it occurred; x0, horizon
-    and v0 must be finite (ValueError otherwise).
+    and v0 must be finite, and the finest level may take at most
+    MAX_STEPS steps (ValueError otherwise, before the first solve).
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
@@ -305,6 +334,7 @@ def converge(
         bounds = gronwall_bounds(m.growth[0], m.growth[1], norm(x0), horizon)
         start = max(n0, min_steps(bounds))
     ns = [start * (2 ** k) for k in range(levels)]
+    _check_steps(ns[-1])
 
     trajectories: list[Trajectory] = []
     for lvl, n in enumerate(ns):

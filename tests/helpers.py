@@ -10,7 +10,10 @@ from diffinc.analyzer import (
     check_wcm_pair,
     structured_pairs,
 )
+from diffinc.selector import SignPattern, WcmInfeasible
 from diffinc.setmap import (
+    Box,
+    CompactSet,
     Expr,
     MapDefinitionError,
     Piece,
@@ -307,6 +310,14 @@ def reference_max_vertex(image, d):
     return -val, v
 
 
+def _violation_value(value):
+    """float(value) for a negative Fraction; -inf below the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf
+
+
 def _exact_diff(x, y):
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
 
@@ -320,7 +331,7 @@ def _monotone_gap(m, x, y):
     value = lo_v - hi_w
     if value < 0:
         return {"x": list(x), "y": list(y), "v": list(v), "w": list(w),
-                "value": float(value)}
+                "value": _violation_value(value)}
     return None
 
 
@@ -337,7 +348,7 @@ def _cycle_gap(m, points):
     if total < 0:
         cycle = [list(p) for p in points] + [list(points[0])]
         return {"cycle": cycle, "velocities": [list(v) for v in chosen],
-                "value": float(total)}
+                "value": _violation_value(total)}
     return None
 
 
@@ -379,3 +390,119 @@ def reference_cyclic(m, radius, cycle_len, count, seed):
     )
     return _eager_report("cyclic", cycles, lambda c: _cycle_gap(m, c), seed,
                          radius, {"cycle_len": cycle_len})
+
+
+# ---------------------------------------------------------------------------
+# Step loop and residual: the original object path
+# ---------------------------------------------------------------------------
+
+
+def reference_distance(s, v):
+    """Distance from v to a CompactSet: the minimum of per-box distances,
+    as the original ``Box.distance`` computed them."""
+    return min(
+        math.hypot(*[max(a - c, c - b, 0.0) for a, b, c in zip(box.lo, box.hi, v)])
+        for box in s.boxes
+    )
+
+
+def reference_feasible_region(image, prev_v, signs, slack):
+    kept = []
+    for box in image.boxes:
+        lo = list(box.lo)
+        hi = list(box.hi)
+        for j, s in enumerate(signs):
+            if s > 0:
+                lo[j] = max(lo[j], prev_v[j] - slack)
+            elif s < 0:
+                hi[j] = min(hi[j], prev_v[j] + slack)
+            if lo[j] > hi[j]:
+                break
+        else:
+            kept.append(Box._trusted(tuple(lo), tuple(hi)))
+    return CompactSet._trusted(tuple(kept)) if kept else None
+
+
+def _reference_pick(region, target, variant):
+    if variant == "project":
+        best = None
+        for i, box in enumerate(region.boxes):
+            p = tuple(min(max(c, a), b) for a, b, c in zip(box.lo, box.hi, target))
+            key = (math.hypot(*(a - b for a, b in zip(p, target))), i, p)
+            if best is None or key < best:
+                best = key
+        return best[2]
+    if variant == "lex_min":
+        return min(b.lo for b in region.boxes)
+    return max(b.hi for b in region.boxes)
+
+
+def reference_select_velocity(image, prev_v, signs, policy):
+    prev_v = tuple(float(c) for c in prev_v)
+    region = reference_feasible_region(image, prev_v, signs, policy.slack)
+    if region is None:
+        raise WcmInfeasible(prev_v, signs, image)
+    return _reference_pick(region, prev_v, policy.variant)
+
+
+def reference_initial_velocity(image, policy, override):
+    if override is not None:
+        v = tuple(float(c) for c in override)
+        if len(v) != image.dim:
+            raise ValueError(
+                f"initial velocity has dimension {len(v)}, image has {image.dim}"
+            )
+        if reference_distance(image, v) > policy.slack:
+            raise ValueError(
+                f"initial velocity {v} is not in the image (distance "
+                f"{reference_distance(image, v)!r} exceeds slack {policy.slack!r})"
+            )
+        return v
+    return _reference_pick(image, (0.0,) * image.dim, policy.variant)
+
+
+def reference_polygon(m, x0, horizon, n, policy, v0=None):
+    """(nodes, velocities) of the n-step polygon by the original loop:
+    public ``evaluate``, a SignPattern and an object-built feasible
+    region per step.  WcmInfeasible carries step, time and state."""
+    x0 = tuple(float(c) for c in x0)
+    times = [(i / n) * horizon for i in range(n + 1)]
+    h = horizon / n
+    nodes = [x0]
+    v = reference_initial_velocity(m.evaluate(x0), policy, v0)
+    velocities = [v]
+    x = x0
+    for i in range(1, n):
+        x = tuple(xc + h * vc for xc, vc in zip(x, v))
+        nodes.append(x)
+        signs = SignPattern.of_vector(v)
+        image = m.evaluate(x)
+        try:
+            v = reference_select_velocity(image, v, signs, policy)
+        except WcmInfeasible as e:
+            raise WcmInfeasible(e.prev_v, e.signs, e.image,
+                                state=x, step=i, time=times[i]) from None
+        velocities.append(v)
+    nodes.append(tuple(xc + h * vc for xc, vc in zip(x, v)))
+    return nodes, velocities
+
+
+def reference_residual(traj, m, samples_per_interval=4):
+    """(max node residual, max interior residual) by public ``evaluate``
+    and ``reference_distance`` at every node and interior sample."""
+    if samples_per_interval < 1:
+        raise ValueError("samples_per_interval must be >= 1")
+    node_res = 0.0
+    for x, v in zip(traj.nodes, traj.velocities):
+        node_res = max(node_res, reference_distance(m.evaluate(x), v))
+    interval_res = 0.0
+    for i in range(traj.steps):
+        t0 = traj.times[i]
+        span = traj.times[i + 1] - t0
+        v = traj.velocities[i]
+        x = traj.nodes[i]
+        for k in range(1, samples_per_interval + 1):
+            dt = span * k / (samples_per_interval + 1)
+            state = tuple(c + dt * vc for c, vc in zip(x, v))
+            interval_res = max(interval_res, reference_distance(m.evaluate(state), v))
+    return node_res, interval_res

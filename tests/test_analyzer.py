@@ -9,6 +9,7 @@ from helpers import random_monotone_map
 
 from diffinc.analyzer import (
     check_closed_graph,
+    check_growth,
     check_trajectory_monotone,
     check_wcm,
     check_wcm_pair,
@@ -260,6 +261,24 @@ class TestGrowth:
         m = constant_map(0.0)
         fit = estimate_growth(m, 5.0, 100, 7)
         assert (fit.a, fit.b) == (0.0, 0.0)
+
+    def test_report_pass_and_fail(self):
+        report = check_growth(builtin("example1"), 10.0, 200, 7)
+        fit = estimate_growth(builtin("example1"), 10.0, 200, 7)
+        assert (report.condition, report.verdict, report.samples) == \
+            ("growth", "pass-sampled", fit.samples)
+        assert report.extra == {"fit": {"a": fit.a, "b": fit.b},
+                                "declared": [1.0, 0.0], "declared_violation": 0.0}
+        # declares growth (0, 0) but its image is the point 2
+        understated = PiecewiseMap(1, (Piece(Region(), (((Expr.const(2.0),) * 2,),)),),
+                                   growth=(0.0, 0.0))
+        report = check_growth(understated, 5.0, 50, 3)
+        assert report.failed and report.certificate is None
+        assert report.extra["declared_violation"] == 2.0
+        undeclared = check_growth(PiecewiseMap(1, constant_map(3.0).pieces), 5.0, 50, 3)
+        assert undeclared.verdict == "pass-sampled"
+        assert undeclared.extra["declared"] is None
+        assert undeclared.extra["declared_violation"] is None
 
     def test_fit_majorizes_every_sample(self):
         rng = random.Random(44)

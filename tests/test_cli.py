@@ -1,11 +1,14 @@
 """Command-line behaviour: exit codes, artifacts, reproducibility."""
 
 import json
+import math
+import time
+from fractions import Fraction
 
 import pytest
 
 from diffinc.cli import main, resolve_map
-from diffinc.solver import trajectory_from_csv
+from diffinc.solver import MAX_STEPS, trajectory_from_csv
 
 
 def run(capsys, *argv):
@@ -154,6 +157,32 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["declared_violation"] == 0.0
 
+    @pytest.mark.parametrize("condition", ["monotone", "cyclic"])
+    def test_violation_below_double_range_is_minus_infinity(self, capsys, tmp_path,
+                                                            condition):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1, "pieces": [{"region": [], "image": [
+            [["-1e300*sign(x)", "-1e300*sign(x)"]]]}]}))
+        code, out, _ = run(capsys, "check", condition, "--map", str(path),
+                           "--radius", "1e300", "--no-timestamp")
+        assert code == 3
+        assert '"value": -Infinity' in out
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        cert = doc["certificate"]
+        assert cert["value"] == -math.inf
+        if condition == "monotone":
+            exact = sum((Fraction(a) - Fraction(b)) * (Fraction(v) - Fraction(w))
+                        for a, b, v, w in zip(cert["x"], cert["y"], cert["v"], cert["w"]))
+        else:
+            pts = cert["cycle"]
+            exact = sum(
+                sum((Fraction(a) - Fraction(b)) * Fraction(v)
+                    for a, b, v in zip(pts[i], pts[i - 1], cert["velocities"][i - 1]))
+                for i in range(1, len(pts))
+            )
+        assert exact < 0
+
     def test_graph_check_runs(self, capsys):
         code, out, _ = run(
             capsys, "check", "graph", "--map", "example1", "--samples", "30",
@@ -223,6 +252,14 @@ class TestUsageErrors:
                            "--N0", "8", "--levels", "2")
         assert code == 1
         assert "horizon must be finite" in err
+
+    def test_mesh_over_step_budget_exits_1_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", "--map", "example2F", "--x0", "1",
+                             "--T", "50")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert f"MAX_STEPS = {MAX_STEPS}" in err
 
     def test_invalid_map_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

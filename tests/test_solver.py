@@ -10,6 +10,7 @@ from diffinc.analyzer import check_trajectory_monotone, residual
 from diffinc.selector import SelectionPolicy, WcmInfeasible, feasible_region
 from diffinc.setmap import Expr, Piece, PiecewiseMap, Region, builtin
 from diffinc.solver import (
+    MAX_STEPS,
     GrowthBounds,
     MeshTooCoarse,
     converge,
@@ -136,6 +137,21 @@ class TestEulerPolygon:
             traj = euler_polygon(m, (1.0,), 1.0, 4)
         assert traj.terminal == (1.0,)
 
+    def test_step_budget_checked_before_allocating(self):
+        m = builtin("example2_F")
+        with pytest.raises(ValueError, match=f"N = {MAX_STEPS + 1} .* {MAX_STEPS}"):
+            euler_polygon(m, (1.0,), 1.0, MAX_STEPS + 1)
+        need = min_steps(gronwall_bounds(1.0, 1.0, 1.0, 50.0))
+        assert need > MAX_STEPS
+        with pytest.raises(ValueError, match=f"N = {need} .* {MAX_STEPS}"):
+            euler_polygon(m, (1.0,), 50.0)
+
+    def test_overflowing_bounds_are_a_value_error(self):
+        with pytest.raises(ValueError, match="no finite mesh"):
+            euler_polygon(builtin("example2_F"), (1e300,), 50.0)
+        with pytest.raises(ValueError, match="no finite mesh"):
+            min_steps(gronwall_bounds(1.0, 1.0, 1e300, 50.0))
+
     def test_dimension_and_horizon_validation(self):
         m = builtin("example1")
         with pytest.raises(ValueError):
@@ -236,6 +252,17 @@ class TestConverge:
         with pytest.raises(WcmInfeasible) as err:
             converge(builtin("antisign"), (1.0,), 2.0, 8, 3, v0=(-1.0,))
         assert err.value.level == 0
+
+    def test_finest_level_checked_before_the_first_solve(self, monkeypatch):
+        import diffinc.solver as solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(solver, "euler_polygon", no_solve)
+        n0 = MAX_STEPS // 4 + 1  # levels n0, 2*n0, 4*n0: only the last is over
+        with pytest.raises(ValueError, match=f"N = {4 * n0} .* {MAX_STEPS}"):
+            converge(builtin("example1"), (0.0,), 1.0, n0, 3)
 
     def test_levels_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,271 @@
+"""The step loop and ``residual`` on the trusted (lo, hi) path.
+
+``euler_polygon`` and ``residual`` call the maps' ``_eval`` and the
+selector core directly.  The references in ``helpers`` are the original
+object path: public ``evaluate``, a ``SignPattern`` and a feasible
+``CompactSet`` per step, and per-box distances.  Nodes, velocities,
+residuals and every field of a ``WcmInfeasible`` must agree to the bit.
+"""
+
+import math
+import struct
+import warnings
+
+import pytest
+from helpers import (
+    reference_distance,
+    reference_feasible_region,
+    reference_polygon,
+    reference_residual,
+    reference_select_velocity,
+)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_compiled_eval import maps
+
+from diffinc.analyzer import residual
+from diffinc.selector import (
+    SelectionPolicy,
+    SignPattern,
+    WcmInfeasible,
+    feasible_region,
+    select_velocity,
+)
+from diffinc.setmap import (
+    Box,
+    CompactSet,
+    Expr,
+    Piece,
+    PiecewiseMap,
+    Region,
+    builtin,
+    distance,
+)
+from diffinc.solver import Trajectory, euler_polygon
+
+
+def bits(v):
+    return struct.pack("<d", v)
+
+
+def vbits(vectors):
+    return [tuple(map(bits, v)) for v in vectors]
+
+
+def boxes_bits(s):
+    return [(vbits([b.lo])[0], vbits([b.hi])[0]) for b in s.boxes]
+
+
+def infeasible_fields(e):
+    where = None if e.state is None else (vbits([e.state]), e.step, bits(e.time))
+    return ("infeasible", vbits([e.prev_v]), e.signs.signs, boxes_bits(e.image),
+            where, e.level)
+
+
+def polygon_outcome(fn):
+    """Bits of (nodes, velocities), every WcmInfeasible field, or the
+    type and message of another error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nodes, velocities = fn()
+    except WcmInfeasible as e:
+        return infeasible_fields(e)
+    except ValueError as e:  # MapDefinitionError included
+        return type(e), str(e)
+    return "ok", vbits(nodes), vbits(velocities)
+
+
+def solve(m, x0, horizon, n, policy, v0):
+    traj = euler_polygon(m, x0, horizon, n, policy, v0, enforce_mesh=False)
+    return traj.nodes, traj.velocities
+
+
+policies = st.builds(
+    SelectionPolicy,
+    st.sampled_from(["project", "lex_min", "lex_max"]),
+    st.sampled_from([0.0, 0.0, 1e-3, 0.25, 1.0]),
+)
+finite_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -1.5, 2.0, 8.0, 1e300, 5e-324]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+horizons = st.one_of(st.sampled_from([1.0, 0.5, 3.0]), st.floats(0.01, 10.0))
+
+
+def points(dim):
+    return st.tuples(*[finite_coordinates] * dim)
+
+
+BUILTINS = [
+    builtin("example1"), builtin("example2_F"), builtin("example2_G"),
+    builtin("example3"), builtin("example4", {"n": 1}),
+    builtin("example4", {"n": 3}), builtin("antisign"),
+    builtin("normgrad", {"n": 2, "k": 4}), builtin("normgrad", {"n": 3, "k": 5}),
+]
+
+
+@st.composite
+def any_map(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(BUILTINS))
+    return draw(maps(draw(st.integers(1, 3))))
+
+
+@st.composite
+def solve_cases(draw):
+    m = draw(any_map())
+    x0 = draw(points(m.dim))
+    v0 = None
+    if draw(st.integers(0, 3)) == 0:
+        # an override, often one the image rejects
+        v0 = draw(points(m.dim))
+    return m, x0, draw(horizons), draw(st.integers(1, 12)), draw(policies), v0
+
+
+class TestStepLoop:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(solve_cases())
+    def test_matches_object_path(self, case):
+        m, x0, horizon, n, policy, v0 = case
+        got = polygon_outcome(lambda: solve(m, x0, horizon, n, policy, v0))
+        want = polygon_outcome(lambda: reference_polygon(m, x0, horizon, n, policy, v0))
+        assert got == want
+
+    @pytest.mark.parametrize("variant", ["project", "lex_min", "lex_max"])
+    @pytest.mark.parametrize("slack", [0.0, 0.5])
+    def test_infeasible_certificate_matches(self, variant, slack):
+        m = builtin("antisign")
+        policy = SelectionPolicy(variant, slack)
+        got = polygon_outcome(lambda: solve(m, (1.0,), 2.0, 32, policy, (-1.0,)))
+        want = polygon_outcome(lambda: reference_polygon(m, (1.0,), 2.0, 32, policy, (-1.0,)))
+        assert got[0] == "infeasible"
+        assert got == want
+
+    @pytest.mark.parametrize("variant", ["project", "lex_min", "lex_max"])
+    def test_long_builtin_solves_match(self, variant):
+        policy = SelectionPolicy(variant)
+        for m, x0 in ((builtin("example2_F"), (1.0,)), (builtin("example3"), (-1.0, 0.5)),
+                      (builtin("example4", {"n": 3}), (-1.0, 0.5, 0.0))):
+            got = polygon_outcome(lambda: solve(m, x0, 1.0, 400, policy, None))
+            want = polygon_outcome(lambda: reference_polygon(m, x0, 1.0, 400, policy, None))
+            assert got[0] == "ok"
+            assert got == want
+
+
+class TestSignedZeroCuts:
+    """A cut that meets a box corner at a zero of the other sign keeps
+    the corner: ``max(lo, bound)`` and ``min(hi, bound)``, in that
+    argument order."""
+
+    @pytest.mark.parametrize("lo, hi, v0, variant", [
+        (-0.0, 1.0, 0.25, "lex_min"),   # lower cut: bound 0.25 - 0.25 = 0.0
+        (-1.0, -0.0, -0.25, "lex_max"),  # upper cut: bound -0.25 + 0.25 = 0.0
+    ])
+    def test_corner_sign_is_kept(self, lo, hi, v0, variant):
+        m = PiecewiseMap(1, (Piece(Region(), (((Expr.const(lo), Expr.const(hi)),),)),))
+        policy = SelectionPolicy(variant, 0.25)
+        got = polygon_outcome(lambda: solve(m, (0.0,), 1.0, 3, policy, (v0,)))
+        assert got == polygon_outcome(
+            lambda: reference_polygon(m, (0.0,), 1.0, 3, policy, (v0,)))
+        assert got[2][1] == (bits(-0.0),)
+
+
+@st.composite
+def box_union_cases(draw):
+    dim = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo, hi = [], []
+        for _ in range(dim):
+            a, b = sorted((draw(finite_coordinates), draw(finite_coordinates)))
+            lo.append(a)
+            hi.append(b)
+        boxes.append(Box(tuple(lo), tuple(hi)))
+    prev_v = draw(points(dim))
+    signs = SignPattern(tuple(draw(st.sampled_from([-1, 0, 1])) for _ in range(dim)))
+    return CompactSet(tuple(boxes)), prev_v, signs, draw(policies)
+
+
+class TestSelectorCore:
+    @settings(max_examples=400, deadline=None)
+    @given(box_union_cases())
+    def test_public_functions_match_object_path(self, case):
+        image, prev_v, signs, policy = case
+        got = feasible_region(image, prev_v, signs, policy.slack)
+        want = reference_feasible_region(image, prev_v, signs, policy.slack)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert boxes_bits(got) == boxes_bits(want)
+        got = polygon_outcome(lambda: ([select_velocity(image, prev_v, signs, policy)], []))
+        want = polygon_outcome(
+            lambda: ([reference_select_velocity(image, prev_v, signs, policy)], []))
+        assert got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(box_union_cases(), st.sampled_from([math.nan, math.inf, -math.inf, 3.0]))
+    def test_distance_matches_per_box_minimum(self, case, odd):
+        image, v, _, _ = case
+        assert bits(distance(image, v)) == bits(reference_distance(image, v))
+        # a non-finite coordinate: the first box's distance decides a NaN
+        v = (odd,) + v[1:]
+        assert bits(distance(image, v)) == bits(reference_distance(image, v))
+
+
+@st.composite
+def trajectory_cases(draw):
+    """A map and a trajectory of its dimension whose nodes and
+    velocities are drawn freely, so node residuals need not be 0."""
+    m = draw(any_map())
+    steps = draw(st.integers(1, 6))
+    horizon = draw(horizons)
+    times = tuple((i / steps) * horizon for i in range(steps + 1))
+    nodes = tuple(draw(points(m.dim)) for _ in range(steps + 1))
+    velocities = tuple(draw(points(m.dim)) for _ in range(steps))
+    traj = Trajectory(times, nodes, velocities, m.label, SelectionPolicy())
+    return m, traj, draw(st.integers(1, 5))
+
+
+def residual_outcome(fn):
+    try:
+        return "ok", tuple(map(bits, fn()))
+    except ValueError as e:  # MapDefinitionError included
+        return type(e), str(e)
+
+
+class TestResidual:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(trajectory_cases())
+    def test_matches_object_path(self, case):
+        m, traj, samples = case
+        assert residual_outcome(lambda: residual(traj, m, samples)) == \
+            residual_outcome(lambda: reference_residual(traj, m, samples))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(solve_cases())
+    def test_solved_trajectories_match(self, case):
+        m, x0, horizon, n, policy, v0 = case
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                traj = euler_polygon(m, x0, horizon, n, policy, v0, enforce_mesh=False)
+        except (ValueError, WcmInfeasible):
+            return
+        got = residual_outcome(lambda: residual(traj, m))
+        assert got == residual_outcome(lambda: reference_residual(traj, m))
+        if got[0] == "ok" and policy.slack == 0.0:
+            assert got[1][0] == bits(0.0)
+
+    def test_wrong_dimension_raises(self):
+        traj = euler_polygon(builtin("example1"), (-0.5,), 1.0, 8)
+        with pytest.raises(ValueError, match="dimension 1, map 'example3' has 2"):
+            residual(traj, builtin("example3"))
+
+    def test_ragged_velocity_raises(self):
+        traj = Trajectory((0.0, 0.5, 1.0), ((0.0, 0.0), (0.1, 0.1), (0.2, 0.2)),
+                          ((1.0, 1.0), (1.0,)), "ragged", SelectionPolicy())
+        with pytest.raises(ValueError, match="velocity has dimension 1"):
+            residual(traj, builtin("example3"))
