@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .selector import SignPattern, feasible_region
+from .selector import SignPattern, _clip
 from .setmap import (
     CompactSet,
     SetValuedMap,
@@ -195,40 +195,37 @@ def wcm_pair_feasible(
     """
     x = as_vector(x)
     y = as_vector(y)
+    if not len(x) == len(y) == image_x.dim == image_y.dim:
+        raise ValueError(
+            f"dimension mismatch: x {len(x)}, y {len(y)}, images "
+            f"{image_x.dim} and {image_y.dim}"
+        )
     sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
     # selector convention is displacement-sign based (w >= prev when s > 0),
-    # which is the sigma-flipped form of the constraint above
-    flipped = sigma.negated()
+    # which is the sigma-flipped form of the constraint above; a y-box the
+    # cut empties is blocked at the first coordinate that emptied it
+    flipped = sigma.negated().signs
+    pairs_y = image_y._pairs()
     for box_index, box in enumerate(image_x.boxes):
         corner = tuple(
             lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
             for lo, hi, s in zip(box.lo, box.hi, sigma)
         )
-        if feasible_region(image_y, corner, flipped, 0.0) is None:
-            blocking = []
-            for k, ybox in enumerate(image_y.boxes):
-                for j, s in enumerate(sigma):
-                    if s > 0 and ybox.lo[j] > corner[j]:
-                        blocking.append({
-                            "box": k, "coordinate": j + 1, "needs": "<=",
-                            "bound": corner[j],
-                            "available": [ybox.lo[j], ybox.hi[j]],
-                        })
-                        break
-                    if s < 0 and ybox.hi[j] < corner[j]:
-                        blocking.append({
-                            "box": k, "coordinate": j + 1, "needs": ">=",
-                            "bound": corner[j],
-                            "available": [ybox.lo[j], ybox.hi[j]],
-                        })
-                        break
+        kept, dropped = _clip(pairs_y, corner, flipped, 0.0)
+        if not kept:
             return {
                 "x": list(x),
                 "y": list(y),
                 "v": list(corner),
                 "box_index": box_index,
                 "signs": list(sigma.signs),
-                "blocking": blocking,
+                "blocking": [
+                    {"box": k, "coordinate": j + 1,
+                     "needs": "<=" if sigma.signs[j] > 0 else ">=",
+                     "bound": corner[j],
+                     "available": [pairs_y[k][0][j], pairs_y[k][1][j]]}
+                    for k, j in dropped
+                ],
             }
     return None
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import analyzer, mapdsl, solver
 from .selector import SelectionPolicy, WcmInfeasible
-from .setmap import BUILTIN_NAMES, MapDefinitionError, SetValuedMap, builtin
+from .setmap import BUILTINS, MAX_VERTEX_DIM, SetValuedMap, builtin
 
 
 class UsageError(Exception):
@@ -37,53 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_EXAMPLES = [
-    {
-        "name": "example1",
-        "dim": "1",
-        "params": {},
-        "about": "interval velocities: [-1,0] left of 0, [-1,1] from 0 on",
-    },
-    {
-        "name": "example2_F",
-        "dim": "1",
-        "params": {},
-        "about": "two-point image {t, cbrt(t)}; continuous, non-convex",
-    },
-    {
-        "name": "example2_G",
-        "dim": "1",
-        "params": {},
-        "about": "two-point image {cbrt(t), t+sign(t)}; jumps at 0",
-    },
-    {
-        "name": "example3",
-        "dim": "2",
-        "params": {},
-        "about": "cube-root interval times the constant union [-2,-1] u [1,2]",
-    },
-    {
-        "name": "example4",
-        "dim": "n",
-        "params": {"n": "state dimension (default 1)"},
-        "about": "componentwise sign field united with its half-speed copy",
-    },
-    {
-        "name": "antisign",
-        "dim": "1",
-        "params": {},
-        "about": "velocity opposes displacement; selection fails after a crossing",
-    },
-    {
-        "name": "normgrad",
-        "dim": "n",
-        "params": {"n": "state dimension (default 2)",
-                   "k": "unit vectors at the origin (default 4)"},
-        "about": "radial unit field x/|x|; violates the componentwise condition",
-    },
-]
-
-
 def _parse_vector(text: str, what: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -92,28 +45,25 @@ def _parse_vector(text: str, what: str) -> tuple[float, ...]:
 
 
 def resolve_map(source: str, dim: int | None = None, k: int | None = None) -> SetValuedMap:
-    """A builtin name (``normgrad2`` style dimension suffixes allowed) or
-    a map-file path."""
+    """A builtin name or a map-file path.  Builtin names match without
+    case or underscores and may carry ``n`` as a suffix (``normgrad3``)
+    that agrees with ``dim``; ``builtin`` gets only the ``n`` and ``k``
+    given, and rejects those the map does not take."""
     if os.path.isfile(source) or source.endswith(".json"):
+        if dim is not None or k is not None:
+            raise UsageError("--dim and --k apply to builtin maps only")
         return mapdsl.load_map(source)
     text = source.strip().lower().replace("_", "")
-    simple = {
-        "example1": "example1",
-        "example2f": "example2_F",
-        "example2g": "example2_G",
-        "example3": "example3",
-        "antisign": "antisign",
-    }
-    if text in simple:
-        return builtin(simple[text])
-    m = re.fullmatch(r"(example4|normgrad)(\d*)", text)
-    if m:
-        n = int(m.group(2)) if m.group(2) else dim
-        if m.group(1) == "example4":
-            return builtin("example4", {"n": n if n else 1})
-        return builtin("normgrad", {"n": n if n else 2, "k": k if k else 4})
+    for name in BUILTINS:
+        stem = name.lower().replace("_", "")
+        suffix = text[len(stem):]
+        if text.startswith(stem) and (not suffix or suffix.isdecimal()):
+            n = int(suffix) if suffix else dim
+            if dim is not None and n != dim:
+                raise UsageError(f"--map {source} gives n = {n}, --dim gives {dim}")
+            return builtin(name, {p: v for p, v in (("n", n), ("k", k)) if v is not None})
     raise UsageError(
-        f"unknown map {source!r}; builtins: {', '.join(BUILTIN_NAMES)} "
+        f"unknown map {source!r}; builtins: {', '.join(BUILTINS)} "
         "(or a map-file path)"
     )
 
@@ -136,9 +86,9 @@ def _add_map_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--map", required=True,
                    help="builtin name or map-file path")
     p.add_argument("--dim", type=int, default=None,
-                   help="dimension parameter for example4/normgrad")
+                   help="a builtin's parameter n (see list-examples)")
     p.add_argument("--k", type=int, default=None,
-                   help="origin vector count for normgrad (default 4)")
+                   help="a builtin's parameter k (see list-examples)")
 
 
 def _add_solve_options(p: argparse.ArgumentParser) -> None:
@@ -183,7 +133,9 @@ def build_parser() -> _Parser:
     _add_output_options(p)
 
     p = sub.add_parser("check", help="verify or refute a condition on a map")
-    p.add_argument("condition", choices=["wcm", "monotone", "cyclic", "growth", "graph"])
+    p.add_argument("condition", choices=["wcm", "monotone", "cyclic", "growth", "graph"],
+                   help="the condition; graph enumerates box corners, so it "
+                        f"takes maps of dimension <= {MAX_VERTEX_DIM}")
     _add_map_options(p)
     p.add_argument("--radius", type=float, default=5.0)
     p.add_argument("--samples", type=int, default=None,
@@ -249,8 +201,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
     m = resolve_map(args.map, args.dim, args.k)
     x0 = _parse_vector(args.x0, "--x0")
     v0 = _parse_vector(args.v0, "--v0") if args.v0 else None
-    if args.levels < 2:
-        raise UsageError("--levels must be at least 2")
     report = solver.converge(
         m, x0, args.T, args.N0, args.levels, _policy(args), v0,
         samples_per_interval=args.samples_per_interval,
@@ -287,10 +237,17 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_list_examples(args: argparse.Namespace) -> int:
+    rows = [
+        {"name": b.name, "dim": b.dim,
+         "params": {p: f"{meaning} (default {default})"
+                    for p, default, meaning in b.params},
+         "about": b.about}
+        for b in BUILTINS.values()
+    ]
     if args.json:
-        print(json.dumps(_EXAMPLES, indent=2))
+        print(json.dumps(rows, indent=2))
         return 0
-    for row in _EXAMPLES:
+    for row in rows:
         params = ", ".join(f"{k}: {v}" for k, v in row["params"].items()) or "-"
         print(f"{row['name']:<12} dim {row['dim']:<3} params: {params}")
         print(f"{'':<12} {row['about']}")
@@ -308,10 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(args)
         return cmd_list_examples(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (mapdsl.ParseError, MapDefinitionError, ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:  # ParseError, MapDefinitionError too
         print(f"error: {e}", file=sys.stderr)
         return 1
     except WcmInfeasible as e:

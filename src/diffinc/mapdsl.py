@@ -33,7 +33,8 @@ validation, not expression parsing).  Expressions nest at most
 ``MAX_EXPR_DEPTH`` levels: each parenthesis, sign, function call and
 binary operator adds one, so an operator chain counts as deep as it is
 long; deeper input is a ``ParseError`` at the offset where the limit
-is crossed.
+is crossed.  Likewise a document nests at most ``MAX_MAP_DEPTH`` JSON
+arrays and objects.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import random
 import re
 
 from .setmap import (
+    _REGION_OPS,
     Condition,
     Expr,
     MapDefinitionError,
@@ -56,8 +58,8 @@ from .setmap import (
     builtin,
 )
 
-_REGION_OPS = ("lt", "le", "ge", "gt", "eq")
 MAX_EXPR_DEPTH = 200
+MAX_MAP_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -229,6 +231,15 @@ def _require(cond: bool, message: str) -> None:
         raise MapDefinitionError(message)
 
 
+def _number(v: object) -> float | None:
+    """A JSON number as a float; None for anything else and for an
+    integer beyond the double range."""
+    try:
+        return float(v) if isinstance(v, (int, float)) else None
+    except OverflowError:
+        return None
+
+
 def _map_from_obj(obj: object, path: str) -> SetValuedMap:
     _require(isinstance(obj, dict), f"{path}: map node must be a JSON object")
     assert isinstance(obj, dict)
@@ -243,38 +254,33 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
 
     growth = obj.get("growth")
     if growth is not None:
-        _require(
-            isinstance(growth, (list, tuple)) and len(growth) == 2
-            and all(isinstance(g, (int, float)) and g >= 0 for g in growth),
-            f"{path}: 'growth' must be [A, B] with A, B >= 0",
-        )
-        growth = (float(growth[0]), float(growth[1]))
+        _require(isinstance(growth, list) and len(growth) == 2,
+                 f"{path}: 'growth' must be [A, B] with A, B >= 0")
+        growth = tuple(_number(g) for g in growth)
+        _require(all(g is not None and g >= 0 for g in growth),
+                 f"{path}: 'growth' must be [A, B] with A, B >= 0")
 
     kind = keys.pop()
     if kind == "pieces":
         m: SetValuedMap = _pieces_from_obj(dim, obj["pieces"], path)
-    elif kind == "product":
-        parts = obj["product"]
+    elif kind in ("product", "union"):
+        parts = obj[kind]
         _require(isinstance(parts, list) and len(parts) == 2,
-                 f"{path}: 'product' must hold two sub-maps")
-        left = _map_from_obj(parts[0], path + ".product[0]")
-        right = _map_from_obj(parts[1], path + ".product[1]")
-        _require(left.dim + right.dim == dim,
-                 f"{path}: product dims {left.dim}+{right.dim} != {dim}")
-        m = ProductMap(left, right)
-    elif kind == "union":
-        parts = obj["union"]
-        _require(isinstance(parts, list) and len(parts) == 2,
-                 f"{path}: 'union' must hold two sub-maps")
-        left = _map_from_obj(parts[0], path + ".union[0]")
-        right = _map_from_obj(parts[1], path + ".union[1]")
-        m = UnionMap(left, right)
-        _require(m.dim == dim, f"{path}: union dim {m.dim} != {dim}")
+                 f"{path}: '{kind}' must hold two sub-maps")
+        left, right = (_map_from_obj(p, f"{path}.{kind}[{i}]") for i, p in enumerate(parts))
+        m = (ProductMap if kind == "product" else UnionMap)(left, right)
+        _require(m.dim == dim, f"{path}: {kind} dim {m.dim} != {dim}")
     else:
         node = obj["builtin"]
-        _require(isinstance(node, dict) and "name" in node,
+        _require(isinstance(node, dict) and isinstance(node.get("name"), str),
                  f"{path}: 'builtin' must hold a name")
-        m = builtin(node["name"], node.get("params"))
+        params = node.get("params")
+        _require(params is None or isinstance(params, dict),
+                 f"{path}: builtin 'params' must be an object")
+        try:
+            m = builtin(node["name"], params)
+        except (TypeError, ValueError) as e:
+            raise MapDefinitionError(f"{path}: {e}") from None
         _require(m.dim == dim,
                  f"{path}: builtin {node['name']!r} has dim {m.dim}, file says {dim}")
 
@@ -290,19 +296,21 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
     for pi, pobj in enumerate(pieces_obj):
         ppath = f"{path}.pieces[{pi}]"
         _require(isinstance(pobj, dict), f"{ppath}: piece must be an object")
+        region = pobj.get("region", [])
+        _require(isinstance(region, list), f"{ppath}: 'region' must be an array")
         conditions = []
-        for cobj in pobj.get("region", []):
+        for cobj in region:
             _require(isinstance(cobj, dict), f"{ppath}: condition must be an object")
             var = cobj.get("var")
             _require(isinstance(var, int) and 1 <= var <= dim,
                      f"{ppath}: condition 'var' must be in 1..{dim}")
             op = cobj.get("op")
-            _require(op in _REGION_OPS,
-                     f"{ppath}: condition 'op' must be one of {_REGION_OPS}")
-            bound = cobj.get("bound")
-            _require(isinstance(bound, (int, float)),
+            _require(isinstance(op, str) and op in _REGION_OPS,
+                     f"{ppath}: condition 'op' must be one of {tuple(_REGION_OPS)}")
+            bound = _number(cobj.get("bound"))
+            _require(bound is not None,
                      f"{ppath}: condition 'bound' must be a number")
-            conditions.append(Condition(var - 1, op, float(bound)))
+            conditions.append(Condition(var - 1, op, bound))
         image_obj = pobj.get("image")
         _require(isinstance(image_obj, list) and image_obj,
                  f"{ppath}: 'image' must be a nonempty array of boxes")
@@ -382,8 +390,27 @@ def validate_map(m: SetValuedMap) -> None:
     # NativeMap builtins are total by construction.
 
 
+_NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')  # a string or a bracket
+
+
+def _check_nesting(src: str) -> None:
+    """ParseError at the bracket that nests the document deeper than
+    MAX_MAP_DEPTH arrays and objects.  The JSON decoder and the code
+    that builds and walks a map recurse once per level, so this keeps
+    each of them far from the interpreter's recursion limit."""
+    if src.count("[") + src.count("{") <= MAX_MAP_DEPTH:
+        return
+    depth = 0
+    for m in _NESTING_RE.finditer(src):
+        depth += (m.group() in ("[", "{")) - (m.group() in ("]", "}"))
+        if depth > MAX_MAP_DEPTH:
+            raise ParseError(f"document nested deeper than {MAX_MAP_DEPTH} levels",
+                             _byte_offset(src, m.start()))
+
+
 def parse_map(src: str) -> SetValuedMap:
     """Parse and validate a map file; see the module docstring for the format."""
+    _check_nesting(src)
     try:
         obj = json.loads(src)
     except json.JSONDecodeError as e:
@@ -402,20 +429,6 @@ def load_map(path: str) -> SetValuedMap:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def _derived_growth(m: SetValuedMap) -> tuple[float, float] | None:
-    if isinstance(m, ProductMap):
-        lg, rg = m.left.growth, m.right.growth
-        if lg is not None and rg is not None:
-            return (lg[0] + rg[0], lg[1] + rg[1])
-        return None
-    if isinstance(m, UnionMap):
-        lg, rg = m.left.growth, m.right.growth
-        if lg is not None and rg is not None:
-            return (max(lg[0], rg[0]), max(lg[1], rg[1]))
-        return None
-    return None
 
 
 def map_to_dict(m: SetValuedMap) -> dict:
@@ -438,9 +451,8 @@ def map_to_dict(m: SetValuedMap) -> dict:
         ]
         return out
     if isinstance(m, (ProductMap, UnionMap)):
-        key = "product" if isinstance(m, ProductMap) else "union"
-        out = {"dim": m.dim, key: [map_to_dict(m.left), map_to_dict(m.right)]}
-        if m.growth is not None and m.growth != _derived_growth(m):
+        out = {"dim": m.dim, m.kind: [map_to_dict(m.left), map_to_dict(m.right)]}
+        if m.growth is not None and m.growth != m.derived_growth():
             out["growth"] = [m.growth[0], m.growth[1]]
         return out
     if isinstance(m, NativeMap):

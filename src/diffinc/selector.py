@@ -10,7 +10,9 @@ operations with no tolerances beyond the explicit ``slack``.
 One core works on (lo, hi) pairs: ``_clip`` cuts them by the sign
 constraint and ``_pick`` takes the policy's point.  The public
 functions run it on a ``CompactSet``; the solver's step loop runs it on
-the pairs a map's ``_eval`` returns, with a plain sign tuple.
+the pairs a map's ``_eval`` returns, with a plain sign tuple; and the
+analyzer's hardest-corner test takes from it which y-boxes the cut
+empties, and at which coordinate.
 """
 
 from __future__ import annotations
@@ -130,8 +132,11 @@ class WcmInfeasible(RuntimeError):
 
 
 def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
-          signs: Sequence[int], slack: float) -> list[tuple[Vector, Vector]]:
-    """The (lo, hi) pairs cut by the sign constraint, empty boxes dropped.
+          signs: Sequence[int], slack: float
+          ) -> tuple[list[tuple[Vector, Vector]], list[tuple[int, int]]]:
+    """The (lo, hi) pairs cut by the sign constraint, empty boxes dropped,
+    and for each dropped box (its index, the first coordinate whose cut
+    emptied it).
 
     Where ``s_j > 0`` the lower bound becomes ``max(lo_j, prev_v_j -
     slack)``, where ``s_j < 0`` the upper bound becomes ``min(hi_j,
@@ -142,7 +147,8 @@ def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
     cuts = [(j, s, prev_v[j] - slack if s > 0 else prev_v[j] + slack)
             for j, s in enumerate(signs) if s]
     kept = []
-    for lo, hi in pairs:
+    dropped = []
+    for k, (lo, hi) in enumerate(pairs):
         lo = list(lo)
         hi = list(hi)
         for j, s, bound in cuts:
@@ -151,10 +157,11 @@ def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
             else:
                 hi[j] = min(hi[j], bound)
             if lo[j] > hi[j]:
+                dropped.append((k, j))
                 break
         else:
             kept.append((tuple(lo), tuple(hi)))
-    return kept
+    return kept, dropped
 
 
 def _pick(pairs: Sequence[tuple[Vector, Vector]], target: Vector,
@@ -197,7 +204,7 @@ def feasible_region(image: CompactSet, prev_v: Sequence[float],
             f"dimension mismatch: image {image.dim}, prev_v {len(prev_v)}, "
             f"signs {len(signs)}"
         )
-    kept = _clip(image._pairs(), prev_v, signs.signs, slack)
+    kept, _ = _clip(image._pairs(), prev_v, signs.signs, slack)
     return _image(kept) if kept else None
 
 

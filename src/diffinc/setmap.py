@@ -528,13 +528,9 @@ def vertices(s: CompactSet) -> list[Vector]:
     ``Box.corners()`` order.
 
     Every linear functional attains its extremum over the set on this
-    list.  Guarded to dimension 16 to avoid the 2^n corner blow-up.  The
-    analyzer's monotone and cyclic checks do not enumerate: per box, the
-    first corner in this order that minimises <d, v> takes ``lo_j``
-    where ``d_j >= 0`` or ``lo_j == hi_j`` (which keeps a ``[-0.0, 0.0]``
-    coordinate at -0.0) and ``hi_j`` otherwise, and the first box with
-    the strictly smallest value wins, with the sums taken exactly in
-    integers scaled by 2^1074.
+    list.  Guarded to dimension 16 to avoid the 2^n corner blow-up; the
+    analyzer's monotone and cyclic checks find the first minimising
+    corner in this order per box instead (see ``analyzer``).
     """
     if s.dim > MAX_VERTEX_DIM:
         raise ValueError(f"vertices limited to dimension {MAX_VERTEX_DIM}")
@@ -612,7 +608,8 @@ class SetValuedMap:
 
     ``growth = (A, B)`` declares ``sup_norm(F(x)) <= A + B*|x|``, which
     the solver uses to size meshes a priori.  Subclasses implement
-    ``evaluate``; all state is fixed at construction.
+    ``_eval``, which ``evaluate`` runs once the point is checked; all
+    state is fixed at construction.
     """
 
     kind = "abstract"
@@ -631,7 +628,7 @@ class SetValuedMap:
         self.label = label if label is not None else self.kind
 
     def evaluate(self, x: Sequence[float]) -> CompactSet:
-        raise NotImplementedError
+        return _image(self._eval(self._check_point(x)))
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
         """Image boxes as (lo, hi) pairs at a trusted point: a float tuple
@@ -689,9 +686,6 @@ class PiecewiseMap(SetValuedMap):
             for p in self.pieces
         )
 
-    def evaluate(self, x: Sequence[float]) -> CompactSet:
-        return _image(self._eval(self._check_point(x)))
-
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
         boxes = []
         for conditions, fns in self._compiled:
@@ -715,25 +709,37 @@ class PiecewiseMap(SetValuedMap):
         return {j: tuple(sorted(vals)) for j, vals in acc.items()}
 
 
-class ProductMap(SetValuedMap):
+class _Composite(SetValuedMap):
+    """A map made of two maps.  When both declare growth constants, the
+    composite's are theirs combined coordinatewise by ``_combine``."""
+
+    _combine: Callable[[float, float], float]
+
+    def __init__(self, dim: int, left: SetValuedMap, right: SetValuedMap,
+                 label: str | None):
+        self.left = left
+        self.right = right
+        super().__init__(dim, self.derived_growth(), label)
+
+    def derived_growth(self) -> tuple[float, float] | None:
+        """The growth constants implied by the two parts' current ones."""
+        lg, rg = self.left.growth, self.right.growth
+        if lg is None or rg is None:
+            return None
+        return (self._combine(lg[0], rg[0]), self._combine(lg[1], rg[1]))
+
+
+class ProductMap(_Composite):
     """Cartesian product: the image at (x, y) is F(x) x G(y), realised as
     the pairwise products of the factor boxes."""
 
     kind = "product"
+    # |(u, v)| <= |u| + |v| and |x|, |y| <= |(x, y)|
+    _combine = staticmethod(operator.add)
 
     def __init__(self, left: SetValuedMap, right: SetValuedMap,
                  label: str | None = None):
-        growth = None
-        if left.growth is not None and right.growth is not None:
-            # |(u, v)| <= |u| + |v| and |x|, |y| <= |(x, y)|
-            growth = (left.growth[0] + right.growth[0],
-                      left.growth[1] + right.growth[1])
-        super().__init__(left.dim + right.dim, growth, label)
-        self.left = left
-        self.right = right
-
-    def evaluate(self, x: Sequence[float]) -> CompactSet:
-        return _image(self._eval(self._check_point(x)))
+        super().__init__(left.dim + right.dim, left, right, label)
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
         d = self.left.dim
@@ -749,10 +755,11 @@ class ProductMap(SetValuedMap):
         return out
 
 
-class UnionMap(SetValuedMap):
+class UnionMap(_Composite):
     """Pointwise union: the image box lists of both maps, concatenated."""
 
     kind = "union"
+    _combine = staticmethod(max)
 
     def __init__(self, left: SetValuedMap, right: SetValuedMap,
                  label: str | None = None):
@@ -760,16 +767,7 @@ class UnionMap(SetValuedMap):
             raise MapDefinitionError(
                 f"union requires equal dimensions, got {left.dim} and {right.dim}"
             )
-        growth = None
-        if left.growth is not None and right.growth is not None:
-            growth = (max(left.growth[0], right.growth[0]),
-                      max(left.growth[1], right.growth[1]))
-        super().__init__(left.dim, growth, label)
-        self.left = left
-        self.right = right
-
-    def evaluate(self, x: Sequence[float]) -> CompactSet:
-        return _image(self._eval(self._check_point(x)))
+        super().__init__(left.dim, left, right, label)
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
         return self.left._eval(x) + self.right._eval(x)
@@ -913,16 +911,19 @@ def _sign_branch(scale: float) -> SetValuedMap:
                         label=f"signbranch({scale:g})")
 
 
+def _sign_power(scale: float, n: int) -> SetValuedMap:
+    """The n-fold product of sign branches, as a balanced tree: its depth
+    grows with log n.  Product box order is associative, so the shape
+    changes no image."""
+    if n == 1:
+        return _sign_branch(scale)
+    return ProductMap(_sign_power(scale, n // 2), _sign_power(scale, n - n // 2))
+
+
 def _make_example4(n: int) -> SetValuedMap:
     if n < 1:
         raise ValueError("example4 needs n >= 1")
-    full: SetValuedMap = _sign_branch(1.0)
-    half: SetValuedMap = _sign_branch(0.5)
-    for _ in range(n - 1):
-        full = ProductMap(_sign_branch(1.0), full)
-        half = ProductMap(_sign_branch(0.5), half)
-    m = UnionMap(half, full, label=f"example4({n})")
-    return m
+    return UnionMap(_sign_power(0.5, n), _sign_power(1.0, n), label=f"example4({n})")
 
 
 def _make_antisign() -> SetValuedMap:
@@ -977,36 +978,55 @@ def _make_normgrad(n: int, k: int) -> SetValuedMap:
     )
 
 
-BUILTIN_NAMES = (
-    "example1", "example2_F", "example2_G", "example3",
-    "example4", "antisign", "normgrad",
-)
+# example4(n) builds 2n maps and normgrad(n, k) n boundaries and k points
+MAX_BUILTIN_PARAM = 10_000
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """One catalog map: ``factory`` takes the ``params`` in their order,
+    each given as (name, default, meaning); ``dim`` is "n" when it is the
+    parameter ``n``."""
+
+    name: str
+    factory: Callable[..., SetValuedMap]
+    dim: str
+    about: str
+    params: tuple[tuple[str, int, str], ...] = ()
+
+
+BUILTINS = {b.name: b for b in (
+    Builtin("example1", _make_example1, "1",
+            "[-1,0] left of 0, [-1,1] from 0 on (both pieces closed)"),
+    Builtin("example2_F", _make_example2_F, "1",
+            "the two points {x, cbrt(x)}; continuous, non-convex"),
+    Builtin("example2_G", _make_example2_G, "1",
+            "{cbrt(x), x-1} left of 0, {cbrt(x), x+1} right of 0, {-1, 0, 1} at 0"),
+    Builtin("example3", _make_example3, "2",
+            "[cbrt(x1)-1, cbrt(x1)+s] x ([-2,-1] u [1,2]), s = 0 left of 0, 1 from 0 on"),
+    Builtin("example4", _make_example4, "n",
+            "componentwise sign field united with its half-speed copy",
+            (("n", 1, "state dimension"),)),
+    Builtin("antisign", _make_antisign, "1",
+            "{-1} for x>0, {+1} for x<0, both at 0; selection aborts after a crossing"),
+    Builtin("normgrad", _make_normgrad, "n",
+            "the unit vector x/norm(x) off the origin, k unit vectors at it",
+            (("n", 2, "state dimension"), ("k", 4, "unit vectors at the origin"))),
+)}
 
 
 def builtin(name: str, params: dict | None = None) -> SetValuedMap:
-    """Construct a catalog map by name.
-
-    ``example4`` takes ``n`` (state dimension); ``normgrad`` takes ``n``
-    and ``k`` (how many unit vectors stand in for the image at the
-    origin).  All other names take no parameters.
-    """
-    params = dict(params or {})
-    if name == "example1":
-        m = _make_example1()
-    elif name == "example2_F":
-        m = _make_example2_F()
-    elif name == "example2_G":
-        m = _make_example2_G()
-    elif name == "example3":
-        m = _make_example3()
-    elif name == "example4":
-        m = _make_example4(int(params.pop("n", 1)))
-    elif name == "antisign":
-        m = _make_antisign()
-    elif name == "normgrad":
-        m = _make_normgrad(int(params.pop("n", 2)), int(params.pop("k", 4)))
-    else:
+    """Construct the catalog map ``name`` with the parameters its entry in
+    ``BUILTINS`` lists, each at most MAX_BUILTIN_PARAM; a default applies
+    only to a parameter that is absent, and any other parameter is a
+    ValueError."""
+    entry = BUILTINS.get(name) if isinstance(name, str) else None
+    if entry is None:
         raise ValueError(f"unknown builtin map {name!r}")
+    params = dict(params or {})
+    args = [int(params.pop(p, default)) for p, default, _ in entry.params]
     if params:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-    return m
+    if max(args, default=0) > MAX_BUILTIN_PARAM:
+        raise ValueError(f"parameters of {name!r} are at most {MAX_BUILTIN_PARAM}, got {args}")
+    return entry.factory(*args)

@@ -166,13 +166,6 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError("horizon must be > 0")
 
 
-def _check_steps(n: int) -> None:
-    if n > MAX_STEPS:
-        raise ValueError(
-            f"N = {n} mesh steps exceeds the limit of MAX_STEPS = {MAX_STEPS}"
-        )
-
-
 def _mesh_times(horizon: float, n: int) -> tuple[float, ...]:
     return tuple((i / n) * horizon for i in range(n + 1))
 
@@ -216,7 +209,8 @@ def euler_polygon(
         n = min_steps(bounds)
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_steps(n)
+    if n > MAX_STEPS:
+        raise ValueError(f"N = {n} mesh steps exceeds the limit of MAX_STEPS = {MAX_STEPS}")
     if bounds is None:
         warnings.warn(
             f"map {m.label!r} declares no growth constants; "
@@ -248,7 +242,7 @@ def euler_polygon(
         nodes.append(x)
         signs = tuple([(c > 0) - (c < 0) for c in v])
         image = evaluate(x)
-        region = _clip(image, v, signs, slack)
+        region, _ = _clip(image, v, signs, slack)
         if not region:
             raise WcmInfeasible(v, SignPattern(signs), _image(image),
                                 state=x, step=i, time=times[i])
@@ -320,8 +314,10 @@ def converge(
     Starts at max(n0, declared mesh minimum).  Levels are independent
     solves (selections are not nested across levels).  WcmInfeasible is
     re-raised annotated with the level at which it occurred; x0, horizon
-    and v0 must be finite, and the finest level may take at most
-    MAX_STEPS steps (ValueError otherwise, before the first solve).
+    and v0 must be finite, the finest level may take at most MAX_STEPS
+    steps, and samples_per_interval must be >= 1 with at most MAX_STEPS
+    samples at the finest level (ValueError otherwise, before the first
+    solve).
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
@@ -333,8 +329,16 @@ def converge(
     if m.growth is not None:
         bounds = gronwall_bounds(m.growth[0], m.growth[1], norm(x0), horizon)
         start = max(n0, min_steps(bounds))
+    if levels - 1 > MAX_STEPS.bit_length():
+        raise ValueError(f"{levels} levels double N past MAX_STEPS = {MAX_STEPS}")
     ns = [start * (2 ** k) for k in range(levels)]
-    _check_steps(ns[-1])
+    # residual evaluates the map at 1 + samples_per_interval points a step;
+    # with at least one sample, this bounds the finest N by MAX_STEPS too
+    if samples_per_interval < 1:
+        raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval}")
+    if ns[-1] * samples_per_interval > MAX_STEPS:
+        raise ValueError(f"N = {ns[-1]} steps at the finest level times samples_per_interval"
+                         f" = {samples_per_interval} exceeds MAX_STEPS = {MAX_STEPS}")
 
     trajectories: list[Trajectory] = []
     for lvl, n in enumerate(ns):

@@ -14,6 +14,7 @@ from diffinc.selector import SignPattern, WcmInfeasible
 from diffinc.setmap import (
     Box,
     CompactSet,
+    Condition,
     Expr,
     MapDefinitionError,
     Piece,
@@ -506,3 +507,66 @@ def reference_residual(traj, m, samples_per_interval=4):
             state = tuple(c + dt * vc for c, vc in zip(x, v))
             interval_res = max(interval_res, reference_distance(m.evaluate(state), v))
     return node_res, interval_res
+
+
+# ---------------------------------------------------------------------------
+# Hardest-corner decision and example4: the original implementations
+# ---------------------------------------------------------------------------
+
+
+def reference_wcm_pair_feasible(image_x, image_y, x, y):
+    """The original hardest-corner decision: an object-built feasible
+    region per x-box, then its own scan for each y-box's blocking
+    coordinate."""
+    x = tuple(float(c) for c in x)
+    y = tuple(float(c) for c in y)
+    sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
+    flipped = sigma.negated()
+    for box_index, box in enumerate(image_x.boxes):
+        corner = tuple(
+            lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
+            for lo, hi, s in zip(box.lo, box.hi, sigma)
+        )
+        if reference_feasible_region(image_y, corner, flipped, 0.0) is None:
+            blocking = []
+            for k, ybox in enumerate(image_y.boxes):
+                for j, s in enumerate(sigma):
+                    if s > 0 and ybox.lo[j] > corner[j]:
+                        blocking.append({
+                            "box": k, "coordinate": j + 1, "needs": "<=",
+                            "bound": corner[j],
+                            "available": [ybox.lo[j], ybox.hi[j]],
+                        })
+                        break
+                    if s < 0 and ybox.hi[j] < corner[j]:
+                        blocking.append({
+                            "box": k, "coordinate": j + 1, "needs": ">=",
+                            "bound": corner[j],
+                            "available": [ybox.lo[j], ybox.hi[j]],
+                        })
+                        break
+            return {
+                "x": list(x),
+                "y": list(y),
+                "v": list(corner),
+                "box_index": box_index,
+                "signs": list(sigma.signs),
+                "blocking": blocking,
+            }
+    return None
+
+
+def reference_example4(n):
+    """example4(n) with each branch nested to the right, n - 1 products
+    deep: the original construction."""
+    def branch(scale):
+        return PiecewiseMap(1, (
+            Piece(Region((Condition(0, "le", 0.0),)), (((Expr.const(-scale),) * 2,),)),
+            Piece(Region((Condition(0, "ge", 0.0),)), (((Expr.const(scale),) * 2,),)),
+        ), growth=(scale, 0.0), label=f"signbranch({scale:g})")
+
+    full, half = branch(1.0), branch(0.5)
+    for _ in range(n - 1):
+        full = ProductMap(branch(1.0), full)
+        half = ProductMap(branch(0.5), half)
+    return UnionMap(half, full, label=f"example4({n})")

@@ -1,11 +1,15 @@
 """Condition checkers: exactness, certificates, verdict reproduction."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_monotone_map
+from helpers import random_monotone_map, reference_wcm_pair_feasible
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_sampled_checks import box_unions, edge_floats
 
 from diffinc.analyzer import (
     check_closed_graph,
@@ -122,6 +126,43 @@ class TestWcmPair:
                       for j in range(dim))
             mine = wcm_pair_feasible(image_x, image_y, x, y) is None
             assert mine == brute_force_wcm(image_x, image_y, x, y)
+
+
+@st.composite
+def wcm_pairs(draw):
+    """Two box unions of one dimension and a pair of points whose
+    coordinates often coincide, so sigma has zeros."""
+    dim = draw(st.integers(1, 3))
+    x = tuple(draw(edge_floats) for _ in range(dim))
+    y = tuple(a if draw(st.booleans()) else draw(edge_floats) for a in x)
+    return draw(box_unions(dim)), draw(box_unions(dim)), x, y
+
+
+class TestHardestCornerSharesTheCut:
+    """The blocking coordinates come from the selector's cut; the
+    reference scans the y-boxes on its own, as the decision once did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(wcm_pairs())
+    def test_certificate_bytes_match_reference(self, case):
+        mine = wcm_pair_feasible(*case)
+        assert json.dumps(mine) == json.dumps(reference_wcm_pair_feasible(*case))
+
+    def test_every_blocked_box_is_listed(self):
+        image_y = CompactSet((Box((2.0, -1.0), (3.0, 0.0)), Box((-1.0, -6.0), (0.0, -5.0))))
+        cert = wcm_pair_feasible(CompactSet.of_points((0.0, 0.0)), image_y,
+                                 (1.0, -1.0), (0.0, 0.0))
+        assert cert["blocking"] == [
+            {"box": 0, "coordinate": 1, "needs": "<=", "bound": 0.0, "available": [2.0, 3.0]},
+            {"box": 1, "coordinate": 2, "needs": ">=", "bound": 0.0, "available": [-6.0, -5.0]},
+        ]
+
+    def test_dimension_mismatch_is_a_value_error(self):
+        image = CompactSet.of_points((0.0, 0.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            wcm_pair_feasible(image, CompactSet.of_points((0.0,)), (1.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            wcm_pair_feasible(image, image, (1.0,), (0.0, 0.0))
 
 
 class TestCheckWcm:

@@ -1,0 +1,101 @@
+"""The builtin catalog: one registry read by ``builtin()``, the CLI and
+the README, and the example4 product tree."""
+
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+from helpers import reference_example4
+
+from diffinc.cli import main
+from diffinc.mapdsl import roundtrip
+from diffinc.setmap import BUILTINS, builtin
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_catalog_rows():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Builtin map catalog", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_table_is_the_registry():
+    assert readme_catalog_rows() == [
+        f"| `{b.name}` | {b.dim} | {b.about} |" for b in BUILTINS.values()
+    ]
+
+
+def test_list_examples_renders_the_registry(capsys):
+    assert main(["list-examples", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["dim"], r["about"]) for r in rows] == [
+        (b.name, b.dim, b.about) for b in BUILTINS.values()
+    ]
+    assert rows[4]["params"] == {"n": "state dimension (default 1)"}
+    assert rows[6]["params"] == {"n": "state dimension (default 2)",
+                                 "k": "unit vectors at the origin (default 4)"}
+
+
+def test_example2_G_image_at_zero_has_three_points():
+    image = builtin("example2_G").evaluate((0.0,))
+    assert sorted(b.lo[0] for b in image.boxes) == [-1.0, 0.0, 0.0, 1.0]
+    assert "{-1, 0, 1} at 0" in BUILTINS["example2_G"].about
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_entry_builds_with_its_defaults(name):
+    entry = BUILTINS[name]
+    m = builtin(name)
+    assert entry.dim in (str(m.dim), "n")
+    assert m.growth is not None
+    defaults = {p: default for p, default, _ in entry.params}
+    assert builtin(name, defaults).label == m.label
+
+
+def test_defaults_apply_only_to_absent_parameters():
+    assert builtin("normgrad", {"k": 6}).label == "normgrad(2,6)"
+    assert builtin("normgrad", {"n": 3}).label == "normgrad(3,4)"
+    with pytest.raises(ValueError, match="example4 needs n >= 1"):
+        builtin("example4", {"n": 0})
+    with pytest.raises(ValueError, match="normgrad needs k >= 1"):
+        builtin("normgrad", {"k": 0})
+    with pytest.raises(ValueError, match=r"unexpected parameters for 'example1': \['n'\]"):
+        builtin("example1", {"n": 1})
+    with pytest.raises(ValueError, match="unknown builtin map"):
+        builtin(["example1"])
+
+
+POINTS = [-1.5, -0.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_balanced_example4_matches_the_nested_one(n):
+    m, ref = builtin("example4", {"n": n}), reference_example4(n)
+    assert (m.dim, m.growth, m.label) == (ref.dim, ref.growth, ref.label)
+    assert m.region_boundaries() == ref.region_boundaries()
+    points = itertools.product(POINTS, repeat=n) if n <= 4 else \
+        [tuple(POINTS[(i * 7 + j * 3) % 4] for j in range(n)) for i in range(40)]
+    for x in points:
+        assert m.evaluate(x) == ref.evaluate(x)
+    if n <= 3:
+        assert roundtrip(m) == roundtrip(ref)
+
+
+def test_example4_2_map_file_is_the_builtin_roundtrip():
+    assert (ROOT / "maps" / "example4_2.json").read_text(encoding="utf-8") == \
+        roundtrip(builtin("example4", {"n": 2}))
+
+
+def _depth(m):
+    parts = [getattr(m, side) for side in ("left", "right") if hasattr(m, side)]
+    return 1 + max(map(_depth, parts), default=0)
+
+
+def test_example4_in_high_dimension_evaluates():
+    m = builtin("example4", {"n": 1200})
+    assert _depth(m) == 13  # the union, then ceil(log2(1200)) products, then a branch
+    image = m.evaluate((1.0,) * 1200)
+    assert [b.lo for b in image.boxes] == [(0.5,) * 1200, (1.0,) * 1200]
+

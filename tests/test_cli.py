@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from diffinc.cli import main, resolve_map
+from diffinc.setmap import MAX_VERTEX_DIM
 from diffinc.solver import MAX_STEPS, trajectory_from_csv
 
 
@@ -301,6 +302,68 @@ class TestUsageErrors:
         codes.add(run(capsys, "check", "monotone", "--map", "example1",
                       "--samples", "300", "--seed", "7", "--no-timestamp")[0])
         assert codes <= {0, 1, 2, 3}
+
+
+class TestBuiltinParameters:
+    @pytest.mark.parametrize("argv, message", [
+        (["--map", "example40"], "example4 needs n >= 1"),
+        (["--map", "example4", "--dim", "0"], "example4 needs n >= 1"),
+        (["--map", "normgrad0"], "normgrad needs n >= 2"),
+        (["--map", "normgrad", "--k", "0"], "normgrad needs k >= 1"),
+        (["--map", "example1", "--dim", "5"], "unexpected parameters for 'example1': ['n']"),
+        (["--map", "example4", "--k", "3"], "unexpected parameters for 'example4': ['k']"),
+        (["--map", "example43", "--dim", "5"], "--map example43 gives n = 3, --dim gives 5"),
+        (["--map", "maps/example1.json", "--dim", "1"], "apply to builtin maps only"),
+    ])
+    def test_replaced_or_ignored_values_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, "check", "growth", *argv, "--samples", "5")
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_suffix_and_dim_may_agree(self):
+        assert resolve_map("example43", dim=3).label == "example4(3)"
+        assert resolve_map("normgrad", dim=3, k=6).label == "normgrad(3,6)"
+        assert resolve_map("normgrad").label == "normgrad(2,4)"
+
+    def test_example4_in_high_dimension(self, capsys):
+        ones = ",".join(["1"] * 1200)
+        code, out, _ = run(capsys, "solve", "--map", "example4", "--dim", "1200",
+                           "--x0", ones, "--T", "1e-4", "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["node_residual"] == 0.0
+
+
+class TestConvergeBudget:
+    def test_samples_per_interval_bounded_before_solving(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "0",
+                             "--T", "1", "--N0", "4", "--levels", "2",
+                             "--samples-per-interval", "100000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert "N = 8 steps" in err and "samples_per_interval = 100000000" in err
+
+    def test_zero_samples_rejected_before_solving(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "0",
+                             "--T", "1", "--N0", "200000", "--levels", "2",
+                             "--samples-per-interval", "0")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert "samples_per_interval must be >= 1, got 0" in err
+
+
+class TestGraphDimensionLimit:
+    def test_help_states_the_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert f"dimension <= {MAX_VERTEX_DIM}" in " ".join(capsys.readouterr().out.split())
+
+    def test_above_the_limit_exits_1(self, capsys):
+        code, out, err = run(capsys, "check", "graph", "--map", "example4", "--dim", "17",
+                             "--samples", "1")
+        assert code == 1 and out == ""
+        assert f"vertices limited to dimension {MAX_VERTEX_DIM}" in err
 
 
 class TestMapResolution:

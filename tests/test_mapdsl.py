@@ -165,6 +165,59 @@ class TestParseMap:
         src = '{"dim": 1, "growth": [2, 0.5], "pieces": [{"region": [], "image": [[["x", "x"]]]}]}'
         assert parse_map(src).growth == (2.0, 0.5)
 
+    @pytest.mark.parametrize("node, message", [
+        ({"dim": 1, "pieces": [{"region": 5, "image": [[["0", "1"]]]}]},
+         "$.pieces[0]: 'region' must be an array"),
+        ({"dim": 1, "pieces": [{"region": [{"var": 1, "op": ["le"], "bound": 0}],
+                                "image": [[["0", "1"]]]}]},
+         "'op' must be one of ('lt', 'le', 'ge', 'gt', 'eq')"),
+        ({"dim": 1, "pieces": [{"region": [{"var": 1, "op": "le", "bound": 10 ** 400}],
+                                "image": [[["0", "1"]]]}]},
+         "'bound' must be a number"),
+        ({"dim": 1, "growth": [10 ** 400, 0], "pieces": [{"region": [],
+                                                          "image": [[["0", "1"]]]}]},
+         "'growth' must be [A, B]"),
+        ({"dim": 1, "builtin": {"name": "example4", "params": "ab"}},
+         "$: builtin 'params' must be an object"),
+        ({"dim": 1, "builtin": {"name": "example4", "params": {"n": "abc"}}},
+         "$: invalid literal for int()"),
+        ({"dim": 1, "builtin": {"name": "example4", "params": {"n": [1]}}},
+         "$: int() argument must be"),
+        ({"dim": 1, "union": [{"dim": 1, "builtin": {"name": "example1", "params": {"n": 2}}},
+                              {"dim": 1, "builtin": {"name": "example1"}}]},
+         "$.union[0]: unexpected parameters for 'example1': ['n']"),
+        ({"dim": 1, "builtin": {"name": ["example1"]}}, "$: 'builtin' must hold a name"),
+    ])
+    def test_bad_values_are_map_definition_errors(self, node, message):
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(json.dumps(node))
+        assert message in str(err.value)
+
+    def test_deep_document_is_a_parse_error(self):
+        leaf = '{"dim": 1, "builtin": {"name": "example1"}}'
+        deep = '{"dim": 1, "union": [' * 1500 + leaf + (', ' + leaf + ']}') * 1500
+        with pytest.raises(ParseError, match="nested deeper than 200 levels") as err:
+            parse_map(deep)
+        # 100 prefixes open 200 levels; the next one's brace is the 201st
+        assert err.value.offset == len('{"dim": 1, "union": [') * 100
+        arrays = "[" * 3000 + "]" * 3000
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_map(arrays)
+
+    def test_brackets_inside_strings_do_not_nest(self):
+        pieces = [{"region": [], "image": [[["0", "1"]]], "note": "[" * 300}]
+        assert parse_map(json.dumps({"dim": 1, "pieces": pieces})).dim == 1
+
+    def test_depth_limit_is_inclusive(self):
+        def nest(k):  # a union tree whose document nests 2k + 2 levels
+            node = '{"dim": 1, "builtin": {"name": "example1"}}'
+            for _ in range(k):
+                node = '{"dim": 1, "union": [' + node + ', {"dim": 1, "builtin": {"name": "example1"}}]}'
+            return node
+        assert parse_map(nest(99)).dim == 1  # 200 levels
+        with pytest.raises(ParseError):
+            parse_map(nest(100))
+
 
 class TestRoundtrip:
     def test_builtin_example1_lowers_to_pieces(self):

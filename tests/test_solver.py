@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from helpers import integrate_majorant
@@ -263,6 +264,35 @@ class TestConverge:
         n0 = MAX_STEPS // 4 + 1  # levels n0, 2*n0, 4*n0: only the last is over
         with pytest.raises(ValueError, match=f"N = {4 * n0} .* {MAX_STEPS}"):
             converge(builtin("example1"), (0.0,), 1.0, n0, 3)
+
+    @pytest.mark.parametrize("samples, n0, message", [
+        (0, 8, "samples_per_interval must be >= 1, got 0"),
+        (4, MAX_STEPS // 8 + 1, f"N = {2 * (MAX_STEPS // 8 + 1)} steps at the finest level "
+                                f"times samples_per_interval = 4 exceeds MAX_STEPS"),
+        (MAX_STEPS // 16 + 1, 8, "samples_per_interval = 625001 exceeds"),
+    ])
+    def test_residual_work_checked_before_the_first_solve(self, monkeypatch, samples,
+                                                          n0, message):
+        import diffinc.solver as solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(solver, "euler_polygon", no_solve)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            converge(builtin("example1"), (0.0,), 1.0, n0, 2, samples_per_interval=samples)
+
+    def test_many_levels_rejected_before_doubling(self):
+        with pytest.raises(ValueError, match="10000000000 levels double N past MAX_STEPS"):
+            converge(builtin("example1"), (0.0,), 1.0, 4, 10 ** 10)
+
+    def test_residual_budget_is_inclusive(self, monkeypatch):
+        import diffinc.analyzer as analyzer
+
+        monkeypatch.setattr(analyzer, "residual", lambda traj, m, samples: (0.0, 0.0))
+        rep = converge(builtin("example1"), (0.0,), 1.0, 4, 2,
+                       samples_per_interval=MAX_STEPS // 8)
+        assert [t.steps for t in rep.trajectories] == [4, 8]
 
     def test_levels_validation(self):
         with pytest.raises(ValueError):
