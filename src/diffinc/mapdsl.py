@@ -59,7 +59,7 @@ from .setmap import (
 )
 
 MAX_EXPR_DEPTH = 200
-MAX_MAP_DEPTH = 200
+MAX_MAP_DEPTH = 800
 
 
 class ParseError(ValueError):
@@ -279,7 +279,7 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
                  f"{path}: builtin 'params' must be an object")
         try:
             m = builtin(node["name"], params)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise MapDefinitionError(f"{path}: {e}") from None
         _require(m.dim == dim,
                  f"{path}: builtin {node['name']!r} has dim {m.dim}, file says {dim}")

@@ -8,7 +8,14 @@ import pytest
 
 from helpers import random_expr, reference_eval
 
-from diffinc.mapdsl import MAX_EXPR_DEPTH, ParseError, parse_expr, parse_map, roundtrip
+from diffinc.mapdsl import (
+    MAX_EXPR_DEPTH,
+    MAX_MAP_DEPTH,
+    ParseError,
+    parse_expr,
+    parse_map,
+    roundtrip,
+)
 from diffinc.setmap import (
     CompactSet,
     Expr,
@@ -180,9 +187,15 @@ class TestParseMap:
         ({"dim": 1, "builtin": {"name": "example4", "params": "ab"}},
          "$: builtin 'params' must be an object"),
         ({"dim": 1, "builtin": {"name": "example4", "params": {"n": "abc"}}},
-         "$: invalid literal for int()"),
+         "$: parameters of 'example4' are ints <= 10000, got ['abc']"),
         ({"dim": 1, "builtin": {"name": "example4", "params": {"n": [1]}}},
-         "$: int() argument must be"),
+         "$: parameters of 'example4' are ints <= 10000, got [[1]]"),
+        ({"dim": 1, "builtin": {"name": "example4", "params": {"n": float("inf")}}},
+         "$: parameters of 'example4' are ints <= 10000, got [inf]"),
+        ({"dim": 1, "builtin": {"name": "example4", "params": {"n": 1.0}}},
+         "$: parameters of 'example4' are ints <= 10000, got [1.0]"),
+        ({"dim": 2, "builtin": {"name": "normgrad", "params": {"k": True}}},
+         "$: parameters of 'normgrad' are ints <= 10000, got [2, True]"),
         ({"dim": 1, "union": [{"dim": 1, "builtin": {"name": "example1", "params": {"n": 2}}},
                               {"dim": 1, "builtin": {"name": "example1"}}]},
          "$.union[0]: unexpected parameters for 'example1': ['n']"),
@@ -196,10 +209,10 @@ class TestParseMap:
     def test_deep_document_is_a_parse_error(self):
         leaf = '{"dim": 1, "builtin": {"name": "example1"}}'
         deep = '{"dim": 1, "union": [' * 1500 + leaf + (', ' + leaf + ']}') * 1500
-        with pytest.raises(ParseError, match="nested deeper than 200 levels") as err:
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_MAP_DEPTH} levels") as err:
             parse_map(deep)
-        # 100 prefixes open 200 levels; the next one's brace is the 201st
-        assert err.value.offset == len('{"dim": 1, "union": [') * 100
+        # each prefix opens two levels; the brace after the last one that fits is one too many
+        assert err.value.offset == len('{"dim": 1, "union": [') * (MAX_MAP_DEPTH // 2)
         arrays = "[" * 3000 + "]" * 3000
         with pytest.raises(ParseError, match="nested deeper"):
             parse_map(arrays)
@@ -214,9 +227,19 @@ class TestParseMap:
             for _ in range(k):
                 node = '{"dim": 1, "union": [' + node + ', {"dim": 1, "builtin": {"name": "example1"}}]}'
             return node
-        assert parse_map(nest(99)).dim == 1  # 200 levels
+        assert parse_map(nest(MAX_MAP_DEPTH // 2 - 1)).dim == 1  # MAX_MAP_DEPTH levels
         with pytest.raises(ParseError):
-            parse_map(nest(100))
+            parse_map(nest(MAX_MAP_DEPTH // 2))
+
+    def test_long_right_nested_product_chain_roundtrips(self):
+        # example4(n) once nested its products to the right, so files saved
+        # from it nest about 2n levels; 390 products nest 786
+        m = builtin("example1")
+        for _ in range(390):
+            m = product(builtin("example1"), m)
+        back = parse_map(roundtrip(m))
+        x = (-1.0, 1.0) * 195 + (0.0,)
+        assert back.evaluate(x).boxes == m.evaluate(x).boxes
 
 
 class TestRoundtrip:
