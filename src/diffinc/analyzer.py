@@ -22,6 +22,10 @@ A reported ``value`` is one correctly rounded int/int division, equal
 to ``float`` of the same rational, or -inf when that rational lies
 below the double range (IEEE round-to-nearest; ``float`` would raise).
 
+The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
+pairs of the map's trusted ``_eval`` at the float tuples they build;
+``check_closed_graph``, which works on whole sets, calls ``evaluate``.
+
 Checks draw their random pairs or cycles one at a time, after the
 deterministic battery and only up to the first failure; the draws come
 from the seeded generator in a fixed order, so a report does not depend
@@ -39,16 +43,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .selector import SignPattern, _clip
+from .selector import _clip
 from .setmap import (
     CompactSet,
     SetValuedMap,
     Vector,
     _distance,
+    _sup_norm,
     as_vector,
     distance,
     norm,
-    sup_norm,
     vertices,
 )
 
@@ -140,11 +144,13 @@ def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
     return tuple(rng.uniform(-radius, radius) for _ in range(n))
 
 
-def _check_budget(radius: float, count: int) -> None:
+def _check_budget(radius: float, count: int) -> float:
+    """The radius as a float, for drawing float tuples; or ValueError."""
     if not math.isfinite(radius) or radius <= 0:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
+    return float(radius)
 
 
 def _sampled_check(
@@ -181,6 +187,40 @@ def _random_tuples(seed: int, n: int, radius: float, count: int, size: int):
 # ---------------------------------------------------------------------------
 
 
+def _hardest_corner(pairs_x: Sequence[tuple[Vector, Vector]],
+                    pairs_y: Sequence[tuple[Vector, Vector]],
+                    x: Vector, y: Vector) -> dict | None:
+    """The decision of ``wcm_pair_feasible`` on the images' (lo, hi)
+    pairs, at float tuples x and y of their dimension."""
+    sigma = tuple([(a > b) - (a < b) for a, b in zip(x, y)])
+    # selector convention is displacement-sign based (w >= prev when s > 0),
+    # which is the sigma-flipped form of the constraint; a y-box the cut
+    # empties is blocked at the first coordinate that emptied it
+    flipped = tuple([-s for s in sigma])
+    for box_index, (lo_x, hi_x) in enumerate(pairs_x):
+        corner = tuple(
+            lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
+            for lo, hi, s in zip(lo_x, hi_x, sigma)
+        )
+        kept, dropped = _clip(pairs_y, corner, flipped, 0.0)
+        if not kept:
+            return {
+                "x": list(x),
+                "y": list(y),
+                "v": list(corner),
+                "box_index": box_index,
+                "signs": list(sigma),
+                "blocking": [
+                    {"box": k, "coordinate": j + 1,
+                     "needs": "<=" if sigma[j] > 0 else ">=",
+                     "bound": corner[j],
+                     "available": [pairs_y[k][0][j], pairs_y[k][1][j]]}
+                    for k, j in dropped
+                ],
+            }
+    return None
+
+
 def wcm_pair_feasible(
     image_x: CompactSet, image_y: CompactSet, x: Sequence[float], y: Sequence[float]
 ) -> dict | None:
@@ -200,51 +240,23 @@ def wcm_pair_feasible(
             f"dimension mismatch: x {len(x)}, y {len(y)}, images "
             f"{image_x.dim} and {image_y.dim}"
         )
-    sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
-    # selector convention is displacement-sign based (w >= prev when s > 0),
-    # which is the sigma-flipped form of the constraint above; a y-box the
-    # cut empties is blocked at the first coordinate that emptied it
-    flipped = sigma.negated().signs
-    pairs_y = image_y._pairs()
-    for box_index, box in enumerate(image_x.boxes):
-        corner = tuple(
-            lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
-            for lo, hi, s in zip(box.lo, box.hi, sigma)
-        )
-        kept, dropped = _clip(pairs_y, corner, flipped, 0.0)
-        if not kept:
-            return {
-                "x": list(x),
-                "y": list(y),
-                "v": list(corner),
-                "box_index": box_index,
-                "signs": list(sigma.signs),
-                "blocking": [
-                    {"box": k, "coordinate": j + 1,
-                     "needs": "<=" if sigma.signs[j] > 0 else ">=",
-                     "bound": corner[j],
-                     "available": [pairs_y[k][0][j], pairs_y[k][1][j]]}
-                    for k, j in dropped
-                ],
-            }
-    return None
+    return _hardest_corner(image_x._pairs(), image_y._pairs(), x, y)
 
 
 def check_wcm_pair(m: SetValuedMap, x: Sequence[float], y: Sequence[float]) -> dict | None:
     """Exact per-pair check on a map; None means the pair passes."""
-    if len(x) != m.dim or len(y) != m.dim:
-        raise ValueError(f"points must have the map dimension {m.dim}")
-    return wcm_pair_feasible(m.evaluate(x), m.evaluate(y), x, y)
+    x, y = m._check_point(x), m._check_point(y)
+    return _hardest_corner(m._eval(x), m._eval(y), x, y)
 
 
 def check_wcm(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckReport:
     """Sample `count` random pairs in [-radius, radius]^n after the
     deterministic battery; first failure short-circuits."""
-    _check_budget(radius, count)
-    pairs = chain(structured_pairs(m, radius),
-                  _random_tuples(seed, m.dim, radius, count, 2))
+    r = _check_budget(radius, count)
+    pairs = chain(structured_pairs(m, r), _random_tuples(seed, m.dim, r, count, 2))
     return _sampled_check(
-        "wcm", pairs, lambda p: check_wcm_pair(m, p[0], p[1]), seed, radius
+        "wcm", pairs, lambda p: _hardest_corner(m._eval(p[0]), m._eval(p[1]), *p),
+        seed, radius,
     )
 
 
@@ -262,14 +274,15 @@ def _exact(c: float) -> int:
     return num << (_SCALE + 1 - den.bit_length())
 
 
-def _min_vertex(image: CompactSet, d: Sequence[int]) -> tuple[int, Vector]:
-    """Minimum of <d, v> over the image (scaled by 2**2148) and the first
-    corner in ``vertices()`` order that attains it; ``d`` is scaled by
-    2**1074."""
+def _min_vertex(pairs: Sequence[tuple[Vector, Vector]],
+                d: Sequence[int]) -> tuple[int, Vector]:
+    """Minimum of <d, v> over the union of the (lo, hi) boxes (scaled by
+    2**2148) and the first corner in ``vertices()`` order that attains
+    it; ``d`` is scaled by 2**1074."""
     best = best_v = None
-    for box in image.boxes:
+    for lo_b, hi_b in pairs:
         v = tuple(lo if c >= 0 or lo == hi else hi
-                  for c, lo, hi in zip(d, box.lo, box.hi))
+                  for c, lo, hi in zip(d, lo_b, hi_b))
         val = sum(c * _exact(a) for c, a in zip(d, v) if c)
         if best is None or val < best:
             best, best_v = val, v
@@ -277,8 +290,9 @@ def _min_vertex(image: CompactSet, d: Sequence[int]) -> tuple[int, Vector]:
     return best, best_v
 
 
-def _max_vertex(image: CompactSet, d: Sequence[int]) -> tuple[int, Vector]:
-    val, v = _min_vertex(image, [-c for c in d])
+def _max_vertex(pairs: Sequence[tuple[Vector, Vector]],
+                d: Sequence[int]) -> tuple[int, Vector]:
+    val, v = _min_vertex(pairs, [-c for c in d])
     return -val, v
 
 
@@ -296,8 +310,8 @@ def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
     if x == y:
         return None
     d = [_exact(a) - _exact(b) for a, b in zip(x, y)]
-    lo_v, v = _min_vertex(m.evaluate(x), d)
-    hi_w, w = _max_vertex(m.evaluate(y), d)
+    lo_v, v = _min_vertex(m._eval(x), d)
+    hi_w, w = _max_vertex(m._eval(y), d)
     value = lo_v - hi_w
     if value < 0:
         return {"x": list(x), "y": list(y), "v": list(v), "w": list(w),
@@ -309,9 +323,8 @@ def find_monotonicity_violation(
     m: SetValuedMap, radius: float, count: int, seed: int
 ) -> CheckReport:
     """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
-    _check_budget(radius, count)
-    pairs = chain(structured_pairs(m, radius),
-                  _random_tuples(seed, m.dim, radius, count, 2))
+    r = _check_budget(radius, count)
+    pairs = chain(structured_pairs(m, r), _random_tuples(seed, m.dim, r, count, 2))
     return _sampled_check(
         "monotone", pairs, lambda p: _monotone_gap(m, p[0], p[1]), seed, radius
     )
@@ -324,7 +337,7 @@ def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
     length = len(points)
     for i in range(1, length + 1):
         d = [a - b for a, b in zip(scaled[i % length], scaled[i - 1])]
-        val, v = _min_vertex(m.evaluate(points[i % length]), d)
+        val, v = _min_vertex(m._eval(points[i % length]), d)
         total += val
         chosen.append(v)
     if total < 0:
@@ -344,10 +357,10 @@ def find_cyclic_violation(
     """
     if cycle_len < 2:
         raise ValueError("cycles need at least 2 points")
-    _check_budget(radius, count)
+    r = _check_budget(radius, count)
     cycles = chain(
-        ((a, b) for a, b in structured_pairs(m, radius) if a != b),
-        _random_tuples(seed, m.dim, radius, count, cycle_len),
+        ((a, b) for a, b in structured_pairs(m, r) if a != b),
+        _random_tuples(seed, m.dim, r, count, cycle_len),
     )
     return _sampled_check("cyclic", cycles, lambda c: _cycle_gap(m, c), seed,
                           radius, {"cycle_len": cycle_len})
@@ -379,15 +392,15 @@ class GrowthFit:
 def estimate_growth(
     m: SetValuedMap, radius: float, count: int, seed: int
 ) -> GrowthFit:
-    _check_budget(radius, count)
+    r = _check_budget(radius, count)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j in range(m.dim):
-        for v in (radius, -radius, radius / 2, 1.0, -1.0):
+        for v in (r, -r, r / 2, 1.0, -1.0):
             points.append(_axis_point(m.dim, j, v))
-    points.extend(_random_point(rng, m.dim, radius) for _ in range(count))
+    points.extend(_random_point(rng, m.dim, r) for _ in range(count))
 
-    data = sorted((norm(p), sup_norm(m.evaluate(p))) for p in points)
+    data = sorted((norm(p), _sup_norm(m._eval(p))) for p in points)
     # steepest pairwise slope; equal-radius groups collapse to (min, max)
     # so consecutive groups dominate all pairs
     groups: list[tuple[float, float, float]] = []

@@ -34,7 +34,8 @@ validation, not expression parsing).  Expressions nest at most
 binary operator adds one, so an operator chain counts as deep as it is
 long; deeper input is a ``ParseError`` at the offset where the limit
 is crossed.  Likewise a document nests at most ``MAX_MAP_DEPTH`` JSON
-arrays and objects.
+arrays and objects, and an integer literal longer than ``int()``
+converts (4300 digits by default) is a ``ParseError`` too.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 
 from .setmap import (
     _REGION_OPS,
@@ -328,7 +330,9 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
                 coords.append((lo, hi))
             image.append(tuple(coords))
         pieces.append(Piece(Region(tuple(conditions)), tuple(image)))
-    return PiecewiseMap(dim, tuple(pieces))
+    m = PiecewiseMap(dim, tuple(pieces))
+    validate_map(m)
+    return m
 
 
 def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
@@ -370,24 +374,20 @@ def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
     return points
 
 
-def validate_map(m: SetValuedMap) -> None:
-    """Check totality and image well-formedness of every piecewise node.
+def validate_map(m: PiecewiseMap) -> None:
+    """Check totality and image well-formedness of a piecewise map.
 
     Piece coverage cannot be decided from point queries alone in general;
     in one dimension the candidate set (all region bounds, the midpoints
     between them and points beyond the extremes) is exhaustive for
     conjunctive single-variable regions, and higher dimensions fall back
-    to a boundary-derived grid plus seeded random probes.
+    to a boundary-derived grid plus seeded random probes.  Each ``pieces``
+    node is checked as it is built; catalog maps are total by construction.
 
     Raises MapDefinitionError carrying a witness point on failure.
     """
-    if isinstance(m, PiecewiseMap):
-        for p in _validation_points(m):
-            m.evaluate(p)  # raises with the witness on empty image / lo > hi
-    elif isinstance(m, (ProductMap, UnionMap)):
-        validate_map(m.left)
-        validate_map(m.right)
-    # NativeMap builtins are total by construction.
+    for p in _validation_points(m):
+        m.evaluate(p)  # raises with the witness on empty image / lo > hi
 
 
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')  # a string or a bracket
@@ -408,6 +408,19 @@ def _check_nesting(src: str) -> None:
                              _byte_offset(src, m.start()))
 
 
+# a string or a number
+_NUMBER_RE = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?')
+
+
+def _long_int_error(src: str) -> ParseError:
+    """ParseError at the first integer literal longer than ``int()``
+    converts, the one limit ``json.loads`` enforces besides syntax."""
+    limit = sys.get_int_max_str_digits()
+    at = next((m.start() for m in _NUMBER_RE.finditer(src)
+               if (d := m.group().lstrip("-")).isdigit() and len(d) > limit), 0)
+    return ParseError(f"integer literal longer than {limit} digits", _byte_offset(src, at))
+
+
 def parse_map(src: str) -> SetValuedMap:
     """Parse and validate a map file; see the module docstring for the format."""
     _check_nesting(src)
@@ -415,9 +428,9 @@ def parse_map(src: str) -> SetValuedMap:
         obj = json.loads(src)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", _byte_offset(src, e.pos)) from None
-    m = _map_from_obj(obj, "$")
-    validate_map(m)
-    return m
+    except ValueError:  # the int() digit limit
+        raise _long_int_error(src) from None
+    return _map_from_obj(obj, "$")
 
 
 def load_map(path: str) -> SetValuedMap:

@@ -11,8 +11,8 @@ One core works on (lo, hi) pairs: ``_clip`` cuts them by the sign
 constraint and ``_pick`` takes the policy's point.  The public
 functions run it on a ``CompactSet``; the solver's step loop runs it on
 the pairs a map's ``_eval`` returns, with a plain sign tuple; and the
-analyzer's hardest-corner test takes from it which y-boxes the cut
-empties, and at which coordinate.
+analyzer's hardest-corner test runs it the same way and takes from it
+which y-boxes the cut empties, and at which coordinate.
 """
 
 from __future__ import annotations

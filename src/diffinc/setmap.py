@@ -21,11 +21,13 @@ boxes, and the feasible regions the selector cuts from them, are built
 with ``Box._trusted`` / ``CompactSet._trusted``, which skip re-checking
 what was just checked; every other construction validates.
 
-Two loops outside this module call ``_eval`` directly on float tuples
+The solver and the analyzer call ``_eval`` directly on float tuples
 they build themselves and work on its (lo, hi) pairs without building
-boxes: the solver's Euler step loop (through the selector core) and
-the analyzer's ``residual`` (through ``_distance``, which ``distance``
-runs too).
+boxes: the Euler step loop (through the selector core), ``residual``
+(through ``_distance``, which ``distance`` runs too), and the wcm,
+monotone, cyclic and growth checks (through the hardest-corner core,
+``_min_vertex`` and ``_sup_norm``, which ``sup_norm`` runs too).  A
+native builtin's function returns those pairs itself.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 Vector = tuple[float, ...]
@@ -133,9 +135,6 @@ class Expr:
     args: tuple["Expr", ...] = ()
     value: float = 0.0
     index: int = 0
-    # (function, variable indices in evaluation order), built on first use
-    _compiled: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _EXPR_OPS:
@@ -180,20 +179,6 @@ class Expr:
     @classmethod
     def abs(cls, e: "Expr") -> "Expr":
         return cls("abs", args=(e,))
-
-    def evaluate(self, x: Sequence[float]) -> float:
-        compiled = self._compiled
-        if compiled is None:
-            compiled = _compile_expr(self)
-            _set(self, "_compiled", compiled)
-        fn, var_order = compiled
-        if var_order and max(var_order) >= len(x):
-            bad = next(i for i in var_order if i >= len(x))
-            raise MapDefinitionError(
-                f"expression uses x{bad + 1} but the point has "
-                f"dimension {len(x)}"
-            )
-        return fn(x)
 
     def max_var_index(self) -> int:
         if self.op == "var":
@@ -260,8 +245,7 @@ class _Codegen:
     ``real_cbrt`` is looked up in this module's globals at call time.
     """
 
-    def __init__(self, load: str):
-        self.load = load  # how a coordinate is read from x
+    def __init__(self):
         self.consts: dict[bytes, str] = {}
         self.values: list[float] = []
         self.lines: list[str] = []
@@ -271,7 +255,6 @@ class _Codegen:
     def begin(self) -> None:
         self.body: list[str] = []
         self.memo: dict[tuple, str] = {}
-        self.var_order: list[int] = []
 
     def end(self, tail: list[str]) -> None:
         self.lines.append(f"    def f{self.count}(x):")
@@ -292,7 +275,6 @@ class _Codegen:
         if op == "var":
             key: tuple = ("var", e.index)
             args: tuple[str, ...] = ()
-            self.var_order.append(e.index)
         else:
             args = tuple(self.operand(a) for a in e.args)
             key = (op, *args)
@@ -300,7 +282,7 @@ class _Codegen:
         if name is None:
             name = self.memo[key] = f"t{len(self.memo)}"
             if op == "var":
-                rhs = self.load.format(e.index)
+                rhs = f"x[{e.index}]"
             else:
                 rhs = (_BINARY.get(op) or _UNARY[op]).format(*args)
             self.body.append(f"{name} = {rhs}")
@@ -317,14 +299,6 @@ class _Codegen:
         scope: dict = {}
         exec(compile(src, "<diffinc compiled map>", "exec"), globals(), scope)
         return scope["factory"](*self.values, *bound.values())
-
-
-def _compile_expr(e: Expr) -> tuple[Callable[[Sequence[float]], float], tuple[int, ...]]:
-    """(x -> value, variable indices in evaluation order) for Expr.evaluate."""
-    gen = _Codegen("float(x[{}])")
-    gen.begin()
-    gen.end([f"return {gen.operand(e)}"])
-    return gen.build()[0], tuple(gen.var_order)
 
 
 def _compile_boxes(boxes: Sequence[tuple[tuple[Expr, Expr], ...]],
@@ -344,7 +318,7 @@ def _compile_boxes(boxes: Sequence[tuple[tuple[Expr, Expr], ...]],
                 fns.append(lambda x, pair=pair: pair)
                 continue
         if not gens or gens[-1][0].size > _CHUNK:
-            gens.append((_Codegen("x[{}]"), []))
+            gens.append((_Codegen(), []))
         gen, slots = gens[-1]
         gen.begin()
         los, his = [], []
@@ -493,10 +467,14 @@ def sup_norm(s: CompactSet) -> float:
     Attained, per box, at the corner with the larger magnitude in every
     coordinate, so the value is exact up to one rounding of the norm.
     """
+    return _sup_norm(s._pairs())
+
+
+def _sup_norm(pairs: Sequence[tuple[Vector, Vector]]) -> float:
+    """``sup_norm`` of the union of the (lo, hi) boxes."""
     best = 0.0
-    for b in s.boxes:
-        extreme = [max(abs(a), abs(c)) for a, c in zip(b.lo, b.hi)]
-        best = max(best, math.hypot(*extreme))
+    for lo, hi in pairs:
+        best = max(best, math.hypot(*[max(abs(a), abs(c)) for a, c in zip(lo, hi)]))
     return best
 
 
@@ -787,35 +765,24 @@ class UnionMap(_Composite):
 
 
 class NativeMap(SetValuedMap):
-    """Map backed by a Python callable; used for builtins whose images are
-    not expressible in the piecewise expression grammar."""
+    """Map backed by a Python function; used for builtins whose images are
+    not expressible in the piecewise expression grammar.  The function is
+    the map's ``_eval``, so it returns (lo, hi) pairs as ``_eval`` does;
+    it is program code, and its result is not checked again."""
 
     kind = "builtin"
+    evaluate = SetValuedMap.evaluate
 
-    def __init__(self, dim: int, fn: Callable[[Vector], CompactSet],
+    def __init__(self, dim: int, fn: Callable[[Vector], list[tuple[Vector, Vector]]],
                  name: str, params: dict,
                  growth: tuple[float, float] | None = None,
                  boundaries: dict[int, tuple[float, ...]] | None = None,
                  label: str | None = None):
         super().__init__(dim, growth, label or name)
-        self._fn = fn
+        self._eval = fn
         self.name = name
         self.params = dict(params)
         self._boundaries = dict(boundaries or {})
-
-    def evaluate(self, x: Sequence[float]) -> CompactSet:
-        return self._call(self._check_point(x))
-
-    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
-        return self._call(x)._pairs()
-
-    def _call(self, x: Vector) -> CompactSet:
-        s = self._fn(x)
-        if s.dim != self.dim:
-            raise MapDefinitionError(
-                f"builtin {self.name!r} returned dimension {s.dim}, expected {self.dim}"
-            )
-        return s
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         return dict(self._boundaries)
@@ -941,7 +908,7 @@ def _make_antisign() -> SetValuedMap:
     return PiecewiseMap(1, pieces, growth=(1.0, 0.0), label="antisign")
 
 
-def _normgrad_origin(n: int, k: int) -> CompactSet:
+def _normgrad_origin(n: int, k: int) -> list[tuple[Vector, Vector]]:
     points: list[Vector] = []
     if n == 2:
         for i in range(k):
@@ -959,7 +926,7 @@ def _normgrad_origin(n: int, k: int) -> CompactSet:
             else:
                 sign = 1.0
                 axis = (axis + 1) % n
-    return CompactSet.of_points(*points)
+    return [(p, p) for p in points]
 
 
 def _make_normgrad(n: int, k: int) -> SetValuedMap:
@@ -967,13 +934,17 @@ def _make_normgrad(n: int, k: int) -> SetValuedMap:
         raise ValueError("normgrad needs n >= 2")
     if k < 1:
         raise ValueError("normgrad needs k >= 1")
-    origin = _normgrad_origin(n, k)
+    origin = _normgrad_origin(n, k)  # shared by every call; _eval callers only read it
 
-    def fn(x: Vector) -> CompactSet:
+    def fn(x: Vector) -> list[tuple[Vector, Vector]]:
         r = math.hypot(*x)
         if r == 0.0:
             return origin
-        return CompactSet.of_points(tuple(v / r for v in x))
+        p = tuple([v / r for v in x])
+        # each |v / r| <= 1 unless r is not finite: an infinite or NaN x
+        if not r < _INF and not all(map(math.isfinite, p)):
+            raise MapDefinitionError("box corners must be finite")
+        return [(p, p)]
 
     return NativeMap(
         n, fn, "normgrad", {"n": n, "k": k},

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from diffinc.analyzer import (
     CheckReport,
+    GrowthFit,
+    _axis_point,
     _random_point,
-    check_wcm_pair,
     structured_pairs,
 )
 from diffinc.selector import SignPattern, WcmInfeasible
@@ -80,6 +81,17 @@ def tree_eval(e, x):
     if op == "cbrt":
         return reference_real_cbrt(v)
     return abs(v)
+
+
+def compiled_eval(e, x):
+    """Value of e at x on the compiled path that maps run: the first
+    corner of the image of a one-piece map whose box is (e, e), padded
+    with the point 0 up to the map's dimension (at least 1).  Like every
+    image corner, a value that is not finite raises MapDefinitionError."""
+    dim = max(len(x), 1)
+    zero = (Expr.const(0.0),) * 2
+    m = PiecewiseMap(dim, (Piece(Region(), (((e, e),) + (zero,) * (dim - 1),)),))
+    return m.evaluate(tuple(x) or (0.0,)).boxes[0].lo[0]
 
 
 _REFERENCE_REGION_OPS = {
@@ -373,7 +385,10 @@ def _eager_pairs(m, radius, count, seed):
 
 def reference_check_wcm(m, radius, count, seed):
     pairs = _eager_pairs(m, radius, count, seed)
-    return _eager_report("wcm", pairs, lambda p: check_wcm_pair(m, *p), seed, radius)
+    return _eager_report(
+        "wcm", pairs,
+        lambda p: reference_wcm_pair_feasible(m.evaluate(p[0]), m.evaluate(p[1]), *p),
+        seed, radius)
 
 
 def reference_monotone(m, radius, count, seed):
@@ -570,3 +585,74 @@ def reference_example4(n):
         full = ProductMap(branch(1.0), full)
         half = ProductMap(branch(0.5), half)
     return UnionMap(half, full, label=f"example4({n})")
+
+
+# ---------------------------------------------------------------------------
+# Growth fit and normgrad: the original object path
+# ---------------------------------------------------------------------------
+
+
+def reference_sup_norm(s):
+    best = 0.0
+    for b in s.boxes:
+        extreme = [max(abs(a), abs(c)) for a, c in zip(b.lo, b.hi)]
+        best = max(best, math.hypot(*extreme))
+    return best
+
+
+def reference_estimate_growth(m, radius, count, seed):
+    """The original fit: public ``evaluate`` and ``sup_norm`` of the
+    CompactSet at every sample point."""
+    rng = random.Random(seed)
+    points = [(0.0,) * m.dim]
+    for j in range(m.dim):
+        for v in (radius, -radius, radius / 2, 1.0, -1.0):
+            points.append(_axis_point(m.dim, j, v))
+    points.extend(_random_point(rng, m.dim, radius) for _ in range(count))
+    data = sorted((math.hypot(*p), reference_sup_norm(m.evaluate(p))) for p in points)
+    groups = []
+    for r, g in data:
+        if groups and groups[-1][0] == r:
+            pr, gmin, gmax = groups[-1]
+            groups[-1] = (pr, min(gmin, g), max(gmax, g))
+        else:
+            groups.append((r, g, g))
+    b = 0.0
+    for (r1, gmin1, _), (r2, _, gmax2) in zip(groups, groups[1:]):
+        b = max(b, (gmax2 - gmin1) / (r2 - r1))
+    a = max(g - b * r for r, g in data)
+    violation = None
+    if m.growth is not None:
+        da, db = m.growth
+        violation = max(0.0, max(g - (da + db * r) for r, g in data))
+    return GrowthFit(a, b, violation, len(points))
+
+
+def reference_normgrad(n, k):
+    """normgrad(n, k)'s original function, x -> validated CompactSet."""
+    points = []
+    if n == 2:
+        for i in range(k):
+            angle = 2.0 * math.pi * i / k
+            points.append((math.cos(angle), math.sin(angle)))
+    else:
+        axis = 0
+        sign = 1.0
+        for _ in range(k):
+            v = [0.0] * n
+            v[axis] = sign
+            points.append(tuple(v))
+            if sign > 0:
+                sign = -1.0
+            else:
+                sign = 1.0
+                axis = (axis + 1) % n
+    origin = CompactSet.of_points(*points)
+
+    def fn(x):
+        r = math.hypot(*x)
+        if r == 0.0:
+            return origin
+        return CompactSet.of_points(tuple(v / r for v in x))
+
+    return fn

@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import integrate_majorant, random_expr, random_monotone_map, reference_eval
+from helpers import (
+    compiled_eval,
+    integrate_majorant,
+    random_expr,
+    random_monotone_map,
+    reference_eval,
+)
 
 from diffinc.analyzer import (
     check_trajectory_monotone,
@@ -297,6 +303,6 @@ def test_criterion_10_parser_fidelity():
             tree = random_expr(rng, nvars)
             text = tree.to_text(nvars)
             x = tuple(rng.uniform(-9.0, 9.0) for _ in range(nvars))
-            mine = parse_expr(text).evaluate(x)
+            mine = compiled_eval(parse_expr(text), x)
             ref = reference_eval(text, x)
             assert math.isclose(mine, ref, rel_tol=1e-12, abs_tol=1e-12), text

@@ -100,6 +100,8 @@ def mutated_documents(draw):
 @example('{"dim": 1, "builtin": {"name": "example4", "params": {"n": Infinity}}}')
 @example("[" * 3000 + "]" * 3000)
 @example('{"dim": 1200, "builtin": {"name": "example4", "params": {"n": 1200}}}')
+@example('{"dim": 1, "pieces": [{"region": [{"var": 1, "op": "le", "bound": '
+         + "1" * 5000 + '}], "image": [[["0", "1"]]]}]}')
 def test_parse_map_raises_only_typed_errors(src):
     try:
         parse_map(src)

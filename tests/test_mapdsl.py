@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import random_expr, reference_eval
+from helpers import random_expr, reference_eval, tree_eval
 
 from diffinc.mapdsl import (
     MAX_EXPR_DEPTH,
@@ -20,6 +20,7 @@ from diffinc.setmap import (
     CompactSet,
     Expr,
     MapDefinitionError,
+    PiecewiseMap,
     builtin,
     product,
     union,
@@ -28,27 +29,27 @@ from diffinc.setmap import (
 
 class TestParseExpr:
     def test_contract_examples(self):
-        assert parse_expr("cbrt(x)").evaluate((8.0,)) == 2.0
-        assert parse_expr("x+sign(x)").evaluate((-1.0,)) == -2.0
-        assert parse_expr("-x*0.5").evaluate((3.0,)) == -1.5
+        assert tree_eval(parse_expr("cbrt(x)"), (8.0,)) == 2.0
+        assert tree_eval(parse_expr("x+sign(x)"), (-1.0,)) == -2.0
+        assert tree_eval(parse_expr("-x*0.5"), (3.0,)) == -1.5
 
     def test_precedence_and_numbers(self):
-        assert parse_expr("1+2*3").evaluate(()) == 7.0
-        assert parse_expr("(1+2)*3").evaluate(()) == 9.0
-        assert parse_expr("2*-3").evaluate(()) == -6.0
-        assert parse_expr("1.5e2+.25").evaluate(()) == 150.25
-        assert parse_expr("1-2-3").evaluate(()) == -4.0
+        assert tree_eval(parse_expr("1+2*3"), ()) == 7.0
+        assert tree_eval(parse_expr("(1+2)*3"), ()) == 9.0
+        assert tree_eval(parse_expr("2*-3"), ()) == -6.0
+        assert tree_eval(parse_expr("1.5e2+.25"), ()) == 150.25
+        assert tree_eval(parse_expr("1-2-3"), ()) == -4.0
 
     def test_sign_zero_is_zero(self):
-        assert parse_expr("sign(x)").evaluate((0.0,)) == 0.0
+        assert tree_eval(parse_expr("sign(x)"), (0.0,)) == 0.0
 
     def test_cbrt_odd(self):
         e = parse_expr("cbrt(x)")
         for v in (0.7, 2.0, 19.5, 1e-4):
-            assert e.evaluate((-v,)) == -e.evaluate((v,))
+            assert tree_eval(e, (-v,)) == -tree_eval(e, (v,))
 
     def test_multivariable(self):
-        assert parse_expr("x2-x1").evaluate((1.0, 5.0)) == 4.0
+        assert tree_eval(parse_expr("x2-x1"), (1.0, 5.0)) == 4.0
 
     def test_syntax_errors_carry_offsets(self):
         with pytest.raises(ParseError) as err:
@@ -86,7 +87,7 @@ class TestParseExpr:
                     "-" * (MAX_EXPR_DEPTH - 1) + "x",
                     "+".join(["x"] * MAX_EXPR_DEPTH)):
             e = parse_expr(src)
-            assert abs(e.evaluate((0.5,))) in (0.5, MAX_EXPR_DEPTH / 2)
+            assert abs(tree_eval(e, (0.5,))) in (0.5, MAX_EXPR_DEPTH / 2)
         with pytest.raises(ParseError):
             parse_expr("-" * MAX_EXPR_DEPTH + "x")
 
@@ -108,7 +109,7 @@ class TestParseExpr:
             tree = random_expr(rng, nvars)
             text = tree.to_text(nvars)
             x = tuple(rng.uniform(-9, 9) for _ in range(nvars))
-            mine = parse_expr(text).evaluate(x)
+            mine = tree_eval(parse_expr(text), x)
             ref = reference_eval(text, x)
             if mine == ref:
                 agree += 1
@@ -145,6 +146,12 @@ class TestParseMap:
     def test_invalid_json_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_map("{not json")
+        # longer than the 4300 digits int() converts by default
+        src = ('{"dim": 1, "pieces": [{"region": [{"var": 1, "op": "le", "bound": -'
+               + "1" * 5000 + '}], "image": [[["0", "1"]]]}]}')
+        with pytest.raises(ParseError, match="integer literal longer than") as err:
+            parse_map(src)
+        assert err.value.offset == src.index("-1")
 
     def test_schema_errors(self):
         with pytest.raises(MapDefinitionError):
@@ -167,6 +174,14 @@ class TestParseMap:
     def test_builtin_node(self):
         m = parse_map('{"dim": 2, "builtin": {"name": "normgrad", "params": {"n": 2, "k": 4}}}')
         assert m.evaluate((0.9, 0.0)) == CompactSet.of_points((1.0, 0.0))
+
+    def test_builtin_node_is_not_validated_again(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PiecewiseMap, "evaluate", lambda m, x: calls.append(x))
+        m = parse_map('{"dim": 3, "builtin": {"name": "example4", "params": {"n": 3}}}')
+        assert m.dim == 3 and calls == []
+        parse_map(EXAMPLE1_SRC)  # a pieces node still is
+        assert calls
 
     def test_growth_key_is_honoured(self):
         src = '{"dim": 1, "growth": [2, 0.5], "pieces": [{"region": [], "image": [[["x", "x"]]]}]}'
@@ -261,7 +276,7 @@ class TestRoundtrip:
         e = parse_expr("x+1")
         text = e.to_text(1)
         for v in (-2.0, 0.0, 0.3):
-            assert parse_expr(text).evaluate((v,)) == e.evaluate((v,))
+            assert tree_eval(parse_expr(text), (v,)) == tree_eval(e, (v,))
 
     def test_normgrad_keeps_builtin_node(self):
         doc = json.loads(roundtrip(builtin("normgrad", {"n": 2, "k": 4})))

@@ -34,7 +34,7 @@ from diffinc.analyzer import (
     find_monotonicity_violation,
     structured_pairs,
 )
-from diffinc.setmap import Box, CompactSet, NativeMap, builtin, distance
+from diffinc.setmap import Box, CompactSet, MapDefinitionError, NativeMap, builtin, distance
 
 TINY = 5e-324
 HUGE = 1.7976931348623157e308
@@ -93,7 +93,7 @@ class TestPerBoxMinimiser:
         ref_d = tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
         for mine, ref in ((_min_vertex, reference_min_vertex),
                           (_max_vertex, reference_max_vertex)):
-            val, v = mine(image, d)
+            val, v = mine(image._pairs(), d)
             ref_val, ref_v = ref(image, ref_d)
             assert Fraction(val, _PRODUCT_UNIT) == ref_val
             assert bits(v) == bits(ref_v)
@@ -107,16 +107,16 @@ class TestPerBoxMinimiser:
     def test_signed_zero_coordinate_stays_negative(self):
         image = CompactSet((Box((-0.0, 1.0), (0.0, 2.0)),))
         for d in ([-1, 1], [1, -1], [0, 0]):
-            _, v = _min_vertex(image, d)
+            _, v = _min_vertex(image._pairs(), d)
             assert math.copysign(1.0, v[0]) == -1.0
             assert bits(v) == bits(reference_min_vertex(image, [Fraction(c) for c in d])[1])
 
     def test_first_of_equal_boxes_wins(self):
         image = CompactSet((Box((0.0,), (1.0,)), Box((0.0,), (5.0,)),
                             Box((-1.0,), (0.0,))))
-        val, v = _min_vertex(image, [0])
+        val, v = _min_vertex(image._pairs(), [0])
         assert (val, v) == (0, (0.0,))
-        assert _min_vertex(image, [_exact(1.0)])[1] == (-1.0,)
+        assert _min_vertex(image._pairs(), [_exact(1.0)])[1] == (-1.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,10 @@ def random_maps(draw):
                 continue
             lo = tuple(s * x[j] + c for j, (s, c, _) in enumerate(coords))
             hi = tuple(a + w for a, (_, _, w) in zip(lo, coords))
-            boxes.append(Box(lo, hi))
-        return CompactSet(tuple(boxes))
+            if not all(map(math.isfinite, lo + hi)):
+                raise MapDefinitionError("box corners must be finite")
+            boxes.append((lo, hi))
+        return boxes
 
     return NativeMap(dim, fn, "random", {},
                      boundaries={k: tuple(sorted(v)) for k, v in bounds.items()})

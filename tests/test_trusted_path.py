@@ -1,29 +1,39 @@
-"""The step loop and ``residual`` on the trusted (lo, hi) path.
+"""The step loop, ``residual`` and the checkers on the trusted (lo, hi) path.
 
-``euler_polygon`` and ``residual`` call the maps' ``_eval`` and the
-selector core directly.  The references in ``helpers`` are the original
-object path: public ``evaluate``, a ``SignPattern`` and a feasible
-``CompactSet`` per step, and per-box distances.  Nodes, velocities,
-residuals and every field of a ``WcmInfeasible`` must agree to the bit.
+``euler_polygon``, ``residual`` and the wcm, monotone, cyclic and growth
+checks call the maps' ``_eval`` and the selector core directly, and a
+native builtin's function returns (lo, hi) pairs.  The references in
+``helpers`` are the original object path: public ``evaluate``, a
+``SignPattern`` and a feasible ``CompactSet`` per step or pair, per-box
+distances and norms, and ``normgrad`` building a validated set.  Nodes,
+velocities, residuals, every field of a ``WcmInfeasible``, reports,
+certificates and growth fits must agree to the bit.
 """
 
+import dataclasses
+import json
 import math
 import struct
 import warnings
 
 import pytest
 from helpers import (
+    reference_check_wcm,
     reference_distance,
+    reference_estimate_growth,
     reference_feasible_region,
+    reference_normgrad,
     reference_polygon,
     reference_residual,
     reference_select_velocity,
+    reference_wcm_pair_feasible,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_compiled_eval import maps
+from test_sampled_checks import random_maps
 
-from diffinc.analyzer import residual
+from diffinc.analyzer import check_wcm, check_wcm_pair, estimate_growth, residual
 from diffinc.selector import (
     SelectionPolicy,
     SignPattern,
@@ -269,3 +279,97 @@ class TestResidual:
                           ((1.0, 1.0), (1.0,)), "ragged", SelectionPolicy())
         with pytest.raises(ValueError, match="velocity has dimension 1"):
             residual(traj, builtin("example3"))
+
+
+# ---------------------------------------------------------------------------
+# Checkers and native builtins
+# ---------------------------------------------------------------------------
+
+
+def json_outcome(fn):
+    """JSON of a report, certificate or fit (so -0.0 stays distinct from
+    0.0), or the type and message of an error."""
+    try:
+        result = fn()
+    except ValueError as e:  # MapDefinitionError included
+        return type(e), str(e)
+    if hasattr(result, "to_json_dict"):
+        result = result.to_json_dict()
+    elif dataclasses.is_dataclass(result):
+        result = dataclasses.asdict(result)
+    return json.dumps(result)
+
+
+check_budgets = st.tuples(
+    st.sampled_from([0.5, 1.0, 3.0, 1e300]),  # radius
+    st.integers(1, 8),                         # count
+    st.integers(0, 2 ** 32),                   # seed
+)
+
+
+# catalog maps, compiled piecewise/product/union maps and native maps
+every_kind = st.one_of(any_map(), random_maps())
+
+
+class TestCheckersOnPairs:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(every_kind, check_budgets)
+    def test_check_wcm_matches_object_path(self, m, budget):
+        assert json_outcome(lambda: check_wcm(m, *budget)) == \
+            json_outcome(lambda: reference_check_wcm(m, *budget))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_check_wcm_pair_matches_object_path(self, data):
+        m = data.draw(every_kind)
+        x, y = data.draw(points(m.dim)), data.draw(points(m.dim))
+        if data.draw(st.booleans()):
+            y = tuple(a if data.draw(st.booleans()) else b for a, b in zip(x, y))
+        assert json_outcome(lambda: check_wcm_pair(m, x, y)) == json_outcome(
+            lambda: reference_wcm_pair_feasible(m.evaluate(x), m.evaluate(y), x, y))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(every_kind, check_budgets)
+    def test_estimate_growth_matches_object_path(self, m, budget):
+        assert json_outcome(lambda: estimate_growth(m, *budget)) == \
+            json_outcome(lambda: reference_estimate_growth(m, *budget))
+
+    def test_int_radius_draws_float_points(self):
+        # antisign fails at the battery pair (-radius, 0.25), as it did
+        # when every point went through the public evaluate
+        report = check_wcm(builtin("antisign"), 3, 20, 5)
+        assert json.dumps(report.certificate["x"]) == "[-3.0]"
+        assert report.to_json_dict()["radius"] == 3
+
+
+@st.composite
+def normgrad_cases(draw):
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 7))
+    zeros = st.sampled_from([0.0, -0.0])
+    odd = st.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308])
+    x = draw(st.one_of(
+        st.tuples(*[zeros] * n),  # the origin, with either zero
+        points(n),
+        st.tuples(*[st.one_of(finite_coordinates, odd)] * n),
+    ))
+    return n, k, x
+
+
+def pairs_outcome(fn):
+    try:
+        return "ok", [(vbits([lo]), vbits([hi])) for lo, hi in fn()]
+    except ValueError as e:  # MapDefinitionError included
+        return type(e), str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(normgrad_cases())
+def test_normgrad_pairs_match_the_validated_set(case):
+    n, k, x = case
+    got = pairs_outcome(lambda: builtin("normgrad", {"n": n, "k": k})._eval(x))
+    want = pairs_outcome(lambda: [(b.lo, b.hi) for b in reference_normgrad(n, k)(x).boxes])
+    assert got == want
