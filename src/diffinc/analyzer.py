@@ -6,14 +6,16 @@ Per-pair decisions are exact for box-union images:
   w in F(y) moves with the displacement sign") reduces to finitely many
   hardest corners — in each coordinate the constraint on w is tightest
   at one end of the v-box, so one corner decides the whole box;
-* the monotonicity form <x-y, v-w> is linear in v and w separately, so
-  its minimum over a box union is attained at a vertex.  Per box the
-  minimising corner is read off the signs of d = x-y: ``lo_j`` where
-  ``d_j >= 0`` or ``lo_j == hi_j``, ``hi_j`` otherwise; the first box
-  with the strictly smallest value wins.  That is the first minimising
-  corner in ``vertices()`` order, found without enumerating 2^n
-  corners, so there is no dimension limit;
-* cyclic sums split per cycle point and minimise per box the same way.
+* a cycle's circulation, the sum of <x_i - x_{i-1}, v_i> over v_i in
+  F(x_i), splits per cycle point and is linear in each v_i, so its
+  minimum over a box union is attained at a vertex.  Per box the
+  minimising corner is read off the signs of d = x_i - x_{i-1}: ``lo_j``
+  where ``d_j >= 0`` or ``lo_j == hi_j``, ``hi_j`` otherwise; the first
+  box with the strictly smallest value wins.  That is the first
+  minimising corner in ``vertices()`` order, found without enumerating
+  2^n corners, so there is no dimension limit;
+* a map is monotone exactly when it is 2-cyclically monotone: <x-y, v-w>
+  is the circulation of the 2-cycle (y, x), and is decided as such.
 
 The bilinear sums are exact: every finite double is an integer multiple
 of 2^-1074, so each coordinate is scaled to a plain ``int`` and sums of
@@ -129,8 +131,6 @@ def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vecto
                 for b in (radius / 2, -radius / 2, 1.0)
             )
     for j, bounds in sorted(m.region_boundaries().items()):
-        if j >= n:
-            continue
         for b in bounds:
             for eps in _STRADDLE:
                 above = _axis_point(n, j, b + eps)
@@ -144,12 +144,21 @@ def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
     return tuple(rng.uniform(-radius, radius) for _ in range(n))
 
 
-def _check_budget(radius: float, count: int) -> float:
-    """The radius as a float, for drawing float tuples; or ValueError."""
+# The most points a check holds at once: all growth or graph samples
+# (about 270 bytes each on CPython 3.11), or one cycle (900 bytes a 3-D point).
+MAX_HELD_POINTS = 10 ** 6
+
+
+def _check_budget(radius: float, count: int, held: int = 2, name: str = "pair") -> float:
+    """The radius as a float, for drawing float tuples; or ValueError.  The
+    check holds ``held`` points at once, as its argument ``name`` sets."""
     if not math.isfinite(radius) or radius <= 0:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
+    if held > MAX_HELD_POINTS:
+        raise ValueError(f"{name} = {held} points held at once exceeds "
+                         f"MAX_HELD_POINTS = {MAX_HELD_POINTS}")
     return float(radius)
 
 
@@ -283,17 +292,15 @@ def _min_vertex(pairs: Sequence[tuple[Vector, Vector]],
     for lo_b, hi_b in pairs:
         v = tuple(lo if c >= 0 or lo == hi else hi
                   for c, lo, hi in zip(d, lo_b, hi_b))
-        val = sum(c * _exact(a) for c, a in zip(d, v) if c)
+        val = 0
+        for c, a in zip(d, v):
+            if c:  # c * _exact(a), multiplying by the 53-bit numerator before the shift
+                num, den = a.as_integer_ratio()
+                val += c * num << (_SCALE + 1 - den.bit_length())
         if best is None or val < best:
             best, best_v = val, v
     assert best_v is not None
     return best, best_v
-
-
-def _max_vertex(pairs: Sequence[tuple[Vector, Vector]],
-                d: Sequence[int]) -> tuple[int, Vector]:
-    val, v = _min_vertex(pairs, [-c for c in d])
-    return -val, v
 
 
 def _violation_value(value: int) -> float:
@@ -304,30 +311,6 @@ def _violation_value(value: int) -> float:
         return value / _PRODUCT_UNIT
     except OverflowError:
         return -math.inf
-
-
-def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
-    if x == y:
-        return None
-    d = [_exact(a) - _exact(b) for a, b in zip(x, y)]
-    lo_v, v = _min_vertex(m._eval(x), d)
-    hi_w, w = _max_vertex(m._eval(y), d)
-    value = lo_v - hi_w
-    if value < 0:
-        return {"x": list(x), "y": list(y), "v": list(v), "w": list(w),
-                "value": _violation_value(value)}
-    return None
-
-
-def find_monotonicity_violation(
-    m: SetValuedMap, radius: float, count: int, seed: int
-) -> CheckReport:
-    """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
-    r = _check_budget(radius, count)
-    pairs = chain(structured_pairs(m, r), _random_tuples(seed, m.dim, r, count, 2))
-    return _sampled_check(
-        "monotone", pairs, lambda p: _monotone_gap(m, p[0], p[1]), seed, radius
-    )
 
 
 def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
@@ -347,6 +330,27 @@ def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
     return None
 
 
+def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
+    """<x-y, v-w> is the circulation of the 2-cycle (y, x), whose terms
+    take v from F(x) (evaluated first) and w from F(y)."""
+    cert = _cycle_gap(m, (y, x)) if x != y else None
+    if cert is None:
+        return None
+    v, w = cert["velocities"]
+    return {"x": list(x), "y": list(y), "v": v, "w": w, "value": cert["value"]}
+
+
+def find_monotonicity_violation(
+    m: SetValuedMap, radius: float, count: int, seed: int
+) -> CheckReport:
+    """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
+    r = _check_budget(radius, count)
+    pairs = chain(structured_pairs(m, r), _random_tuples(seed, m.dim, r, count, 2))
+    return _sampled_check(
+        "monotone", pairs, lambda p: _monotone_gap(m, p[0], p[1]), seed, radius
+    )
+
+
 def find_cyclic_violation(
     m: SetValuedMap, radius: float, cycle_len: int, count: int, seed: int
 ) -> CheckReport:
@@ -357,7 +361,7 @@ def find_cyclic_violation(
     """
     if cycle_len < 2:
         raise ValueError("cycles need at least 2 points")
-    r = _check_budget(radius, count)
+    r = _check_budget(radius, count, cycle_len, "cycle_len")
     cycles = chain(
         ((a, b) for a, b in structured_pairs(m, r) if a != b),
         _random_tuples(seed, m.dim, r, count, cycle_len),
@@ -392,7 +396,7 @@ class GrowthFit:
 def estimate_growth(
     m: SetValuedMap, radius: float, count: int, seed: int
 ) -> GrowthFit:
-    r = _check_budget(radius, count)
+    r = _check_budget(radius, count, count, "count")
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j in range(m.dim):
@@ -465,7 +469,7 @@ def check_closed_graph(
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    _check_budget(radius, count)
+    _check_budget(radius, count, count, "count")
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j, bounds in sorted(m.region_boundaries().items()):

@@ -41,6 +41,7 @@ converts (4300 digits by default) is a ``ParseError`` too.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import sys
@@ -339,35 +340,29 @@ def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
     bounds = m.region_boundaries()
     per_var: list[list[float]] = []
     for j in range(m.dim):
-        vals = sorted(set(bounds.get(j, ())))
+        # a bound that is not finite splits no finite coordinate range
+        vals = sorted(v for v in set(bounds.get(j, ())) if math.isfinite(v))
         # bounds first so a totality hole is witnessed at the boundary itself
         cands = list(vals)
-        cands.extend((a + b) / 2.0 for a, b in zip(vals, vals[1:]))
+        cands.extend(a / 2 + b / 2 for a, b in zip(vals, vals[1:]))
         for v in vals:
-            cands.extend((v - 1.0, v + 1.0))
+            # the nearest doubles, where v -+ 1.0 rounds back to v
+            cands.extend((min(v - 1.0, math.nextafter(v, -math.inf)),
+                          max(v + 1.0, math.nextafter(v, math.inf))))
         cands.extend((0.0, -1.0, 1.0))
         seen: set[float] = set()
-        ordered = [v for v in cands if not (v in seen or seen.add(v))]
-        per_var.append(ordered)
-    if m.dim == 1:
-        points = [(v,) for v in per_var[0]]
-    else:
-        total = 1
+        per_var.append([v for v in cands
+                        if math.isfinite(v) and not (v in seen or seen.add(v))])
+    total = math.prod(len(vals) for vals in per_var)
+    if m.dim == 1 or total <= 512:
+        points: list[tuple[float, ...]] = [()]
         for vals in per_var:
-            total *= len(vals)
-        points = []
-        if total <= 512:
-            acc: list[tuple[float, ...]] = [()]
-            for vals in per_var:
-                acc = [p + (v,) for p in acc for v in vals]
-            points = acc
-        else:
-            rng = random.Random(20210 + m.dim)
-            for _ in range(256):
-                points.append(tuple(rng.choice(vals) for vals in per_var))
-    radius = max(
-        [1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]
-    )
+            points = [p + (v,) for p in points for v in vals]
+    else:
+        rng = random.Random(20210 + m.dim)
+        points = [tuple(rng.choice(vals) for vals in per_var) for _ in range(256)]
+    radius = min(max([1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]),
+                 sys.float_info.max / 2)
     rng = random.Random(4002 + m.dim)
     for _ in range(32):
         points.append(tuple(rng.uniform(-radius, radius) for _ in range(m.dim)))
@@ -377,12 +372,16 @@ def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
 def validate_map(m: PiecewiseMap) -> None:
     """Check totality and image well-formedness of a piecewise map.
 
-    Piece coverage cannot be decided from point queries alone in general;
-    in one dimension the candidate set (all region bounds, the midpoints
-    between them and points beyond the extremes) is exhaustive for
-    conjunctive single-variable regions, and higher dimensions fall back
-    to a boundary-derived grid plus seeded random probes.  Each ``pieces``
-    node is checked as it is built; catalog maps are total by construction.
+    Which pieces match is constant on each cell of the grid that the
+    finite region bounds cut: per coordinate, each bound, each gap
+    between neighbouring bounds and the rays beyond them.  Every cell
+    holding a double gets a candidate, so coverage is exact in one
+    dimension and whenever the full grid has at most 512 points; a
+    larger grid is sampled at 256 seeded grid points.  Image
+    well-formedness (finite corners, ``lo <= hi``) is checked at these
+    probes and 32 seeded random points, and again at every evaluation.
+    Each ``pieces`` node is checked as it is built; catalog maps are
+    total by construction.
 
     Raises MapDefinitionError carrying a witness point on failure.
     """

@@ -46,9 +46,6 @@ class SignPattern:
     def of_vector(cls, v: Sequence[float]) -> "SignPattern":
         return cls(tuple((x > 0) - (x < 0) for x in v))
 
-    def negated(self) -> "SignPattern":
-        return SignPattern(tuple(-s for s in self.signs))
-
     def __len__(self) -> int:
         return len(self.signs)
 

@@ -32,6 +32,7 @@ native builtin's function returns those pairs itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -709,6 +710,17 @@ class _Composite(SetValuedMap):
             return None
         return (self._combine(lg[0], rg[0]), self._combine(lg[1], rg[1]))
 
+    def region_boundaries(self) -> dict[int, tuple[float, ...]]:
+        """Both parts' boundaries, the right part's coordinates shifted
+        past the left part's in a product."""
+        out: dict[int, set[float]] = {
+            j: set(v) for j, v in self.left.region_boundaries().items()
+        }
+        shift = self.dim - self.right.dim
+        for j, vals in self.right.region_boundaries().items():
+            out.setdefault(j + shift, set()).update(vals)
+        return {j: tuple(sorted(v)) for j, v in out.items()}
+
 
 class ProductMap(_Composite):
     """Cartesian product: the image at (x, y) is F(x) x G(y), realised as
@@ -729,13 +741,6 @@ class ProductMap(_Composite):
         b = self.right._eval(x[d:])
         return [(la + lb, ha + hb) for la, ha in a for lb, hb in b]
 
-    def region_boundaries(self) -> dict[int, tuple[float, ...]]:
-        out = dict(self.left.region_boundaries())
-        shift = self.left.dim
-        for j, vals in self.right.region_boundaries().items():
-            out[j + shift] = vals
-        return out
-
 
 class UnionMap(_Composite):
     """Pointwise union: the image box lists of both maps, concatenated."""
@@ -754,14 +759,6 @@ class UnionMap(_Composite):
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
         return self.left._eval(x) + self.right._eval(x)
-
-    def region_boundaries(self) -> dict[int, tuple[float, ...]]:
-        out: dict[int, set[float]] = {
-            j: set(v) for j, v in self.left.region_boundaries().items()
-        }
-        for j, vals in self.right.region_boundaries().items():
-            out.setdefault(j, set()).update(vals)
-        return {j: tuple(sorted(v)) for j, v in out.items()}
 
 
 class NativeMap(SetValuedMap):
@@ -884,12 +881,15 @@ def _sign_branch(scale: float) -> SetValuedMap:
 
 
 def _sign_power(scale: float, n: int) -> SetValuedMap:
-    """The n-fold product of sign branches, as a balanced tree: its depth
-    grows with log n.  Product box order is associative, so the shape
-    changes no image."""
-    if n == 1:
-        return _sign_branch(scale)
-    return ProductMap(_sign_power(scale, n // 2), _sign_power(scale, n - n // 2))
+    """The n-fold product of one sign branch, as a balanced tree: its
+    depth grows with log n.  Product box order is associative, so the
+    shape changes no image.  Maps are immutable, so the tree shares one
+    map per distinct subtree size: O(log n) maps in all."""
+    @functools.cache
+    def power(k: int) -> SetValuedMap:
+        return _sign_branch(scale) if k == 1 else ProductMap(power(k // 2), power(k - k // 2))
+
+    return power(n)
 
 
 def _make_example4(n: int) -> SetValuedMap:
@@ -954,7 +954,7 @@ def _make_normgrad(n: int, k: int) -> SetValuedMap:
     )
 
 
-# example4(n) builds 2n maps and normgrad(n, k) n boundaries and k points
+# example4(n) has 2n branch factors, normgrad(n, k) n boundaries and k points
 MAX_BUILTIN_PARAM = 10_000
 
 

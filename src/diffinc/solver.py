@@ -345,10 +345,8 @@ def converge(
         try:
             trajectories.append(euler_polygon(m, x0, horizon, n, policy, v0))
         except WcmInfeasible as e:
-            raise WcmInfeasible(
-                e.prev_v, e.signs, e.image, state=e.state,
-                step=e.step, time=e.time, level=lvl,
-            ) from None
+            e.level = lvl  # the message does not name the level
+            raise
 
     deltas = tuple(
         _grid_delta(coarse, fine)

@@ -23,6 +23,7 @@ from diffinc.setmap import (
     ProductMap,
     Region,
     UnionMap,
+    _sign_branch,
     product,
     vertices,
 )
@@ -536,7 +537,7 @@ def reference_wcm_pair_feasible(image_x, image_y, x, y):
     x = tuple(float(c) for c in x)
     y = tuple(float(c) for c in y)
     sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
-    flipped = sigma.negated()
+    flipped = SignPattern(tuple(-s for s in sigma))
     for box_index, box in enumerate(image_x.boxes):
         corner = tuple(
             lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
@@ -585,6 +586,34 @@ def reference_example4(n):
         full = ProductMap(branch(1.0), full)
         half = ProductMap(branch(0.5), half)
     return UnionMap(half, full, label=f"example4({n})")
+
+
+def reference_balanced_example4(n):
+    """example4(n) as a balanced tree with a separate sign branch at
+    every leaf, the construction before equal subtrees were shared."""
+    def power(scale, k):
+        if k == 1:
+            return _sign_branch(scale)
+        return ProductMap(power(scale, k // 2), power(scale, k - k // 2))
+
+    return UnionMap(power(0.5, n), power(1.0, n), label=f"example4({n})")
+
+
+def reference_region_boundaries(m):
+    """The original per-class boundary merges: a product keeps its
+    factors' tuples, the right one's coordinates shifted by the left
+    factor's dimension; a union merges the two parts per coordinate."""
+    if isinstance(m, ProductMap):
+        out = dict(reference_region_boundaries(m.left))
+        for j, vals in reference_region_boundaries(m.right).items():
+            out[j + m.left.dim] = vals
+        return out
+    if isinstance(m, UnionMap):
+        out = {j: set(v) for j, v in reference_region_boundaries(m.left).items()}
+        for j, vals in reference_region_boundaries(m.right).items():
+            out.setdefault(j, set()).update(vals)
+        return {j: tuple(sorted(v)) for j, v in out.items()}
+    return m.region_boundaries()
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,8 @@ def test_criterion_5_wcm_verdicts():
         v = tuple(cert["v"])
         assert distance(ng.evaluate((1.0, 3.0)), v) == 0.0
         sigma = SignPattern.of_vector((1.0 - 0.9, 3.0 - 0.0))
-        assert feasible_region(ng.evaluate((0.9, 0.0)), v, sigma.negated()) is None
+        flipped = SignPattern(tuple(-s for s in sigma))
+        assert feasible_region(ng.evaluate((0.9, 0.0)), v, flipped) is None
 
 
 def test_criterion_6_monotonicity_refutations():

@@ -113,7 +113,8 @@ class TestWcmPair:
         x, y, v = tuple(cert["x"]), tuple(cert["y"]), tuple(cert["v"])
         assert distance(m.evaluate(x), v) == 0.0
         sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
-        assert feasible_region(m.evaluate(y), v, sigma.negated()) is None
+        flipped = SignPattern(tuple(-s for s in sigma))
+        assert feasible_region(m.evaluate(y), v, flipped) is None
 
     def test_agrees_with_grid_oracle(self):
         rng = random.Random(41)
@@ -181,7 +182,8 @@ class TestCheckWcm:
         m = builtin("antisign")
         assert distance(m.evaluate(x), v) == 0.0
         sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
-        assert feasible_region(m.evaluate(y), v, sigma.negated()) is None
+        flipped = SignPattern(tuple(-s for s in sigma))
+        assert feasible_region(m.evaluate(y), v, flipped) is None
 
     def test_determinism(self):
         a = check_wcm(builtin("normgrad", {"n": 2, "k": 4}), 5.0, 500, 42)

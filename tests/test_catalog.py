@@ -3,13 +3,14 @@ the README, and the example4 product tree."""
 
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
-from helpers import reference_example4
+from helpers import reference_balanced_example4, reference_example4
 
 from diffinc.cli import main
-from diffinc.mapdsl import roundtrip
+from diffinc.mapdsl import parse_map, roundtrip
 from diffinc.setmap import BUILTINS, builtin
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,3 +100,43 @@ def test_example4_in_high_dimension_evaluates():
     image = m.evaluate((1.0,) * 1200)
     assert [b.lo for b in image.boxes] == [(0.5,) * 1200, (1.0,) * 1200]
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 13, 64])
+def test_shared_branches_serialize_as_separate_ones(n):
+    m, ref = builtin("example4", {"n": n}), reference_balanced_example4(n)
+    assert roundtrip(m) == roundtrip(ref)
+    assert m.region_boundaries() == ref.region_boundaries()
+    x = tuple((-1.5, 2.0)[j % 2] for j in range(n))  # no zero: one box per branch
+    assert m.evaluate(x) == ref.evaluate(x)
+
+
+def _distinct_maps(m, seen):
+    if id(m) not in seen:
+        seen[id(m)] = m
+        for side in ("left", "right"):
+            if hasattr(m, side):
+                _distinct_maps(getattr(m, side), seen)
+    return seen
+
+
+def test_example4_builds_one_branch_and_one_product_per_subtree_size():
+    m = builtin("example4", {"n": 10000})
+    kinds = [part.kind for part in _distinct_maps(m, {}).values()]
+    # per scale: one branch, and one product for each of the 21 sizes
+    # 10000, 5000, 2500, 1250, 625, 312-313, 156-157, 78-79, 39-40,
+    # 19-20, 9-10, 4-5 and 2-3
+    assert kinds.count("piecewise") == 2
+    assert kinds.count("product") == 2 * 21
+
+
+def test_large_example4_builds_and_parses_quickly():
+    start = time.perf_counter()
+    m = builtin("example4", {"n": 10000})
+    assert time.perf_counter() - start < 0.5
+    assert m.dim == 10000 and m.growth == (10000.0, 0.0)
+    src = json.dumps({"dim": 10000, "builtin": {"name": "example4", "params": {"n": 10000}}})
+    start = time.perf_counter()
+    parsed = parse_map(src)
+    assert time.perf_counter() - start < 0.5
+    assert parsed.label == "example4(10000)"

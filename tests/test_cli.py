@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffinc.analyzer import MAX_HELD_POINTS
 from diffinc.cli import main, resolve_map
 from diffinc.setmap import MAX_VERTEX_DIM
 from diffinc.solver import MAX_STEPS, trajectory_from_csv
@@ -351,6 +352,20 @@ class TestConvergeBudget:
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
         assert "samples_per_interval must be >= 1, got 0" in err
+
+
+class TestHeldPointsLimit:
+    @pytest.mark.parametrize("argv, held", [
+        (("growth", "--map", "example1", "--samples", "30000000"), "count = 30000000"),
+        (("graph", "--map", "example1", "--samples", "30000000"), "count = 30000000"),
+        (("cyclic", "--map", "normgrad3", "--cycle-len", "30000000"), "cycle_len = 30000000"),
+    ])
+    def test_exits_1_before_drawing(self, capsys, argv, held):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", *argv, "--no-timestamp")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert held in err and f"MAX_HELD_POINTS = {MAX_HELD_POINTS}" in err
 
 
 class TestGraphDimensionLimit:

@@ -1,10 +1,15 @@
 """Expression grammar and map-file format."""
 
+import ast
 import json
 import math
+import operator
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_expr, reference_eval, tree_eval
 
@@ -15,12 +20,16 @@ from diffinc.mapdsl import (
     parse_expr,
     parse_map,
     roundtrip,
+    validate_map,
 )
 from diffinc.setmap import (
     CompactSet,
+    Condition,
     Expr,
     MapDefinitionError,
+    Piece,
     PiecewiseMap,
+    Region,
     builtin,
     product,
     union,
@@ -255,6 +264,119 @@ class TestParseMap:
         back = parse_map(roundtrip(m))
         x = (-1.0, 1.0) * 195 + (0.0,)
         assert back.evaluate(x).boxes == m.evaluate(x).boxes
+
+
+DBL_MAX = sys.float_info.max
+OPS = {"lt": operator.lt, "le": operator.le, "ge": operator.ge, "gt": operator.gt,
+       "eq": operator.eq}
+
+
+def identity_map(*pieces):
+    """A 1-D map file whose pieces are conjunctions of (op, bound), each
+    with image [x, x]."""
+    return json.dumps({"dim": 1, "pieces": [
+        {"region": [{"var": 1, "op": op, "bound": b} for op, b in conds],
+         "image": [[["x", "x"]]]}
+        for conds in pieces
+    ]})
+
+
+def witness(err):
+    """The point named by a "no piece matches" error."""
+    message = str(err.value)
+    assert "no piece matches" in message
+    return ast.literal_eval(message.split(" at ", 1)[1].split(" (no piece", 1)[0])
+
+
+def cell_points(conditions):
+    """One exact rational point in each cell, holding a double, of the
+    line cut by the finite bounds: each bound, the open gaps between
+    neighbouring bounds and the rays beyond the outermost ones."""
+    bounds = sorted({b for _, b in conditions if math.isfinite(b)})
+    if not bounds:
+        return [Fraction(0)]
+    points = []
+    for a, b in zip(bounds, bounds[1:]):
+        points.append(Fraction(a))
+        if math.nextafter(a, math.inf) < b:
+            points.append((Fraction(a) + Fraction(b)) / 2)
+    points.append(Fraction(bounds[-1]))
+    if bounds[0] > -DBL_MAX:
+        points.append(Fraction(bounds[0]) - 1)
+    if bounds[-1] < DBL_MAX:
+        points.append(Fraction(bounds[-1]) + 1)
+    return points
+
+
+def matches(conds, x):
+    return all(OPS[op](x, b) for op, b in conds)
+
+
+BOUNDS_1D = [-math.inf, -DBL_MAX, -1e308, -1e20, -(2.0 ** 53), -1.0, -0.0, 0.0, 5e-324,
+             1e-323, 0.5, 1.0, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e20, 1.5e308, DBL_MAX,
+             math.inf, math.nan]
+one_dim_pieces = st.lists(
+    st.lists(st.tuples(st.sampled_from(sorted(OPS)),
+                       st.sampled_from(BOUNDS_1D) | st.floats()), max_size=2),
+    min_size=1, max_size=4)
+
+
+class TestCoverage:
+    """Totality is decided exactly in one dimension and on a full grid,
+    whatever the magnitude of the bounds."""
+
+    @pytest.mark.parametrize("bound", [1e308, 9e307, DBL_MAX, -DBL_MAX])
+    def test_total_map_with_huge_bounds_is_accepted(self, bound):
+        m = parse_map(identity_map([("le", bound)], [("ge", bound)]))
+        assert m.evaluate((bound,)) == CompactSet.of_points((bound,), (bound,))
+
+    @pytest.mark.parametrize("op, bound, beside", [
+        ("le", 1e20, math.inf), ("ge", -1e20, -math.inf), ("lt", DBL_MAX, math.inf)])
+    def test_hole_beyond_two_to_the_53_is_found(self, op, bound, beside):
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(identity_map([(op, bound)]))
+        assert witness(err) == ((math.nextafter(bound, beside),) if op != "lt" else (bound,))
+
+    def test_hole_between_huge_bounds_has_a_finite_witness(self):
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(identity_map([("le", 1e308)], [("ge", 1.5e308)]))
+        assert witness(err) == (1.25e308,)
+
+    def test_one_dimension_is_exact_past_512_candidates(self):
+        # 300 unit intervals but one, each closed: 301 bounds, over 900 candidates
+        pieces = [[("le", 0.0)], [("ge", 300.0)]]
+        pieces += [[("ge", float(k)), ("le", k + 1.0)] for k in range(300) if k != 150]
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(identity_map(*pieces))
+        assert witness(err) == (150.5,)
+
+    def test_full_grid_finds_a_hole_beyond_two_to_the_53(self):
+        src = json.dumps({"dim": 2, "pieces": [
+            {"region": [{"var": 1, "op": "le", "bound": 1e20}], "image": [[["0", "0"], ["0", "0"]]]},
+            {"region": [{"var": 2, "op": "ge", "bound": 0}], "image": [[["0", "0"], ["0", "0"]]]},
+        ]})
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(src)
+        assert witness(err) == (math.nextafter(1e20, math.inf), -1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_dim_pieces)
+    def test_one_dimension_matches_the_cell_oracle(self, pieces):
+        m = PiecewiseMap(1, [
+            Piece(Region(tuple(Condition(0, op, b) for op, b in conds)),
+                  (((Expr.const(0.0), Expr.const(1.0)),),))
+            for conds in pieces
+        ])
+        holes = [x for x in cell_points([c for conds in pieces for c in conds])
+                 if not any(matches(conds, x) for conds in pieces)]
+        if not holes:
+            validate_map(m)
+            return
+        with pytest.raises(MapDefinitionError) as err:
+            validate_map(m)
+        (w,) = witness(err)
+        assert math.isfinite(w)
+        assert not any(matches(conds, w) for conds in pieces)
 
 
 class TestRoundtrip:

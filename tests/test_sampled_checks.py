@@ -25,7 +25,6 @@ from diffinc import analyzer
 from diffinc.analyzer import (
     _PRODUCT_UNIT,
     _exact,
-    _max_vertex,
     _min_vertex,
     check_closed_graph,
     check_wcm,
@@ -91,9 +90,11 @@ class TestPerBoxMinimiser:
         image, x, y = case
         d = [_exact(a) - _exact(b) for a, b in zip(x, y)]
         ref_d = tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
-        for mine, ref in ((_min_vertex, reference_min_vertex),
-                          (_max_vertex, reference_max_vertex)):
-            val, v = mine(image._pairs(), d)
+        # the maximum is the negated minimum on -d, as a cycle's term
+        # for the step back from y to x computes it
+        for sign, ref in ((1, reference_min_vertex), (-1, reference_max_vertex)):
+            val, v = _min_vertex(image._pairs(), [sign * c for c in d])
+            val *= sign
             ref_val, ref_v = ref(image, ref_d)
             assert Fraction(val, _PRODUCT_UNIT) == ref_val
             assert bits(v) == bits(ref_v)
@@ -301,3 +302,32 @@ def test_non_finite_radius_is_rejected(name, radius):
 def test_non_finite_eps_is_rejected(eps):
     with pytest.raises(ValueError, match="eps"):
         check_closed_graph(builtin("example1"), 5.0, 10, 1, eps)
+
+
+class TestHeldPointsLimit:
+    """A check that holds all its samples, or a whole cycle, at once takes
+    at most MAX_HELD_POINTS of them; lazily drawn pairs are not bounded."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(analyzer, "MAX_HELD_POINTS", 10)
+
+    @pytest.mark.parametrize("check", [
+        lambda count: estimate_growth(builtin("example1"), 5.0, count, 1),
+        lambda count: check_closed_graph(builtin("example1"), 5.0, count, 1, 1e-2),
+    ])
+    def test_samples_held_at_once(self, check):
+        assert check(10) is not None
+        with pytest.raises(ValueError, match="count = 11 points held at once exceeds "
+                                             "MAX_HELD_POINTS = 10"):
+            check(11)
+
+    def test_cycle_held_at_once(self):
+        m = builtin("normgrad", {"n": 2})
+        assert not find_cyclic_violation(m, 5.0, 10, 5, 1).failed
+        with pytest.raises(ValueError, match="cycle_len = 11 points held at once"):
+            find_cyclic_violation(m, 5.0, 11, 5, 1)
+
+    def test_pairs_are_not_bounded(self):
+        assert check_wcm(builtin("antisign"), 5.0, 10 ** 9, 3).failed
+        assert find_monotonicity_violation(builtin("example1"), 5.0, 10 ** 9, 7).failed

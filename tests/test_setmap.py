@@ -2,9 +2,12 @@
 
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from helpers import reference_region_boundaries
+from hypothesis import HealthCheck, given, settings, strategies as st
+from test_compiled_eval import maps
 
 from diffinc.setmap import (
     Box,
@@ -302,3 +305,15 @@ class TestBuiltins:
             for _ in range(200):
                 x = tuple(rng.uniform(-10, 10) for _ in range(m.dim))
                 assert sup_norm(m.evaluate(x)) <= a + b * math.hypot(*x) + 1e-12
+
+
+def _boundary_bits(bounds):
+    """Keys in order, each value by its bits, so -0.0 differs from 0.0."""
+    return [(j, [struct.pack("<d", v) for v in vals]) for j, vals in bounds.items()]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 3).flatmap(lambda dim: maps(dim, depth=3)))
+def test_composite_boundaries_match_the_per_class_merges(m):
+    assert _boundary_bits(m.region_boundaries()) == \
+        _boundary_bits(reference_region_boundaries(m))

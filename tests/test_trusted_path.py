@@ -19,9 +19,11 @@ import warnings
 import pytest
 from helpers import (
     reference_check_wcm,
+    reference_cyclic,
     reference_distance,
     reference_estimate_growth,
     reference_feasible_region,
+    reference_monotone,
     reference_normgrad,
     reference_polygon,
     reference_residual,
@@ -33,7 +35,14 @@ from hypothesis import strategies as st
 from test_compiled_eval import maps
 from test_sampled_checks import random_maps
 
-from diffinc.analyzer import check_wcm, check_wcm_pair, estimate_growth, residual
+from diffinc.analyzer import (
+    check_wcm,
+    check_wcm_pair,
+    estimate_growth,
+    find_cyclic_violation,
+    find_monotonicity_violation,
+    residual,
+)
 from diffinc.selector import (
     SelectionPolicy,
     SignPattern,
@@ -318,6 +327,21 @@ class TestCheckersOnPairs:
     def test_check_wcm_matches_object_path(self, m, budget):
         assert json_outcome(lambda: check_wcm(m, *budget)) == \
             json_outcome(lambda: reference_check_wcm(m, *budget))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(every_kind, check_budgets)
+    def test_monotone_matches_vertex_enumeration(self, m, budget):
+        assert json_outcome(lambda: find_monotonicity_violation(m, *budget)) == \
+            json_outcome(lambda: reference_monotone(m, *budget))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(every_kind, check_budgets, st.integers(2, 4))
+    def test_cyclic_matches_vertex_enumeration(self, m, budget, cycle_len):
+        radius, count, seed = budget
+        assert json_outcome(lambda: find_cyclic_violation(m, radius, cycle_len, count, seed)) \
+            == json_outcome(lambda: reference_cyclic(m, radius, cycle_len, count, seed))
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
