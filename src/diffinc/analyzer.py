@@ -110,7 +110,7 @@ def _axis_point(n: int, j: int, value: float) -> Vector:
 
 def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vector]]:
     """Deterministic battery: axis-aligned pairs at ladder magnitudes,
-    cross-axis pairs, and pairs straddling every piece boundary."""
+    cross-axis pairs, and pairs straddling every (finite) region bound."""
     n = m.dim
     mags = sorted({v for v in _LADDER if v <= radius} | {radius, radius / 2})
     signed = sorted({s * v for v in mags for s in (1.0, -1.0)} | {0.0})
@@ -464,8 +464,8 @@ def check_closed_graph(
     A point is suspect when every vertex-distance from F(x + delta*d)
     to F(x) stays above eps at both of the smallest perturbation
     scales, i.e. the image jumps away and the jump does not shrink.
-    Open-region piece encodings are the typical culprit.  Boundary
-    points of piecewise maps are probed first.
+    Open-region piece encodings are the typical culprit.  The points on
+    the axes at the (finite) region bounds are probed first.
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
@@ -541,7 +541,9 @@ def check_trajectory_monotone(traj) -> tuple[CoordinateMonotone, ...]:
 
     All comparisons are exact (tolerance 0); a violation indicates a
     solver bug, not a property of the map.  An all-zero velocity tail is
-    monotone.
+    monotone.  A decreasing coordinate is checked as the increasing
+    coordinate of its negation; negation is exact, so every comparison
+    answers as on the coordinate itself.
     """
     out = []
     for j in range(traj.dim):
@@ -557,20 +559,15 @@ def check_trajectory_monotone(traj) -> tuple[CoordinateMonotone, ...]:
             ))
             continue
         increasing = vs[first] > 0.0
+        if not increasing:
+            vs = [-v for v in vs]
+            xs = [-x for x in xs]
         tail = vs[first:]
-        if increasing:
-            stable = all(v > 0.0 for v in tail)
-            vel_mono = all(a <= b for a, b in zip(tail, tail[1:]))
-            node_mono = all(a <= b for a, b in zip(xs, xs[1:]))
-        else:
-            stable = all(v < 0.0 for v in tail)
-            vel_mono = all(a >= b for a, b in zip(tail, tail[1:]))
-            node_mono = all(a >= b for a, b in zip(xs, xs[1:]))
         out.append(CoordinateMonotone(
             j, "increasing" if increasing else "decreasing",
-            velocity_sign_stable=stable,
-            velocity_monotone=vel_mono,
-            nodes_monotone=node_mono,
+            velocity_sign_stable=all(v > 0.0 for v in tail),
+            velocity_monotone=all(a <= b for a, b in zip(tail, tail[1:])),
+            nodes_monotone=all(a <= b for a, b in zip(xs, xs[1:])),
         ))
     return tuple(out)
 

@@ -72,13 +72,15 @@ def _policy(args: argparse.Namespace) -> SelectionPolicy:
     return SelectionPolicy(args.policy.replace("-", "_"), args.slack)
 
 
-def _emit(payload: dict, args: argparse.Namespace) -> None:
+def _emit(payload: dict, args: argparse.Namespace, output: str | None) -> None:
+    """Print the JSON report, timestamped unless --no-timestamp, and
+    write it to ``output`` too when that is given."""
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     text = json.dumps(payload, indent=2)
     print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
 
 
@@ -116,6 +118,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="build one Euler polygon")
+    p.set_defaults(run=cmd_solve)
     _add_map_options(p)
     _add_solve_options(p)
     p.add_argument("--N", type=int, default=None,
@@ -125,6 +128,7 @@ def build_parser() -> _Parser:
     _add_output_options(p)
 
     p = sub.add_parser("converge", help="mesh-refinement study")
+    p.set_defaults(run=cmd_converge)
     _add_map_options(p)
     _add_solve_options(p)
     p.add_argument("--N0", type=int, required=True, help="coarsest mesh steps")
@@ -133,6 +137,7 @@ def build_parser() -> _Parser:
     _add_output_options(p)
 
     p = sub.add_parser("check", help="verify or refute a condition on a map")
+    p.set_defaults(run=cmd_check)
     p.add_argument("condition", choices=["wcm", "monotone", "cyclic", "growth", "graph"],
                    help="the condition; graph enumerates box corners, so it "
                         f"takes maps of dimension <= {MAX_VERTEX_DIM}")
@@ -147,6 +152,7 @@ def build_parser() -> _Parser:
     _add_output_options(p)
 
     p = sub.add_parser("list-examples", help="catalog of builtin maps")
+    p.set_defaults(run=cmd_list_examples)
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     return parser
@@ -191,9 +197,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "interval_residual": interval_res,
         "output": args.output,
     }
-    if not args.no_timestamp:
-        summary["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    print(json.dumps(summary, indent=2))
+    _emit(summary, args, None)  # --output holds the trajectory
     return 0
 
 
@@ -205,7 +209,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         m, x0, args.T, args.N0, args.levels, _policy(args), v0,
         samples_per_interval=args.samples_per_interval,
     )
-    _emit(report.to_json_dict(), args)
+    _emit(report.to_json_dict(), args, args.output)
     return 0
 
 
@@ -232,7 +236,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = analyzer.check_growth(m, args.radius, samples, args.seed)
     payload = report.to_json_dict()
     payload["map"] = m.label
-    _emit(payload, args)
+    _emit(payload, args, args.output)
     return 3 if report.failed else 0
 
 
@@ -258,13 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "converge":
-            return cmd_converge(args)
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_list_examples(args)
+        return args.run(args)
     except (UsageError, ValueError, OSError) as e:  # ParseError, MapDefinitionError too
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -55,7 +55,6 @@ from .setmap import (
     Piece,
     PiecewiseMap,
     ProductMap,
-    Region,
     SetValuedMap,
     UnionMap,
     builtin,
@@ -174,12 +173,7 @@ class _ExprParser:
             e, depth = self.factor(level + 1)
             return Expr.neg(e), self.deeper(depth + 1, pos)
         if text == "(":
-            self.advance()
-            e, depth = self.expr(level + 1)
-            if self.peek()[1] != ")":
-                raise self.fail((")",))
-            self.advance()
-            return e, depth
+            return self.group(level)
         if kind == "number":
             self.advance()
             return Expr.const(float(text)), 1
@@ -205,11 +199,7 @@ class _ExprParser:
                         ("sign", "cbrt", "abs"),
                     )
                 self.deeper(level + 1, pos)
-                self.advance()
-                e, depth = self.expr(level + 1)
-                if self.peek()[1] != ")":
-                    raise self.fail((")",))
-                self.advance()
+                e, depth = self.group(level)
                 return Expr(text, args=(e,)), self.deeper(depth + 1, pos)
             raise ParseError(
                 f"unknown name {text!r}",
@@ -217,6 +207,16 @@ class _ExprParser:
                 ("number", "x", "sign", "cbrt", "abs"),
             )
         raise self.fail(("number", "x", "function", "(", "-"))
+
+    def group(self, level: int) -> tuple[Expr, int]:
+        """``( expr )`` from the current ``(``, its expression one level
+        deeper; the caller has checked that level."""
+        self.advance()
+        e, depth = self.expr(level + 1)
+        if self.peek()[1] != ")":
+            raise self.fail((")",))
+        self.advance()
+        return e, depth
 
 
 def parse_expr(src: str) -> Expr:
@@ -235,10 +235,12 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _number(v: object) -> float | None:
-    """A JSON number as a float; None for anything else and for an
-    integer beyond the double range."""
+    """A JSON number as a float; None for anything else (a boolean too),
+    for NaN and for an integer beyond the double range."""
+    if type(v) not in (int, float) or v != v:
+        return None
     try:
-        return float(v) if isinstance(v, (int, float)) else None
+        return float(v)
     except OverflowError:
         return None
 
@@ -253,7 +255,7 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
     )
     _require("dim" in obj, f"{path}: missing 'dim'")
     dim = obj["dim"]
-    _require(isinstance(dim, int) and dim >= 1, f"{path}: 'dim' must be an integer >= 1")
+    _require(type(dim) is int and dim >= 1, f"{path}: 'dim' must be an integer >= 1")
 
     growth = obj.get("growth")
     if growth is not None:
@@ -305,7 +307,7 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
         for cobj in region:
             _require(isinstance(cobj, dict), f"{ppath}: condition must be an object")
             var = cobj.get("var")
-            _require(isinstance(var, int) and 1 <= var <= dim,
+            _require(type(var) is int and 1 <= var <= dim,
                      f"{ppath}: condition 'var' must be in 1..{dim}")
             op = cobj.get("op")
             _require(isinstance(op, str) and op in _REGION_OPS,
@@ -330,7 +332,7 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
                 hi = parse_expr(pair[1])
                 coords.append((lo, hi))
             image.append(tuple(coords))
-        pieces.append(Piece(Region(tuple(conditions)), tuple(image)))
+        pieces.append(Piece(tuple(conditions), tuple(image)))
     m = PiecewiseMap(dim, tuple(pieces))
     validate_map(m)
     return m
@@ -339,20 +341,19 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
 def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
     bounds = m.region_boundaries()
     per_var: list[list[float]] = []
+    big = sys.float_info.max
     for j in range(m.dim):
-        # a bound that is not finite splits no finite coordinate range
-        vals = sorted(v for v in set(bounds.get(j, ())) if math.isfinite(v))
+        vals = bounds.get(j, ())  # finite and sorted
         # bounds first so a totality hole is witnessed at the boundary itself
         cands = list(vals)
         cands.extend(a / 2 + b / 2 for a, b in zip(vals, vals[1:]))
         for v in vals:
-            # the nearest doubles, where v -+ 1.0 rounds back to v
-            cands.extend((min(v - 1.0, math.nextafter(v, -math.inf)),
-                          max(v + 1.0, math.nextafter(v, math.inf))))
+            # the nearest doubles, where v -+ 1.0 rounds back to v; at
+            # -+DBL_MAX no double lies beyond, and v itself comes back
+            cands.extend((min(v - 1.0, math.nextafter(v, -big)),
+                          max(v + 1.0, math.nextafter(v, big))))
         cands.extend((0.0, -1.0, 1.0))
-        seen: set[float] = set()
-        per_var.append([v for v in cands
-                        if math.isfinite(v) and not (v in seen or seen.add(v))])
+        per_var.append(list(dict.fromkeys(cands)))  # first of equal values
     total = math.prod(len(vals) for vals in per_var)
     if m.dim == 1 or total <= 512:
         points: list[tuple[float, ...]] = [()]
@@ -361,8 +362,7 @@ def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
     else:
         rng = random.Random(20210 + m.dim)
         points = [tuple(rng.choice(vals) for vals in per_var) for _ in range(256)]
-    radius = min(max([1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]),
-                 sys.float_info.max / 2)
+    radius = min(max([1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]), big / 2)
     rng = random.Random(4002 + m.dim)
     for _ in range(32):
         points.append(tuple(rng.uniform(-radius, radius) for _ in range(m.dim)))
@@ -444,15 +444,17 @@ def load_map(path: str) -> SetValuedMap:
 
 
 def map_to_dict(m: SetValuedMap) -> dict:
+    """The map-file node of ``m``.  ``growth`` follows ``dim`` when it
+    differs from what the node declares without it: nothing for pieces,
+    the derived constants for a product or union, the catalog's for a
+    builtin."""
     if isinstance(m, PiecewiseMap):
-        out: dict = {"dim": m.dim}
-        if m.growth is not None:
-            out["growth"] = [m.growth[0], m.growth[1]]
-        out["pieces"] = [
+        declared = None
+        body: dict = {"pieces": [
             {
                 "region": [
                     {"var": c.var + 1, "op": c.op, "bound": c.bound}
-                    for c in p.region.conditions
+                    for c in p.conditions
                 ],
                 "image": [
                     [[lo.to_text(m.dim), hi.to_text(m.dim)] for lo, hi in box]
@@ -460,17 +462,20 @@ def map_to_dict(m: SetValuedMap) -> dict:
                 ],
             }
             for p in m.pieces
-        ]
-        return out
-    if isinstance(m, (ProductMap, UnionMap)):
-        out = {"dim": m.dim, m.kind: [map_to_dict(m.left), map_to_dict(m.right)]}
-        if m.growth is not None and m.growth != m.derived_growth():
-            out["growth"] = [m.growth[0], m.growth[1]]
-        return out
-    if isinstance(m, NativeMap):
-        out = {"dim": m.dim, "builtin": {"name": m.name, "params": m.params}}
-        return out
-    raise TypeError(f"cannot serialize map of type {type(m).__name__}")
+        ]}
+    elif isinstance(m, (ProductMap, UnionMap)):
+        declared = m.derived_growth()
+        body = {m.kind: [map_to_dict(m.left), map_to_dict(m.right)]}
+    elif isinstance(m, NativeMap):
+        declared = builtin(m.name, m.params).growth
+        body = {"builtin": {"name": m.name, "params": m.params}}
+    else:
+        raise TypeError(f"cannot serialize map of type {type(m).__name__}")
+    out: dict = {"dim": m.dim}
+    if m.growth is not None and m.growth != declared:
+        out["growth"] = [m.growth[0], m.growth[1]]
+    out.update(body)
+    return out
 
 
 def roundtrip(m: SetValuedMap) -> str:

@@ -2,10 +2,11 @@
 
 The images of every map in this package are finite unions of closed,
 axis-aligned boxes in R^n (degenerate boxes are points, so finite point
-sets are covered too).  That representation keeps every geometric query
-used by the solver and the checkers exact: membership, point-to-set
-distance, extreme points and coordinate-interval intersections are all
-computed without tolerances.
+sets are covered too).  That representation keeps the geometric
+queries of the solver and the checkers free of tolerances: membership,
+extreme points and coordinate-interval intersections are exact, and a
+point-to-set distance is 0.0 exactly on membership (a nonzero one is a
+rounded ``math.hypot``).
 
 Maps are immutable and evaluation is pure: the same input vector always
 produces the same box list, bit for bit.
@@ -466,7 +467,8 @@ def sup_norm(s: CompactSet) -> float:
     """sup of the Euclidean norm over the set.
 
     Attained, per box, at the corner with the larger magnitude in every
-    coordinate, so the value is exact up to one rounding of the norm.
+    coordinate; the value is ``math.hypot`` of that corner, which Python
+    documents as accurate to within 1 ulp.
     """
     return _sup_norm(s._pairs())
 
@@ -548,28 +550,21 @@ class Condition:
         object.__setattr__(self, "bound", float(self.bound))
 
 
-@dataclass(frozen=True)
-class Region:
-    """Conjunction of conditions; the empty conjunction matches all of R^n.
-
-    Comparators are honoured literally (``lt`` is strict), so a piece
-    with a strict region genuinely excludes its boundary.  The shipped
-    builtins encode boundary multi-valuedness with overlapping closed
-    regions instead, which keeps them upper semi-continuous.
-    """
-
-    conditions: tuple[Condition, ...] = ()
-
-    def max_var_index(self) -> int:
-        return max((c.var for c in self.conditions), default=-1)
-
-
 ExprBox = tuple[tuple[Expr, Expr], ...]  # per-coordinate (lo, hi) expressions
 
 
 @dataclass(frozen=True)
 class Piece:
-    region: Region
+    """Image boxes that apply where every condition holds; no conditions
+    match all of R^n.
+
+    Comparators are honoured literally (``lt`` is strict), so a piece
+    with a strict condition genuinely excludes its boundary.  The shipped
+    builtins encode boundary multi-valuedness with overlapping closed
+    regions instead, which keeps them upper semi-continuous.
+    """
+
+    conditions: tuple[Condition, ...]
     image: tuple[ExprBox, ...]
 
     def __post_init__(self) -> None:
@@ -624,7 +619,8 @@ class SetValuedMap:
         return as_vector(x)
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
-        """Per-coordinate values where the image definition may switch."""
+        """Per-coordinate finite values where the image definition may
+        switch, sorted."""
         return {}
 
 
@@ -643,10 +639,10 @@ class PiecewiseMap(SetValuedMap):
         if not self.pieces:
             raise MapDefinitionError("a piecewise map needs at least one piece")
         for p in self.pieces:
-            if p.region.max_var_index() >= dim:
+            bad = max((c.var for c in p.conditions), default=-1)
+            if bad >= dim:
                 raise MapDefinitionError(
-                    f"region condition uses x{p.region.max_var_index() + 1} in a "
-                    f"{dim}-dimensional map"
+                    f"region condition uses x{bad + 1} in a {dim}-dimensional map"
                 )
             for box in p.image:
                 if len(box) != dim:
@@ -663,7 +659,7 @@ class PiecewiseMap(SetValuedMap):
         fns = iter(_compile_boxes([b for p in self.pieces for b in p.image], self.label))
         # (region as (var, comparator, bound) tuples, box functions) per piece
         self._compiled = tuple(
-            (tuple((c.var, _REGION_OPS[c.op], c.bound) for c in p.region.conditions),
+            (tuple((c.var, _REGION_OPS[c.op], c.bound) for c in p.conditions),
              tuple(next(fns) for _ in p.image))
             for p in self.pieces
         )
@@ -684,10 +680,13 @@ class PiecewiseMap(SetValuedMap):
         return boxes
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
+        # a bound that is not finite splits no finite coordinate range,
+        # so no probe is taken there
         acc: dict[int, set[float]] = {}
         for p in self.pieces:
-            for c in p.region.conditions:
-                acc.setdefault(c.var, set()).add(c.bound)
+            for c in p.conditions:
+                if math.isfinite(c.bound):
+                    acc.setdefault(c.var, set()).add(c.bound)
         return {j: tuple(sorted(vals)) for j, vals in acc.items()}
 
 
@@ -815,8 +814,8 @@ def _point_box(e: Expr) -> ExprBox:
     return ((e, e),)
 
 
-def _closed(op_lo: str, bound: float, var: int = 0) -> Region:
-    return Region((Condition(var, op_lo, bound),))
+def _closed(op: str, bound: float) -> tuple[Condition, ...]:
+    return (Condition(0, op, bound),)
 
 
 def _make_example1() -> SetValuedMap:
@@ -829,7 +828,7 @@ def _make_example1() -> SetValuedMap:
 
 def _make_example2_F() -> SetValuedMap:
     pieces = (
-        Piece(Region(), (_point_box(_X), _point_box(Expr.cbrt(_X)))),
+        Piece((), (_point_box(_X), _point_box(Expr.cbrt(_X)))),
     )
     return PiecewiseMap(1, pieces, growth=(1.0, 1.0), label="example2_F")
 
@@ -860,7 +859,7 @@ def _make_example3() -> SetValuedMap:
     second = PiecewiseMap(
         1,
         (
-            Piece(Region(), (
+            Piece((), (
                 _interval_box(Expr.const(-2.0), Expr.const(-1.0)),
                 _interval_box(Expr.const(1.0), Expr.const(2.0)),
             )),

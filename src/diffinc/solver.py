@@ -37,20 +37,6 @@ from .selector import (
 )
 from .setmap import SetValuedMap, Vector, _image, finite_vector, norm
 
-__all__ = [
-    "GrowthBounds",
-    "MeshTooCoarse",
-    "Trajectory",
-    "ConvergenceReport",
-    "gronwall_bounds",
-    "min_steps",
-    "euler_polygon",
-    "converge",
-    "trajectory_to_csv",
-    "trajectory_from_csv",
-    "MAX_STEPS",
-]
-
 # The most mesh steps one polygon may take: 10**7 steps of a 1-D
 # trajectory hold about 2 GB of nodes, velocities and times.
 MAX_STEPS = 10 ** 7
@@ -104,7 +90,7 @@ def min_steps(bounds: GrowthBounds) -> int:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Euler polygon: N+1 nodes, N per-interval velocities.
+    """Euler polygon: N+1 nodes, N >= 1 per-interval velocities.
 
     ``times[i] = (i / N) * T`` so refinements that double N share the
     coarse grid bit-exactly.  Velocities are held constant on
@@ -120,7 +106,9 @@ class Trajectory:
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.times) or len(self.velocities) != len(self.times) - 1:
             raise ValueError("node/velocity counts do not match the mesh")
-        if self.times[0] != 0.0 or any(a >= b for a, b in zip(self.times, self.times[1:])):
+        if not self.velocities:
+            raise ValueError("a trajectory needs at least one step")
+        if self.times[0] != 0.0 or any(not a < b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must increase strictly from 0")
 
     @property
@@ -386,10 +374,14 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def trajectory_from_csv(text: str, map_label: str = "csv",
                         policy: SelectionPolicy = SelectionPolicy()) -> Trajectory:
+    """The trajectory of a ``trajectory_to_csv`` text: a header and at
+    least two rows (ValueError otherwise)."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
-    header = lines[0].split(",")
-    if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
+    header = lines[0].split(",") if lines else []
+    if len(header) < 3 or header[0] != "t" or len(header) % 2 == 0:
         raise ValueError("not a trajectory CSV (header must be t,x_1..,v_1..)")
+    if len(lines) < 3:
+        raise ValueError(f"a trajectory CSV needs at least two rows, got {len(lines) - 1}")
     n = (len(header) - 1) // 2
     times: list[float] = []
     nodes: list[Vector] = []

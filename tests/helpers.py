@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from diffinc.analyzer import (
     CheckReport,
+    CoordinateMonotone,
     GrowthFit,
     _axis_point,
     _random_point,
@@ -21,7 +22,6 @@ from diffinc.setmap import (
     Piece,
     PiecewiseMap,
     ProductMap,
-    Region,
     UnionMap,
     _sign_branch,
     product,
@@ -91,7 +91,7 @@ def compiled_eval(e, x):
     image corner, a value that is not finite raises MapDefinitionError."""
     dim = max(len(x), 1)
     zero = (Expr.const(0.0),) * 2
-    m = PiecewiseMap(dim, (Piece(Region(), (((e, e),) + (zero,) * (dim - 1),)),))
+    m = PiecewiseMap(dim, (Piece((), (((e, e),) + (zero,) * (dim - 1),)),))
     return m.evaluate(tuple(x) or (0.0,)).boxes[0].lo[0]
 
 
@@ -119,7 +119,7 @@ def reference_image(m, x):
     boxes = []
     for p in m.pieces:
         if not all(_REFERENCE_REGION_OPS[c.op](x[c.var], c.bound)
-                   for c in p.region.conditions):
+                   for c in p.conditions):
             continue
         for expr_box in p.image:
             lo, hi = [], []
@@ -288,7 +288,7 @@ def random_monotone_map(rng, dim):
     factors = []
     for _ in range(dim):
         e, a, b = monotone_single_valued_expr(rng)
-        factors.append(PiecewiseMap(1, (Piece(Region(), (((e, e),),)),),
+        factors.append(PiecewiseMap(1, (Piece((), (((e, e),),)),),
                                     growth=(a, b)))
     m = factors[0]
     for f in factors[1:]:
@@ -577,8 +577,8 @@ def reference_example4(n):
     deep: the original construction."""
     def branch(scale):
         return PiecewiseMap(1, (
-            Piece(Region((Condition(0, "le", 0.0),)), (((Expr.const(-scale),) * 2,),)),
-            Piece(Region((Condition(0, "ge", 0.0),)), (((Expr.const(scale),) * 2,),)),
+            Piece((Condition(0, "le", 0.0),), (((Expr.const(-scale),) * 2,),)),
+            Piece((Condition(0, "ge", 0.0),), (((Expr.const(scale),) * 2,),)),
         ), growth=(scale, 0.0), label=f"signbranch({scale:g})")
 
     full, half = branch(1.0), branch(0.5)
@@ -685,3 +685,43 @@ def reference_normgrad(n, k):
         return CompactSet.of_points(tuple(v / r for v in x))
 
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Trajectory monotonicity: the original two-branch classification
+# ---------------------------------------------------------------------------
+
+
+def reference_check_trajectory_monotone(traj):
+    """``check_trajectory_monotone`` with one comparison branch for an
+    increasing and one for a decreasing coordinate."""
+    out = []
+    for j in range(traj.dim):
+        vs = [v[j] for v in traj.velocities]
+        xs = [p[j] for p in traj.nodes]
+        first = next((i for i, v in enumerate(vs) if v != 0.0), None)
+        if first is None:
+            out.append(CoordinateMonotone(
+                j, "identically-zero",
+                velocity_sign_stable=True,
+                velocity_monotone=True,
+                nodes_monotone=all(a == b for a, b in zip(xs, xs[1:])),
+            ))
+            continue
+        increasing = vs[first] > 0.0
+        tail = vs[first:]
+        if increasing:
+            stable = all(v > 0.0 for v in tail)
+            vel_mono = all(a <= b for a, b in zip(tail, tail[1:]))
+            node_mono = all(a <= b for a, b in zip(xs, xs[1:]))
+        else:
+            stable = all(v < 0.0 for v in tail)
+            vel_mono = all(a >= b for a, b in zip(tail, tail[1:]))
+            node_mono = all(a >= b for a, b in zip(xs, xs[1:]))
+        out.append(CoordinateMonotone(
+            j, "increasing" if increasing else "decreasing",
+            velocity_sign_stable=stable,
+            velocity_monotone=vel_mono,
+            nodes_monotone=node_mono,
+        ))
+    return tuple(out)

@@ -6,7 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_monotone_map, reference_wcm_pair_feasible
+from helpers import (
+    random_monotone_map,
+    reference_check_trajectory_monotone,
+    reference_wcm_pair_feasible,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_sampled_checks import box_unions, edge_floats
@@ -31,18 +35,17 @@ from diffinc.setmap import (
     Expr,
     Piece,
     PiecewiseMap,
-    Region,
     builtin,
     distance,
     union,
     vertices,
 )
-from diffinc.solver import euler_polygon
+from diffinc.solver import Trajectory, euler_polygon
 
 
 def constant_map(value, dim=1):
     box = tuple((Expr.const(value), Expr.const(value)) for _ in range(dim))
-    return PiecewiseMap(dim, (Piece(Region(), (box,)),), growth=(abs(value) * dim + 1, 0.0))
+    return PiecewiseMap(dim, (Piece((), (box,)),), growth=(abs(value) * dim + 1, 0.0))
 
 
 def random_set(rng, dim, max_boxes=3):
@@ -313,7 +316,7 @@ class TestGrowth:
         assert report.extra == {"fit": {"a": fit.a, "b": fit.b},
                                 "declared": [1.0, 0.0], "declared_violation": 0.0}
         # declares growth (0, 0) but its image is the point 2
-        understated = PiecewiseMap(1, (Piece(Region(), (((Expr.const(2.0),) * 2,),)),),
+        understated = PiecewiseMap(1, (Piece((), (((Expr.const(2.0),) * 2,),)),),
                                    growth=(0.0, 0.0))
         report = check_growth(understated, 5.0, 50, 3)
         assert report.failed and report.certificate is None
@@ -342,9 +345,9 @@ class TestClosedGraph:
 
     def test_open_region_encoding_is_caught(self):
         broken = PiecewiseMap(1, (
-            Piece(Region((Condition(0, "le", 0.0),)),
+            Piece((Condition(0, "le", 0.0),),
                   (((Expr.const(-1.0), Expr.const(0.0)),),)),
-            Piece(Region((Condition(0, "gt", 0.0),)),
+            Piece((Condition(0, "gt", 0.0),),
                   (((Expr.const(-1.0), Expr.const(1.0)),),)),
         ), growth=(1.0, 0.0))
         report = check_closed_graph(broken, 5.0, 60, 7, 1e-2)
@@ -363,6 +366,10 @@ class TestClosedGraph:
     def test_cbrt_kink_is_tolerated(self):
         report = check_closed_graph(builtin("example2_F"), 5.0, 60, 7, 1e-2)
         assert not report.failed
+
+
+TRAJECTORY_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]) | st.floats()
 
 
 class TestTrajectoryMonotone:
@@ -386,6 +393,30 @@ class TestTrajectoryMonotone:
         (rep,) = check_trajectory_monotone(traj)
         assert rep.classification == "identically-zero"
         assert rep.ok
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.integers(1, 6).flatmap(
+        lambda steps: st.tuples(
+            st.lists(st.tuples(*[TRAJECTORY_VALUES] * dim), min_size=steps + 1,
+                     max_size=steps + 1),
+            st.lists(st.tuples(*[TRAJECTORY_VALUES] * dim), min_size=steps,
+                     max_size=steps)))))
+    def test_matches_the_two_branch_reference(self, case):
+        nodes, velocities = case
+        traj = Trajectory(tuple(float(i) for i in range(len(nodes))), tuple(nodes),
+                          tuple(velocities), "random", SelectionPolicy())
+        assert check_trajectory_monotone(traj) == reference_check_trajectory_monotone(traj)
+
+    def test_signed_zero_and_nan_in_a_decreasing_coordinate(self):
+        nodes = ((0.0,), (-0.0,), (-1.0,), (math.nan,))
+        velocities = ((-1.0,), (-0.0,), (-math.inf,))
+        traj = Trajectory((0.0, 1.0, 2.0, 3.0), nodes, velocities, "t", SelectionPolicy())
+        (rep,) = check_trajectory_monotone(traj)
+        assert rep == reference_check_trajectory_monotone(traj)[0]
+        assert rep.classification == "decreasing"
+        assert not rep.velocity_sign_stable  # -0.0 is not < 0
+        assert not rep.velocity_monotone  # -0.0 >= -1.0 fails the order
+        assert not rep.nodes_monotone  # NaN compares false
 
 
 class TestResidual:

@@ -185,6 +185,18 @@ class TestCheck:
             )
         assert exact < 0
 
+    @pytest.mark.parametrize("condition", ["wcm", "graph", "monotone", "cyclic", "growth"])
+    def test_infinite_bound_is_not_probed(self, capsys, tmp_path, condition):
+        # total on every finite state; F(inf) would have an infinite corner
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": "le", "bound": math.inf}], "image": [[["x", "x"]]]},
+            {"region": [{"var": 1, "op": "ge", "bound": 0}], "image": [[["x", "x"]]]}]}))
+        code, out, err = run(capsys, "check", condition, "--map", str(path),
+                             "--samples", "50", "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "pass-sampled"
+
     def test_graph_check_runs(self, capsys):
         code, out, _ = run(
             capsys, "check", "graph", "--map", "example1", "--samples", "30",
@@ -284,6 +296,17 @@ class TestUsageErrors:
                              "--eps", eps, "--samples", "10")
         assert code == 1 and out == ""
         assert "eps must be finite" in err
+
+    @pytest.mark.parametrize("condition", ["wcm", "monotone", "cyclic", "graph"])
+    def test_nan_bound_in_map_file(self, capsys, tmp_path, condition):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": "le", "bound": math.nan}], "image": [[["x", "x"]]]},
+            {"region": [], "image": [[["x", "x"]]]}]}))
+        code, out, err = run(capsys, "check", condition, "--map", str(path),
+                             "--samples", "20")
+        assert code == 1 and out == ""
+        assert "$.pieces[0]: condition 'bound' must be a number" in err
 
     def test_deep_expression_in_map_file(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

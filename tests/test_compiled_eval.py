@@ -18,7 +18,6 @@ from diffinc.setmap import (
     Piece,
     PiecewiseMap,
     ProductMap,
-    Region,
     UnionMap,
     real_cbrt,
 )
@@ -122,12 +121,12 @@ BOUNDS = [0.0, -0.0, 1.0, -1.5, 2.0]
 
 
 @st.composite
-def piecewise_maps(draw, dim):
+def piecewise_maps(draw, dim, bounds=BOUNDS):
     pieces = []
     for _ in range(draw(st.integers(1, 3))):
         conditions = tuple(
             Condition(draw(st.integers(0, dim - 1)), draw(st.sampled_from(REGION_OPS)),
-                      draw(st.sampled_from(BOUNDS)))
+                      draw(st.sampled_from(bounds)))
             for _ in range(draw(st.integers(0, 2)))
         )
         image = []
@@ -144,19 +143,20 @@ def piecewise_maps(draw, dim):
                     hi = draw(SMALL_TREES[dim])
                 coords.append((lo, hi))
             image.append(tuple(coords))
-        pieces.append(Piece(Region(conditions), tuple(image)))
+        pieces.append(Piece(conditions, tuple(image)))
     return PiecewiseMap(dim, pieces, label=f"m{draw(st.integers(0, 9))}")
 
 
 @st.composite
-def maps(draw, dim, depth=2):
+def maps(draw, dim, depth=2, bounds=BOUNDS):
     kind = draw(st.sampled_from(["pieces", "product", "union"]) if depth else st.just("pieces"))
     if kind == "product" and dim >= 2:
         d = draw(st.integers(1, dim - 1))
-        return ProductMap(draw(maps(d, depth - 1)), draw(maps(dim - d, depth - 1)))
+        return ProductMap(draw(maps(d, depth - 1, bounds)),
+                          draw(maps(dim - d, depth - 1, bounds)))
     if kind == "union":
-        return UnionMap(draw(maps(dim, depth - 1)), draw(maps(dim, depth - 1)))
-    return draw(piecewise_maps(dim))
+        return UnionMap(draw(maps(dim, depth - 1, bounds)), draw(maps(dim, depth - 1, bounds)))
+    return draw(piecewise_maps(dim, bounds))
 
 
 @st.composite
@@ -180,6 +180,27 @@ def test_map_evaluation_matches_reference(case):
         assert got == want
 
 
+def condition_bounds(m, shift=0):
+    """(coordinate, bound) of every condition in the map's pieces, in the
+    map's own coordinates."""
+    if isinstance(m, ProductMap):
+        return condition_bounds(m.left, shift) | condition_bounds(m.right, shift + m.left.dim)
+    if isinstance(m, UnionMap):
+        return condition_bounds(m.left, shift) | condition_bounds(m.right, shift)
+    return {(c.var + shift, c.bound) for p in m.pieces for c in p.conditions}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 3).flatmap(
+    lambda dim: maps(dim, bounds=BOUNDS + [math.inf, -math.inf, 1e308])))
+def test_region_boundaries_are_the_finite_bounds(m):
+    got = m.region_boundaries()
+    assert all(vals and list(vals) == sorted(vals) for vals in got.values())
+    assert {(j, v) for j, vals in got.items() for v in vals} == \
+        {(j, v) for j, v in condition_bounds(m) if math.isfinite(v)}
+
+
 def test_each_error_kind_matches_reference():
     x = Expr.var(0)
     big = Expr.const(1e308)
@@ -190,11 +211,11 @@ def test_each_error_kind_matches_reference():
                          Expr.const(0.0)),), (1.0,)),
     }
     for name, (box, point) in cases.items():
-        m = PiecewiseMap(1, (Piece(Region(), (box,)),), label=name)
+        m = PiecewiseMap(1, (Piece((), (box,)),), label=name)
         got = outcome(m.evaluate, point)
         assert got[0] is MapDefinitionError
         assert got == outcome(reference_image, m, point)
-    empty = PiecewiseMap(1, (Piece(Region((Condition(0, "gt", 0.0),)),
+    empty = PiecewiseMap(1, (Piece((Condition(0, "gt", 0.0),),
                                    (((x, x),),)),), label="half")
     got = outcome(empty.evaluate, (-1.0,))
     assert "empty image" in got[1]

@@ -1,12 +1,14 @@
 """Expression grammar and map-file format."""
 
 import ast
+import hashlib
 import json
 import math
 import operator
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,6 @@ from diffinc.setmap import (
     MapDefinitionError,
     Piece,
     PiecewiseMap,
-    Region,
     builtin,
     product,
     union,
@@ -192,6 +193,16 @@ class TestParseMap:
         parse_map(EXAMPLE1_SRC)  # a pieces node still is
         assert calls
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf])
+    def test_infinite_bounds_are_accepted_and_split_nothing(self, bound):
+        op = "le" if bound > 0 else "ge"
+        m = parse_map(json.dumps({"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": op, "bound": bound}], "image": [[["x", "x"]]]},
+            {"region": [{"var": 1, "op": "ge", "bound": 0}], "image": [[["x", "x"]]]}]}))
+        assert m.pieces[0].conditions[0].bound == bound
+        assert m.region_boundaries() == {0: (0.0,)}
+        assert m.evaluate((-3.0,)).boxes[0].lo == (-3.0,)
+
     def test_growth_key_is_honoured(self):
         src = '{"dim": 1, "growth": [2, 0.5], "pieces": [{"region": [], "image": [[["x", "x"]]]}]}'
         assert parse_map(src).growth == (2.0, 0.5)
@@ -224,6 +235,23 @@ class TestParseMap:
                               {"dim": 1, "builtin": {"name": "example1"}}]},
          "$.union[0]: unexpected parameters for 'example1': ['n']"),
         ({"dim": 1, "builtin": {"name": ["example1"]}}, "$: 'builtin' must hold a name"),
+        ({"dim": 1, "pieces": [{"region": [{"var": 1, "op": "le", "bound": math.nan}],
+                                "image": [[["0", "1"]]]}]},
+         "$.pieces[0]: condition 'bound' must be a number"),
+        ({"dim": 1, "pieces": [{"region": [{"var": 1, "op": "le", "bound": False}],
+                                "image": [[["0", "1"]]]}]},
+         "$.pieces[0]: condition 'bound' must be a number"),
+        ({"dim": 1, "pieces": [{"region": [{"var": True, "op": "le", "bound": 0}],
+                                "image": [[["0", "1"]]]}]},
+         "$.pieces[0]: condition 'var' must be in 1..1"),
+        ({"dim": True, "pieces": [{"region": [], "image": [[["0", "1"]]]}]},
+         "$: 'dim' must be an integer >= 1"),
+        ({"dim": 1, "growth": [True, False], "pieces": [{"region": [],
+                                                         "image": [[["0", "1"]]]}]},
+         "$: 'growth' must be [A, B]"),
+        ({"dim": 1, "product": [{"dim": 1, "builtin": {"name": "example1"}},
+                                {"dim": True, "builtin": {"name": "example1"}}]},
+         "$.product[1]: 'dim' must be an integer >= 1"),
     ])
     def test_bad_values_are_map_definition_errors(self, node, message):
         with pytest.raises(MapDefinitionError) as err:
@@ -267,6 +295,7 @@ class TestParseMap:
 
 
 DBL_MAX = sys.float_info.max
+MAPS = Path(__file__).resolve().parent.parent / "maps"
 OPS = {"lt": operator.lt, "le": operator.le, "ge": operator.ge, "gt": operator.gt,
        "eq": operator.eq}
 
@@ -363,7 +392,7 @@ class TestCoverage:
     @given(one_dim_pieces)
     def test_one_dimension_matches_the_cell_oracle(self, pieces):
         m = PiecewiseMap(1, [
-            Piece(Region(tuple(Condition(0, op, b) for op, b in conds)),
+            Piece(tuple(Condition(0, op, b) for op, b in conds),
                   (((Expr.const(0.0), Expr.const(1.0)),),))
             for conds in pieces
         ])
@@ -404,6 +433,52 @@ class TestRoundtrip:
         doc = json.loads(roundtrip(builtin("normgrad", {"n": 2, "k": 4})))
         assert doc["builtin"]["name"] == "normgrad"
 
+    def test_builtin_growth_override_survives(self):
+        src = json.dumps({"dim": 2, "builtin": {"name": "normgrad", "params": {"n": 2}},
+                          "growth": [5, 0]})
+        m = parse_map(src)
+        assert m.growth == (5.0, 0.0)
+        text = roundtrip(m)
+        assert list(json.loads(text)) == ["dim", "growth", "builtin"]
+        assert parse_map(text).growth == (5.0, 0.0)
+        assert "growth" not in json.loads(roundtrip(builtin("normgrad")))
+
+    @pytest.mark.parametrize("kind", ["product", "union"])
+    def test_composite_growth_override_precedes_the_parts(self, kind):
+        parts = [{"dim": 1, "builtin": {"name": "example1"}},
+                 {"dim": 1, "builtin": {"name": "antisign"}}]
+        m = parse_map(json.dumps({"dim": 2 if kind == "product" else 1, kind: parts,
+                                  "growth": [7, 0.5]}))
+        doc = json.loads(roundtrip(m))
+        assert list(doc) == ["dim", "growth", kind]
+        again = parse_map(roundtrip(m))
+        assert again.growth == m.growth == (7.0, 0.5)
+        assert roundtrip(again) == roundtrip(m)
+
+    # sha256 of roundtrip(builtin(name, params)), recorded before the
+    # serializer applied one growth rule to every node kind
+    CATALOG_DIGESTS = {
+        ("example1", None): "20ff7645f53abca36dfb08503f1062ae9ea5cd602e04968f38e2d4ef0c69dfad",
+        ("example2_F", None): "9790f93eebc6c823162412513b0a588ea703fbbd880c994518a2f7485b8001d1",
+        ("example2_G", None): "a7ebeda6a0c6a14693977dcfc16f2e791e996d1fb529b83b7c22da603d830073",
+        ("example3", None): "4878c89c95a4e27df0fc6e85f8610245c8792f1c7008155cce1d90fa73a871b6",
+        ("example4", None): "be555b00a222cb3911e8084d74bbd3c5b5500e51722579db0859dc9a7190e67e",
+        ("example4", 5): "1178ad5d28968a7255cf1a704fd631e6ac4ee42ebe3e106c404e37733d755710",
+        ("antisign", None): "d7e81fcf7ae3576b990035f17275939cc07181422f762506e814c66bbb12a0e8",
+        ("normgrad", None): "e3ac9829fbb5dce09320af6846d4c545436bc14ff6675a877312ad23c8df0dfc",
+    }
+
+    @pytest.mark.parametrize("name, n", sorted(CATALOG_DIGESTS, key=str))
+    def test_catalog_bytes_are_pinned(self, name, n):
+        text = roundtrip(builtin(name, {"n": n} if n else None))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            self.CATALOG_DIGESTS[name, n]
+
+    @pytest.mark.parametrize("path", sorted(MAPS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_files_are_their_own_roundtrip(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert roundtrip(parse_map(text)) == text
+
     def test_random_specs_roundtrip_evaluation(self):
         rng = random.Random(12)
         for trial in range(60):
@@ -416,7 +491,7 @@ class TestRoundtrip:
                 assert m.evaluate(x) == again.evaluate(x), (trial, x)
 
     def _random_map(self, rng, dim, depth=0):
-        from diffinc.setmap import Condition, Piece, PiecewiseMap, Region
+        from diffinc.setmap import Condition, Piece, PiecewiseMap
         roll = rng.random()
         if dim > 1 and roll < 0.35:
             split = rng.randint(1, dim - 1)
@@ -430,9 +505,9 @@ class TestRoundtrip:
             var = rng.randrange(dim)
             bound = round(rng.uniform(-2, 2), 2)
             op = rng.choice(["lt", "le", "ge", "gt", "eq"])
-            region = Region((Condition(var, op, bound),))
+            region = (Condition(var, op, bound),)
             pieces.append(Piece(region, self._random_image(rng, dim)))
-        pieces.append(Piece(Region(), self._random_image(rng, dim)))  # catch-all
+        pieces.append(Piece((), self._random_image(rng, dim)))  # catch-all
         return PiecewiseMap(dim, tuple(pieces))
 
     def _random_image(self, rng, dim):
@@ -450,9 +525,7 @@ class TestRoundtrip:
 
 class TestShippedFiles:
     def test_map_format_doc_example_matches_builtin(self):
-        import pathlib
-        path = pathlib.Path(__file__).resolve().parent.parent / "maps" / "example1.json"
-        m = parse_map(path.read_text(encoding="utf-8"))
+        m = parse_map((MAPS / "example1.json").read_text(encoding="utf-8"))
         rng = random.Random(13)
         for _ in range(50):
             x = (rng.uniform(-5, 5),)

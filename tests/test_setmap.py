@@ -199,9 +199,9 @@ class TestProduct:
         two = CompactSet.of_points((2.0,))
         f = builtin("example2_F")
         # constant maps via trivial piecewise construction
-        from diffinc.setmap import Expr, Piece, PiecewiseMap, Region
-        c1 = PiecewiseMap(1, (Piece(Region(), (((Expr.const(1.0), Expr.const(1.0)),),)),))
-        c2 = PiecewiseMap(1, (Piece(Region(), (((Expr.const(2.0), Expr.const(2.0)),),)),))
+        from diffinc.setmap import Expr, Piece, PiecewiseMap
+        c1 = PiecewiseMap(1, (Piece((), (((Expr.const(1.0), Expr.const(1.0)),),)),))
+        c2 = PiecewiseMap(1, (Piece((), (((Expr.const(2.0), Expr.const(2.0)),),)),))
         m = product(c1, c2)
         assert m.evaluate((9.0, -3.0)) == CompactSet.of_points((1.0, 2.0))
         assert one.dim + two.dim == m.dim
@@ -227,8 +227,8 @@ class TestProduct:
 
 class TestUnion:
     def test_constant_union(self):
-        from diffinc.setmap import Expr, Piece, PiecewiseMap, Region
-        c = lambda v: PiecewiseMap(1, (Piece(Region(), (((Expr.const(v), Expr.const(v)),),)),))
+        from diffinc.setmap import Expr, Piece, PiecewiseMap
+        c = lambda v: PiecewiseMap(1, (Piece((), (((Expr.const(v), Expr.const(v)),),)),))
         m = union(c(1.0), c(-1.0))
         assert m.evaluate((17.0,)) == CompactSet.of_points((1.0,), (-1.0,))
 

@@ -9,11 +9,12 @@ from helpers import integrate_majorant
 
 from diffinc.analyzer import check_trajectory_monotone, residual
 from diffinc.selector import SelectionPolicy, WcmInfeasible, feasible_region
-from diffinc.setmap import Expr, Piece, PiecewiseMap, Region, builtin
+from diffinc.setmap import Expr, Piece, PiecewiseMap, builtin
 from diffinc.solver import (
     MAX_STEPS,
     GrowthBounds,
     MeshTooCoarse,
+    Trajectory,
     converge,
     euler_polygon,
     gronwall_bounds,
@@ -133,7 +134,7 @@ class TestEulerPolygon:
             euler_polygon(m, (1.0,), 1.0, 2, enforce_mesh=False)
 
     def test_warns_without_growth_constants(self):
-        m = PiecewiseMap(1, (Piece(Region(), (((Expr.const(0.0), Expr.const(0.0)),),)),))
+        m = PiecewiseMap(1, (Piece((), (((Expr.const(0.0), Expr.const(0.0)),),)),))
         with pytest.warns(UserWarning):
             traj = euler_polygon(m, (1.0,), 1.0, 4)
         assert traj.terminal == (1.0,)
@@ -334,3 +335,31 @@ class TestCsv:
         traj = euler_polygon(builtin("example1"), (0.0,), 1.0, 3)
         text = trajectory_to_csv(traj)
         assert "\r" not in text and "," in text
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "not a trajectory CSV"),
+        ("\n\n", "not a trajectory CSV"),
+        ("t\n0\n1\n", "not a trajectory CSV"),
+        ("t,x_1,v_1\n", "needs at least two rows, got 0"),
+        ("t,x_1,v_1\n0,1,1\n", "needs at least two rows, got 1"),
+    ])
+    def test_too_few_rows_are_value_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            trajectory_from_csv(text)
+
+    def test_two_rows_make_one_step(self):
+        traj = trajectory_from_csv("t,x_1,v_1\n0,1,2\n0.5,2,2\n")
+        assert traj.steps == 1 and traj.mesh_size == 0.5
+
+
+class TestTrajectoryValidation:
+    @pytest.mark.parametrize("times", [(0.0, math.nan), (0.0, 1.0, math.nan),
+                                       (0.0, 1.0, 1.0), (math.nan, 1.0)])
+    def test_times_must_increase_strictly_from_zero(self, times):
+        n = len(times)
+        with pytest.raises(ValueError, match="times must increase strictly from 0"):
+            Trajectory(times, ((0.0,),) * n, ((1.0,),) * (n - 1), "t", LEX_MAX)
+
+    def test_at_least_one_step(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            Trajectory((0.0,), ((0.0,),), (), "t", LEX_MAX)

@@ -56,7 +56,6 @@ from diffinc.setmap import (
     Expr,
     Piece,
     PiecewiseMap,
-    Region,
     builtin,
     distance,
 )
@@ -183,7 +182,7 @@ class TestSignedZeroCuts:
         (-1.0, -0.0, -0.25, "lex_max"),  # upper cut: bound -0.25 + 0.25 = 0.0
     ])
     def test_corner_sign_is_kept(self, lo, hi, v0, variant):
-        m = PiecewiseMap(1, (Piece(Region(), (((Expr.const(lo), Expr.const(hi)),),)),))
+        m = PiecewiseMap(1, (Piece((), (((Expr.const(lo), Expr.const(hi)),),)),))
         policy = SelectionPolicy(variant, 0.25)
         got = polygon_outcome(lambda: solve(m, (0.0,), 1.0, 3, policy, (v0,)))
         assert got == polygon_outcome(
