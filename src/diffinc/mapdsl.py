@@ -479,7 +479,8 @@ def map_to_dict(m: SetValuedMap) -> dict:
 
 
 def roundtrip(m: SetValuedMap) -> str:
-    """Serialize so that ``parse_map(roundtrip(m))`` evaluates identically.
+    """Serialize so that ``parse_map(roundtrip(m))`` evaluates identically
+    and declares the same growth constants.
 
     Structurally defined builtins are lowered to their explicit piece
     encoding; only callable-backed builtins keep a ``builtin`` node.
