@@ -28,13 +28,14 @@ The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
 pairs of the map's trusted ``_eval`` at the float tuples they build;
 ``check_closed_graph``, which works on whole sets, calls ``evaluate``.
 
-Checks draw their random pairs or cycles one at a time, after the
-deterministic battery and only up to the first failure; the draws come
-from the seeded generator in a fixed order, so a report does not depend
-on how far the search went.  Only the pair/cycle *sampling* is
-approximate: a ``pass-sampled`` verdict claims absence of
-counterexamples within the budget, never a proof.  Every ``fail``
-verdict carries a certificate that re-verifies by direct evaluation.
+Checks draw the deterministic battery, then their random pairs or
+cycles, one at a time and only up to the first failure; the battery
+comes in a fixed order and the random draws from the seeded generator
+in a fixed order, so a report does not depend on how far the search
+went.  Only the pair/cycle *sampling* is approximate: a
+``pass-sampled`` verdict claims absence of counterexamples within the
+budget, never a proof.  Every ``fail`` verdict carries a certificate
+that re-verifies by direct evaluation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .selector import _clip
 from .setmap import (
@@ -108,36 +109,35 @@ def _axis_point(n: int, j: int, value: float) -> Vector:
     return tuple(p)
 
 
-def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vector]]:
-    """Deterministic battery: axis-aligned pairs at ladder magnitudes,
-    cross-axis pairs, and pairs straddling every (finite) region bound."""
+def _battery(m: SetValuedMap, radius: float) -> Iterator[tuple[Vector, Vector]]:
+    """The pairs of ``structured_pairs``, drawn one at a time."""
     n = m.dim
     mags = sorted({v for v in _LADDER if v <= radius} | {radius, radius / 2})
     signed = sorted({s * v for v in mags for s in (1.0, -1.0)} | {0.0})
-    pairs: list[tuple[Vector, Vector]] = []
     for j in range(n):
-        pairs.extend(
-            (_axis_point(n, j, a), _axis_point(n, j, b))
-            for a in signed
-            for b in signed
-            if a != b
-        )
+        for a in signed:
+            for b in signed:
+                if a != b:
+                    yield _axis_point(n, j, a), _axis_point(n, j, b)
     if n > 1:
         for j in range(n):
             k = (j + 1) % n
-            pairs.extend(
-                (_axis_point(n, j, a), _axis_point(n, k, b))
-                for a in (radius / 2, -radius / 2, 1.0)
-                for b in (radius / 2, -radius / 2, 1.0)
-            )
+            for a in (radius / 2, -radius / 2, 1.0):
+                for b in (radius / 2, -radius / 2, 1.0):
+                    yield _axis_point(n, j, a), _axis_point(n, k, b)
     for j, bounds in sorted(m.region_boundaries().items()):
         for b in bounds:
             for eps in _STRADDLE:
                 above = _axis_point(n, j, b + eps)
                 below = _axis_point(n, j, b - eps)
                 at = _axis_point(n, j, b)
-                pairs.extend([(above, below), (below, above), (at, above), (at, below)])
-    return pairs
+                yield from ((above, below), (below, above), (at, above), (at, below))
+
+
+def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vector]]:
+    """Deterministic battery: axis-aligned pairs at ladder magnitudes,
+    cross-axis pairs, and pairs straddling every (finite) region bound."""
+    return list(_battery(m, radius))
 
 
 def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
@@ -204,14 +204,16 @@ def _hardest_corner(pairs_x: Sequence[tuple[Vector, Vector]],
     sigma = tuple([(a > b) - (a < b) for a, b in zip(x, y)])
     # selector convention is displacement-sign based (w >= prev when s > 0),
     # which is the sigma-flipped form of the constraint; a y-box the cut
-    # empties is blocked at the first coordinate that emptied it
+    # empties is blocked at the first coordinate that emptied it.  One
+    # surviving y-box decides a passing x-box, so the cut stops there;
+    # a failing one has cut, and lists, every y-box
     flipped = tuple([-s for s in sigma])
     for box_index, (lo_x, hi_x) in enumerate(pairs_x):
         corner = tuple(
             lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
             for lo, hi, s in zip(lo_x, hi_x, sigma)
         )
-        kept, dropped = _clip(pairs_y, corner, flipped, 0.0)
+        kept, dropped = _clip(pairs_y, corner, flipped, 0.0, first=True)
         if not kept:
             return {
                 "x": list(x),
@@ -262,7 +264,7 @@ def check_wcm(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckRep
     """Sample `count` random pairs in [-radius, radius]^n after the
     deterministic battery; first failure short-circuits."""
     r = _check_budget(radius, count)
-    pairs = chain(structured_pairs(m, r), _random_tuples(seed, m.dim, r, count, 2))
+    pairs = chain(_battery(m, r), _random_tuples(seed, m.dim, r, count, 2))
     return _sampled_check(
         "wcm", pairs, lambda p: _hardest_corner(m._eval(p[0]), m._eval(p[1]), *p),
         seed, radius,
@@ -345,7 +347,7 @@ def find_monotonicity_violation(
 ) -> CheckReport:
     """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
     r = _check_budget(radius, count)
-    pairs = chain(structured_pairs(m, r), _random_tuples(seed, m.dim, r, count, 2))
+    pairs = chain(_battery(m, r), _random_tuples(seed, m.dim, r, count, 2))
     return _sampled_check(
         "monotone", pairs, lambda p: _monotone_gap(m, p[0], p[1]), seed, radius
     )
@@ -363,7 +365,7 @@ def find_cyclic_violation(
         raise ValueError("cycles need at least 2 points")
     r = _check_budget(radius, count, cycle_len, "cycle_len")
     cycles = chain(
-        ((a, b) for a, b in structured_pairs(m, r) if a != b),
+        ((a, b) for a, b in _battery(m, r) if a != b),
         _random_tuples(seed, m.dim, r, count, cycle_len),
     )
     return _sampled_check("cyclic", cycles, lambda c: _cycle_gap(m, c), seed,
@@ -604,7 +606,9 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     ``max(lo - v, v - hi, 0.0)`` is 0.0 exactly when ``lo <= v <= hi``.
     A nonzero distance is ``math.hypot`` of rounded gaps, accurate to a
     few ulps, and the interior sample states carry the rounding of
-    ``x + dt * v``.
+    ``x + dt * v``.  Each distance stops at the first box within the
+    running maximum (``_distance``'s ``stop``), which leaves the maximum
+    unchanged; every image is still evaluated and corner-checked.
     """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
@@ -613,7 +617,7 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     evaluate = m._eval
     node_res = 0.0
     for x, v in zip(nodes, velocities):
-        node_res = max(node_res, _distance(evaluate(x), v))
+        node_res = max(node_res, _distance(evaluate(x), v, node_res))
     interval_res = 0.0
     parts = samples_per_interval + 1
     times = traj.times
@@ -623,5 +627,5 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
         for k in range(1, parts):
             dt = span * k / parts
             state = tuple([c + dt * vc for c, vc in zip(x, v)])
-            interval_res = max(interval_res, _distance(evaluate(state), v))
+            interval_res = max(interval_res, _distance(evaluate(state), v, interval_res))
     return node_res, interval_res

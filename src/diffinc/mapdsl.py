@@ -16,7 +16,8 @@ dimension) or ``builtin`` (``{"name": ..., "params": {...}}``).  A box is
 an array of ``dim`` two-element arrays of expression strings
 ``[lo, hi]``; region comparators are ``lt``, ``le``, ``ge``, ``gt``,
 ``eq`` with 1-based variable indices.  An optional ``growth": [A, B]``
-declares the linear-growth constants used for mesh sizing.
+declares the linear-growth constants used for mesh sizing; both must be
+finite and >= 0.
 
 Expression grammar (precedence low to high)::
 
@@ -260,10 +261,10 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
     growth = obj.get("growth")
     if growth is not None:
         _require(isinstance(growth, list) and len(growth) == 2,
-                 f"{path}: 'growth' must be [A, B] with A, B >= 0")
+                 f"{path}: 'growth' must be [A, B] with finite A, B >= 0")
         growth = tuple(_number(g) for g in growth)
-        _require(all(g is not None and g >= 0 for g in growth),
-                 f"{path}: 'growth' must be [A, B] with A, B >= 0")
+        _require(all(g is not None and 0 <= g < math.inf for g in growth),
+                 f"{path}: 'growth' must be [A, B] with finite A, B >= 0")
 
     kind = keys.pop()
     if kind == "pieces":

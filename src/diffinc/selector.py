@@ -129,11 +129,12 @@ class WcmInfeasible(RuntimeError):
 
 
 def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
-          signs: Sequence[int], slack: float
+          signs: Sequence[int], slack: float, first: bool = False
           ) -> tuple[list[tuple[Vector, Vector]], list[tuple[int, int]]]:
     """The (lo, hi) pairs cut by the sign constraint, empty boxes dropped,
     and for each dropped box (its index, the first coordinate whose cut
-    emptied it).
+    emptied it).  With ``first`` the cut stops at the first box that
+    survives it, so only an empty result has cut every box.
 
     Where ``s_j > 0`` the lower bound becomes ``max(lo_j, prev_v_j -
     slack)``, where ``s_j < 0`` the upper bound becomes ``min(hi_j,
@@ -158,6 +159,8 @@ def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
                 break
         else:
             kept.append((tuple(lo), tuple(hi)))
+            if first:
+                break
     return kept, dropped
 
 

@@ -14,10 +14,13 @@ produces the same box list, bit for bit.
 Validation happens once, at the boundary.  A map's public ``evaluate``
 checks the point's dimension and converts it to a float tuple; below
 that, maps pass trusted float tuples to each other through ``_eval``,
-and a piecewise map runs code compiled once, at construction, from its
-expression trees (one function per image box).  The computed corners
-are still checked for ``lo <= hi`` and finiteness on every evaluation,
-so a bad image raises the same ``MapDefinitionError`` as ever.  Image
+and a piecewise map's ``_eval`` is one function compiled at
+construction from its regions and expression trees: inline region
+tests, then each matching piece's boxes, a box of constants folded to
+its value (a very large map becomes a few such functions, run in
+order).  The computed corners are still checked for ``lo <= hi`` and
+finiteness on every evaluation, so a bad image raises the same
+``MapDefinitionError`` as ever.  Image
 boxes, and the feasible regions the selector cuts from them, are built
 with ``Box._trusted`` / ``CompactSet._trusted``, which skip re-checking
 what was just checked; every other construction validates.
@@ -232,116 +235,139 @@ _UNARY = {
 _BINARY = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}"}
 
 
-_CHUNK = 2048  # source characters compiled together, at most one box more
+_CHUNK = 2048  # source characters compiled together, at most one piece more
 
 
 class _Codegen:
-    """Builds functions of x from Expr trees, one statement per distinct
-    subtree.
+    """Builds the statements that collect the image boxes of a run of
+    pieces into a list ``out``, one statement per distinct subtree of
+    each box.
 
-    Constants become parameters of a factory function, so each float is
-    bound as an object and never printed; they are keyed by their bits,
-    so 0.0 and -0.0 (equal under ``==``) stay distinct.  Within one
-    function a subtree equal to one already computed reuses its
-    temporary; evaluation is pure, so this changes no result.
-    ``real_cbrt`` is looked up in this module's globals at call time.
+    Constants and other objects become parameters of a factory
+    function, so each float is bound as an object and never printed;
+    constants are keyed by their bits, so 0.0 and -0.0 (equal under
+    ``==``) stay distinct.  Within one box a subtree equal to one
+    already computed reuses its temporary; evaluation is pure, so this
+    changes no result.  ``real_cbrt`` is looked up in this module's
+    globals at call time.
     """
 
     def __init__(self):
         self.consts: dict[bytes, str] = {}
-        self.values: list[float] = []
+        self.bound: dict[str, object] = {}
         self.lines: list[str] = []
-        self.count = 0
         self.size = 0
 
-    def begin(self) -> None:
-        self.body: list[str] = []
-        self.memo: dict[tuple, str] = {}
+    def bind(self, value: object) -> str:
+        name = f"c{len(self.bound)}"
+        self.bound[name] = value
+        return name
 
-    def end(self, tail: list[str]) -> None:
-        self.lines.append(f"    def f{self.count}(x):")
-        self.lines.extend("        " + ln for ln in self.body + tail)
-        self.size += sum(map(len, self.body + tail))
-        self.count += 1
+    def const(self, v: float) -> str:
+        bits = _pack_double(v)
+        name = self.consts.get(bits)
+        if name is None:
+            name = self.consts[bits] = self.bind(v)
+        return name
 
-    def operand(self, e: Expr) -> str:
+    def operand(self, e: Expr, memo: dict, body: list[str]) -> str:
         """Emit the statements computing e; return the name holding it."""
         op = e.op
         if op == "const":
-            bits = _pack_double(e.value)
-            name = self.consts.get(bits)
-            if name is None:
-                name = self.consts[bits] = f"c{len(self.values)}"
-                self.values.append(e.value)
-            return name
+            return self.const(e.value)
         if op == "var":
             key: tuple = ("var", e.index)
             args: tuple[str, ...] = ()
         else:
-            args = tuple(self.operand(a) for a in e.args)
+            args = tuple(self.operand(a, memo, body) for a in e.args)
             key = (op, *args)
-        name = self.memo.get(key)
+        name = memo.get(key)
         if name is None:
-            name = self.memo[key] = f"t{len(self.memo)}"
+            name = memo[key] = f"t{len(memo)}"
             if op == "var":
                 rhs = f"x[{e.index}]"
             else:
                 rhs = (_BINARY.get(op) or _UNARY[op]).format(*args)
-            self.body.append(f"{name} = {rhs}")
+            body.append(f"{name} = {rhs}")
         return name
 
-    def build(self, **bound: object) -> list[Callable]:
-        """The functions emitted so far; ``bound`` names further objects
-        they use."""
+    def piece(self, p: Piece) -> None:
+        """Emit the statements that append p's boxes to ``out`` where its
+        region holds.  A box with a corner that is not finite, or with
+        lo > hi, raises through ``_bad_box``; a valid box of constants
+        is folded to its value."""
+        body: list[str] = []
+        names = []
+        for box in p.image:
+            if all(e.op == "const" for pair in box for e in pair):
+                pair = (tuple(a.value for a, _ in box), tuple(b.value for _, b in box))
+                if all(_NINF < a <= b < _INF for a, b in zip(*pair)):
+                    names.append(self.bind(pair))
+                    continue
+            memo: dict = {}
+            los, his = [], []
+            ok = {}  # ordered set: a repeated coordinate is checked once
+            for lo_e, hi_e in box:
+                a = self.operand(lo_e, memo, body)
+                b = a if hi_e is lo_e else self.operand(hi_e, memo, body)
+                los.append(a)
+                his.append(b)
+                ok[f"_NINF < {a} < _INF" if a == b else f"_NINF < {a} <= {b} < _INF"] = None
+            name = f"b{len(names)}"
+            body += [f"lo = ({''.join(n + ', ' for n in los)})",
+                     f"{name} = lo, " + ("lo" if los == his else
+                                         f"({''.join(n + ', ' for n in his)})"),
+                     "if not (" + "\n        and ".join(ok) + "):",
+                     f"    _bad_box(label, x, *{name})"]
+            names.append(name)
+        body.append(f"out.append({names[0]})" if len(names) == 1
+                    else f"out += ({', '.join(names)})")
+        test = " and ".join(f"x[{c.var}] {_REGION_OPS[c.op]} {self.const(c.bound)}"
+                            for c in p.conditions)
+        if test:
+            body = [f"if {test}:", *("    " + ln for ln in body)]
+        self.lines += body
+        self.size += sum(map(len, body))
+
+    def build(self, args: str, head: list[str], tail: list[str],
+              **bound: object) -> Callable:
+        """The function ``f(args)`` running ``head``, the statements
+        emitted so far, then ``tail``; ``bound`` names further objects
+        it uses."""
+        params = {**self.bound, **bound}
         src = "\n".join([
-            f"def factory({', '.join([*self.consts.values(), *bound])}):",
-            *self.lines,
-            f"    return [{', '.join(f'f{k}' for k in range(self.count))}]",
+            f"def factory({', '.join(params)}):",
+            f"    def f({args}):",
+            *("        " + ln for ln in head + self.lines + tail),
+            "    return f",
         ])
         scope: dict = {}
         exec(compile(src, "<diffinc compiled map>", "exec"), globals(), scope)
-        return scope["factory"](*self.values, *bound.values())
+        return scope["factory"](*params.values())
 
 
-def _compile_boxes(boxes: Sequence[tuple[tuple[Expr, Expr], ...]],
-                   label: str) -> list[Callable[[Vector], tuple[Vector, Vector]]]:
-    """One function ``x -> (lo, hi)`` per image box of map ``label``, at
-    trusted float tuples x.  A box with a corner that is not finite, or
-    with lo > hi, raises through ``_bad_box``.  A valid box of constants
-    is folded to its value.  The others are compiled a few kilobytes of
-    source at a time: one compile for a small map, and a bounded
-    compiler working set for a large one."""
-    fns: list = []
-    gens: list[tuple[_Codegen, list[int]]] = []  # with the indices they fill
-    for box in boxes:
-        if all(e.op == "const" for pair in box for e in pair):
-            pair = (tuple(a.value for a, _ in box), tuple(b.value for _, b in box))
-            if all(_NINF < a <= b < _INF for a, b in zip(*pair)):
-                fns.append(lambda x, pair=pair: pair)
-                continue
-        if not gens or gens[-1][0].size > _CHUNK:
-            gens.append((_Codegen(), []))
-        gen, slots = gens[-1]
-        gen.begin()
-        los, his = [], []
-        ok = {}  # ordered set: a repeated coordinate is checked once
-        for lo_e, hi_e in box:
-            a = gen.operand(lo_e)
-            b = a if hi_e is lo_e else gen.operand(hi_e)
-            los.append(a)
-            his.append(b)
-            ok[f"_NINF < {a} < _INF" if a == b else f"_NINF < {a} <= {b} < _INF"] = None
-        gen.end([f"lo = ({''.join(n + ', ' for n in los)})",
-                 f"hi = ({''.join(n + ', ' for n in his)})",
-                 "if (" + "\n        and ".join(ok) + "):",
-                 "    return lo, hi",
-                 "_bad_box(label, x, lo, hi)"])
-        slots.append(len(fns))
-        fns.append(None)
-    for gen, slots in gens:
-        for k, fn in zip(slots, gen.build(label=label)):
-            fns[k] = fn
-    return fns
+def _compile_eval(pieces: Sequence[Piece],
+                  label: str) -> Callable[[Vector], list[tuple[Vector, Vector]]]:
+    """The ``_eval`` of piecewise map ``label``: at a trusted float tuple
+    x, the boxes of every piece whose region holds, in piece order, as
+    (lo, hi) pairs; an empty image raises through ``_empty_image``.
+
+    The pieces are compiled a few kilobytes of source at a time: one
+    function for a small map, and a bounded compiler working set for a
+    large one, which becomes one function per consecutive run of
+    pieces.  The last of them runs the others in order, each appending
+    to its list."""
+    gens = [_Codegen()]
+    for p in pieces:
+        if gens[-1].size > _CHUNK:
+            gens.append(_Codegen())
+        gens[-1].piece(p)
+    parts = {f"part{k}": gen.build("x, out", [], [], label=label)
+             for k, gen in enumerate(gens[:-1])}
+    return gens[-1].build(
+        "x", ["out = []", *(f"{name}(x, out)" for name in parts)],
+        ["if not out:", "    _empty_image(label, x)", "return out"],
+        label=label, **parts)
 
 
 def _bad_box(label: str, x: Vector, lo: Vector, hi: Vector) -> None:
@@ -353,6 +379,12 @@ def _bad_box(label: str, x: Vector, lo: Vector, hi: Vector) -> None:
                 f"map {label!r} produced lo {a!r} > hi {b!r} at {x}"
             )
     raise MapDefinitionError("box corners must be finite")
+
+
+def _empty_image(label: str, x: Vector) -> None:
+    raise MapDefinitionError(
+        f"map {label!r} has an empty image at {x} (no piece matches)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +520,23 @@ def distance(s: CompactSet, v: Sequence[float]) -> float:
     return _distance(s._pairs(), v)
 
 
-def _distance(pairs: Sequence[tuple[Vector, Vector]], v: Sequence[float]) -> float:
+def _distance(pairs: Sequence[tuple[Vector, Vector]], v: Sequence[float],
+              stop: float = 0.0) -> float:
     """Distance from v, of the pairs' dimension, to the union of the
     (lo, hi) boxes: the minimum over boxes of ``hypot`` of the per-
-    coordinate gaps, the first minimum on ties as with ``min``.  It
-    stops at the first box at distance 0.0, which no later box can
-    undercut."""
+    coordinate gaps, the first minimum on ties as with ``min``.
+
+    It stops at the first box at distance ``<= stop``: no later box can
+    lift the minimum above ``stop``, so ``max(stop, d)`` is the same
+    with or without the stop; a caller keeping a running maximum passes
+    it as ``stop``.  No distance is below the default stop, 0.0, so
+    there the minimum itself comes back."""
     best = None
     for lo, hi in pairs:
         d = math.hypot(*[max(a - c, c - b, 0.0) for a, b, c in zip(lo, hi, v)])
         if best is None or d < best:
             best = d
-            if d == 0.0:
+            if d <= stop:
                 break
     return best
 
@@ -525,13 +562,8 @@ def vertices(s: CompactSet) -> list[Vector]:
 # Piecewise regions
 # ---------------------------------------------------------------------------
 
-_REGION_OPS = {
-    "lt": operator.lt,
-    "le": operator.le,
-    "ge": operator.ge,
-    "gt": operator.gt,
-    "eq": operator.eq,
-}
+# each comparator as the Python operator that the compiled code applies
+_REGION_OPS = {"lt": "<", "le": "<=", "ge": ">=", "gt": ">", "eq": "=="}
 
 
 @dataclass(frozen=True)
@@ -595,8 +627,10 @@ class SetValuedMap:
         self.dim = int(dim)
         if growth is not None:
             a, b = float(growth[0]), float(growth[1])
-            if a < 0 or b < 0:
-                raise MapDefinitionError("growth constants must be >= 0")
+            if not (0 <= a < _INF and 0 <= b < _INF):
+                raise MapDefinitionError(
+                    f"growth constants must be finite and >= 0, got {(a, b)}"
+                )
             growth = (a, b)
         self.growth = growth
         self.label = label if label is not None else self.kind
@@ -656,28 +690,7 @@ class PiecewiseMap(SetValuedMap):
                             f"image expression uses x{bad + 1} in a "
                             f"{dim}-dimensional map"
                         )
-        fns = iter(_compile_boxes([b for p in self.pieces for b in p.image], self.label))
-        # (region as (var, comparator, bound) tuples, box functions) per piece
-        self._compiled = tuple(
-            (tuple((c.var, _REGION_OPS[c.op], c.bound) for c in p.conditions),
-             tuple(next(fns) for _ in p.image))
-            for p in self.pieces
-        )
-
-    def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
-        boxes = []
-        for conditions, fns in self._compiled:
-            for var, holds, bound in conditions:
-                if not holds(x[var], bound):
-                    break
-            else:
-                for fn in fns:
-                    boxes.append(fn(x))
-        if not boxes:
-            raise MapDefinitionError(
-                f"map {self.label!r} has an empty image at {x} (no piece matches)"
-            )
-        return boxes
+        self._eval = _compile_eval(self.pieces, self.label)
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         # a bound that is not finite splits no finite coordinate range,
@@ -703,11 +716,13 @@ class _Composite(SetValuedMap):
         super().__init__(dim, self.derived_growth(), label)
 
     def derived_growth(self) -> tuple[float, float] | None:
-        """The growth constants implied by the two parts' current ones."""
+        """The growth constants implied by the two parts' current ones;
+        None when a part declares none or a sum overflows the doubles."""
         lg, rg = self.left.growth, self.right.growth
         if lg is None or rg is None:
             return None
-        return (self._combine(lg[0], rg[0]), self._combine(lg[1], rg[1]))
+        a, b = self._combine(lg[0], rg[0]), self._combine(lg[1], rg[1])
+        return (a, b) if a < _INF and b < _INF else None
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         """Both parts' boundaries, the right part's coordinates shifted

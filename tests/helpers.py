@@ -8,9 +8,10 @@ from diffinc.analyzer import (
     CheckReport,
     CoordinateMonotone,
     GrowthFit,
+    _LADDER,
+    _STRADDLE,
     _axis_point,
     _random_point,
-    structured_pairs,
 )
 from diffinc.selector import SignPattern, WcmInfeasible
 from diffinc.setmap import (
@@ -366,6 +367,38 @@ def _cycle_gap(m, points):
     return None
 
 
+def reference_structured_pairs(m, radius):
+    """The deterministic battery built up front as one list: the original
+    ``structured_pairs``, kept as the oracle for the lazily drawn one."""
+    n = m.dim
+    mags = sorted({v for v in _LADDER if v <= radius} | {radius, radius / 2})
+    signed = sorted({s * v for v in mags for s in (1.0, -1.0)} | {0.0})
+    pairs = []
+    for j in range(n):
+        pairs.extend(
+            (_axis_point(n, j, a), _axis_point(n, j, b))
+            for a in signed
+            for b in signed
+            if a != b
+        )
+    if n > 1:
+        for j in range(n):
+            k = (j + 1) % n
+            pairs.extend(
+                (_axis_point(n, j, a), _axis_point(n, k, b))
+                for a in (radius / 2, -radius / 2, 1.0)
+                for b in (radius / 2, -radius / 2, 1.0)
+            )
+    for j, bounds in sorted(m.region_boundaries().items()):
+        for b in bounds:
+            for eps in _STRADDLE:
+                above = _axis_point(n, j, b + eps)
+                below = _axis_point(n, j, b - eps)
+                at = _axis_point(n, j, b)
+                pairs.extend([(above, below), (below, above), (at, above), (at, below)])
+    return pairs
+
+
 def _eager_report(condition, items, decide, seed, radius, extra=None):
     for i, item in enumerate(items):
         cert = decide(item)
@@ -376,7 +409,7 @@ def _eager_report(condition, items, decide, seed, radius, extra=None):
 
 def _eager_pairs(m, radius, count, seed):
     rng = random.Random(seed)
-    pairs = structured_pairs(m, radius)
+    pairs = reference_structured_pairs(m, radius)
     pairs.extend(
         (_random_point(rng, m.dim, radius), _random_point(rng, m.dim, radius))
         for _ in range(count)
@@ -400,7 +433,7 @@ def reference_monotone(m, radius, count, seed):
 
 def reference_cyclic(m, radius, cycle_len, count, seed):
     rng = random.Random(seed)
-    cycles = [(a, b) for a, b in structured_pairs(m, radius) if a != b]
+    cycles = [(a, b) for a, b in reference_structured_pairs(m, radius) if a != b]
     cycles.extend(
         tuple(_random_point(rng, m.dim, radius) for _ in range(cycle_len))
         for _ in range(count)

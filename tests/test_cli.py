@@ -282,6 +282,15 @@ class TestUsageErrors:
         assert code == 1
         assert "empty image" in err
 
+    def test_infinite_growth_in_map_file_exits_1(self, capsys, tmp_path):
+        # before, the file parsed and solve failed on "T*M = nan"
+        bad = tmp_path / "growth.json"
+        bad.write_text('{"dim": 1, "growth": [Infinity, 0], '
+                       '"pieces": [{"region": [], "image": [[["1", "2"]]]}]}')
+        code, out, err = run(capsys, "solve", "--map", str(bad), "--x0", "0.5", "--T", "1")
+        assert code == 1 and out == ""
+        assert "$: 'growth' must be [A, B] with finite A, B >= 0" in err
+
     @pytest.mark.parametrize("condition", ["wcm", "monotone", "cyclic", "growth", "graph"])
     @pytest.mark.parametrize("radius", ["inf", "nan"])
     def test_non_finite_radius(self, capsys, condition, radius):

@@ -6,9 +6,12 @@ returns what the original recursive evaluator returned, bit for bit,
 and raises the same errors.
 """
 
+import functools
 import math
+import random
 import struct
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diffinc.setmap import (
@@ -22,7 +25,13 @@ from diffinc.setmap import (
     real_cbrt,
 )
 
-from helpers import compiled_eval, reference_image, reference_real_cbrt, tree_eval
+from helpers import (
+    compiled_eval,
+    random_expr,
+    reference_image,
+    reference_real_cbrt,
+    tree_eval,
+)
 
 
 def bits(v):
@@ -118,6 +127,8 @@ def test_signed_zero_constants_stay_distinct():
 
 REGION_OPS = ["lt", "le", "ge", "gt", "eq"]
 BOUNDS = [0.0, -0.0, 1.0, -1.5, 2.0]
+# no region test holds at NaN, and an image at ±inf is usually not finite
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 @st.composite
@@ -163,7 +174,7 @@ def maps(draw, dim, depth=2, bounds=BOUNDS):
 def map_and_point(draw):
     dim = draw(st.integers(1, 3))
     m = draw(maps(dim))
-    point = st.one_of(st.sampled_from(BOUNDS), coordinates)
+    point = st.one_of(st.sampled_from(BOUNDS), coordinates, st.sampled_from(NON_FINITE))
     return m, tuple(draw(point) for _ in range(dim))
 
 
@@ -220,6 +231,74 @@ def test_each_error_kind_matches_reference():
     got = outcome(empty.evaluate, (-1.0,))
     assert "empty image" in got[1]
     assert got == outcome(reference_image, empty, (-1.0,))
+
+
+def compiled_parts(m):
+    """How many functions a piecewise map's ``_eval`` was compiled into:
+    the last one holds the others as ``part0``, ``part1``, ..."""
+    return 1 + sum(name.startswith("part") for name in m._eval.__code__.co_freevars)
+
+
+@functools.cache
+def large_map(seed):
+    """A 2-D map of 60 random pieces, some with constant boxes, that
+    compiles into several functions."""
+    rng = random.Random(seed)
+    pieces = []
+    for k in range(60):
+        conditions = tuple(
+            Condition(rng.randrange(2), rng.choice(REGION_OPS), rng.choice(BOUNDS))
+            for _ in range(rng.randint(0, 2)))
+        image = []
+        for _ in range(rng.randint(1, 3)):
+            box = []
+            for _ in range(2):
+                lo = random_expr(rng, 2)
+                hi = lo if rng.random() < 0.5 else Expr.add(lo, Expr.const(float(k % 4)))
+                box.append((lo, hi))
+            image.append(tuple(box))
+        pieces.append(Piece(conditions, tuple(image)))
+    return PiecewiseMap(2, pieces, label=f"large{seed}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3),
+       st.tuples(*[st.one_of(st.sampled_from(BOUNDS), coordinates,
+                             st.sampled_from(NON_FINITE))] * 2))
+def test_map_compiled_in_several_functions_matches_reference(seed, x):
+    m = large_map(seed)
+    assert compiled_parts(m) >= 3
+    got = outcome(lambda p: [(b.lo, b.hi) for b in m.evaluate(p).boxes], x)
+    want = outcome(reference_image, m, x)
+    if got[0] == "ok" and want[0] == "ok":
+        assert box_bits(got[1]) == box_bits(want[1])
+    else:
+        assert got == want
+
+
+_V = Expr.var(0)
+GOOD = ((_V, _V),)
+LO_ABOVE_HI = ((Expr.const(1.0), Expr.const(0.0)),)
+_OVERFLOW = Expr.mul(Expr.const(1e308), Expr.add(_V, Expr.const(1e308)))
+INFINITE = ((_OVERFLOW, _OVERFLOW),)
+
+
+@pytest.mark.parametrize("filler", [0, 80])
+@pytest.mark.parametrize("first, second", [(LO_ABOVE_HI, INFINITE), (INFINITE, LO_ABOVE_HI)])
+@pytest.mark.parametrize("same_piece", [True, False])
+def test_first_bad_box_in_piece_order_raises(filler, first, second, same_piece):
+    # filler pieces put the two bad boxes into different compiled functions
+    if same_piece:
+        pieces = [Piece((), (GOOD, first, GOOD, second))]
+    else:
+        pieces = [Piece((), (GOOD, first)), Piece((Condition(0, "ge", 0.0),), (second, GOOD))]
+    pieces[1:1] = [Piece((Condition(0, "lt", float(-k)),), (GOOD,)) for k in range(filler)]
+    m = PiecewiseMap(1, pieces, label="bad")
+    assert (compiled_parts(m) > 1) == (filler > 0)
+    got = outcome(m.evaluate, (1.0,))
+    assert got == outcome(reference_image, m, (1.0,))
+    assert got[1] == ("map 'bad' produced lo 1.0 > hi 0.0 at (1.0,)"
+                      if first is LO_ABOVE_HI else "box corners must be finite")
 
 
 def _cube(k):

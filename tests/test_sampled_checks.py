@@ -17,6 +17,7 @@ from helpers import (
     reference_max_vertex,
     reference_min_vertex,
     reference_monotone,
+    reference_structured_pairs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,12 +29,24 @@ from diffinc.analyzer import (
     _min_vertex,
     check_closed_graph,
     check_wcm,
+    check_wcm_pair,
     estimate_growth,
     find_cyclic_violation,
     find_monotonicity_violation,
     structured_pairs,
+    wcm_pair_feasible,
 )
-from diffinc.setmap import Box, CompactSet, MapDefinitionError, NativeMap, builtin, distance
+from diffinc.setmap import (
+    Box,
+    CompactSet,
+    Expr,
+    MapDefinitionError,
+    NativeMap,
+    Piece,
+    PiecewiseMap,
+    builtin,
+    distance,
+)
 
 TINY = 5e-324
 HUGE = 1.7976931348623157e308
@@ -254,6 +267,71 @@ class TestLazyDraws:
         report = find_monotonicity_violation(builtin("normgrad", {"n": 2}), 5.0, 50, 7)
         assert not report.failed
         assert len(draws) == 100
+
+
+def _counted(monkeypatch, name, record):
+    """Wrap ``analyzer.<name>`` so that ``record(args, kwargs, result)``
+    sees every call."""
+    original = getattr(analyzer, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        record(args, kwargs, result)
+        return result
+
+    monkeypatch.setattr(analyzer, name, counted)
+
+
+# F(x) = {-x} fails every pair condition at the battery's first pair
+_NEGATION = PiecewiseMap(1, (Piece((), (((Expr.neg(Expr.var(0)),) * 2,),)),), label="neg")
+
+
+class TestLazyBattery:
+    @settings(max_examples=100, deadline=None)
+    @given(random_maps(), st.sampled_from((0.1, 1.0, 3.0, 5.0, TINY, 1e300)))
+    def test_battery_order_is_unchanged(self, m, radius):
+        got = structured_pairs(m, radius)
+        want = reference_structured_pairs(m, radius)
+        assert [(bits(a), bits(b)) for a, b in got] == [(bits(a), bits(b)) for a, b in want]
+
+    def test_catalog_battery_order_is_unchanged(self):
+        for m in (builtin("example2_G"), builtin("example3"), builtin("example4", {"n": 3}),
+                  builtin("normgrad", {"n": 3, "k": 2})):
+            for radius in (0.2, 5.0):
+                assert structured_pairs(m, radius) == reference_structured_pairs(m, radius)
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_wcm(_NEGATION, 5.0, 100, 1),
+        lambda: find_monotonicity_violation(_NEGATION, 5.0, 100, 1),
+        lambda: find_cyclic_violation(_NEGATION, 5.0, 3, 100, 1),
+        lambda: find_monotonicity_violation(builtin("example1"), 5.0, 100, 1),
+        lambda: find_cyclic_violation(builtin("example3"), 5.0, 3, 100, 1),
+    ])
+    def test_first_pair_failure_builds_one_battery_pair(self, monkeypatch, check):
+        points = []
+        _counted(monkeypatch, "_axis_point", lambda args, kwargs, p: points.append(p))
+        report = check()
+        assert report.failed and report.samples == 1
+        assert len(points) == 2
+
+
+def test_passing_x_box_stops_at_the_first_surviving_y_box(monkeypatch):
+    # at (x, y) = (1, 0) the first y-box, [0, 1], survives every x-box's
+    # cut, so each x-box cuts one y-box; a failing x-box still cuts, and
+    # blames, every y-box
+    cut = []
+    _counted(monkeypatch, "_clip",
+             lambda args, kwargs, r: cut.append(len(r[0]) + len(r[1])))
+    intervals = [(2.0 * k, 2.0 * k + 1) for k in range(4)]
+    m = PiecewiseMap(1, (Piece((), tuple(((Expr.const(a), Expr.const(b)),)
+                                         for a, b in intervals)),), label="boxes")
+    assert check_wcm_pair(m, (1.0,), (0.0,)) is None
+    assert cut == [1, 1, 1, 1]
+    cut.clear()
+    cert = wcm_pair_feasible(CompactSet.of_intervals((10.0, 11.0)),
+                             CompactSet.of_intervals(*intervals), (0.0,), (1.0,))
+    assert cut == [4]
+    assert [b["box"] for b in cert["blocking"]] == [0, 1, 2, 3]
 
 
 def test_checks_run_past_the_vertex_dimension_limit():

@@ -13,6 +13,7 @@ from diffinc.setmap import (
     Box,
     CompactSet,
     MapDefinitionError,
+    PiecewiseMap,
     builtin,
     distance,
     product,
@@ -294,6 +295,17 @@ class TestBuiltins:
                              ("normgrad", {"n": 2, "k": 4})]:
             m = builtin(name, dict(params) if params else None)
             assert m.growth is not None
+
+    @pytest.mark.parametrize("growth", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                        (0.0, math.inf), (-1.0, 0.0)])
+    def test_growth_constants_must_be_finite_and_nonnegative(self, growth):
+        with pytest.raises(MapDefinitionError, match="growth constants must be finite"):
+            PiecewiseMap(1, builtin("example1").pieces, growth=growth)
+
+    def test_overflowing_composite_growth_declares_none(self):
+        big = PiecewiseMap(1, builtin("example1").pieces, growth=(1e308, 1.0))
+        assert product(big, big).growth is None
+        assert union(big, big).growth == (1e308, 1.0)
 
     def test_declared_growth_majorizes_samples(self):
         rng = random.Random(8)

@@ -56,6 +56,7 @@ from diffinc.setmap import (
     Expr,
     Piece,
     PiecewiseMap,
+    _distance,
     builtin,
     distance,
 )
@@ -229,6 +230,17 @@ class TestSelectorCore:
         # a non-finite coordinate: the first box's distance decides a NaN
         v = (odd,) + v[1:]
         assert bits(distance(image, v)) == bits(reference_distance(image, v))
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(box_union_cases(), st.sampled_from([math.nan, math.inf, -math.inf, 3.0]),
+           st.one_of(st.floats(min_value=0.0), st.just(math.nan)))
+    def test_distance_stop_keeps_the_running_max(self, case, odd, stop):
+        image, v, _, _ = case
+        pairs = image._pairs()
+        for p in (v, (odd,) + v[1:]):
+            assert bits(max(stop, _distance(pairs, p, stop))) == \
+                bits(max(stop, _distance(pairs, p)))
 
 
 @st.composite
