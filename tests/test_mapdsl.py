@@ -249,6 +249,9 @@ class TestParseMap:
         ({"dim": 1, "growth": [True, False], "pieces": [{"region": [],
                                                          "image": [[["0", "1"]]]}]},
          "$: 'growth' must be [A, B]"),
+        ({"dim": 1, "product": [{"dim": 1, "builtin": {"name": "example1"}},
+                                {"dim": True, "builtin": {"name": "example1"}}]},
+         "$.product[1]: 'dim' must be an integer >= 1"),
         ({"dim": 1, "growth": [math.inf, 0], "pieces": [{"region": [],
                                                          "image": [[["0", "1"]]]}]},
          "$: 'growth' must be [A, B] with finite A, B >= 0"),
@@ -256,9 +259,6 @@ class TestParseMap:
                               {"dim": 1, "growth": [0, -math.inf],
                                "builtin": {"name": "example1"}}]},
          "$.union[1]: 'growth' must be [A, B] with finite A, B >= 0"),
-        ({"dim": 1, "product": [{"dim": 1, "builtin": {"name": "example1"}},
-                                {"dim": True, "builtin": {"name": "example1"}}]},
-         "$.product[1]: 'dim' must be an integer >= 1"),
     ])
     def test_bad_values_are_map_definition_errors(self, node, message):
         with pytest.raises(MapDefinitionError) as err:
