@@ -3,7 +3,9 @@
 Each case runs ``cli.main`` with ``--no-timestamp`` and pins the exit
 code, the sha256 of stdout and, where the run writes one, the sha256 of
 the trajectory CSV.  The cases cover each policy on four catalog maps,
-a refinement study, two checks, a map file and an infeasible solve, so a
+a refinement study, the wcm, monotone, growth and closed-graph checks
+(the last on piecewise, product and union images and on one failing
+native map), a map file and an infeasible solve, so a
 change to the arithmetic of map evaluation, selection or the checks
 shows up here as a changed digest.  After an intended change of
 results, print the new table with
@@ -54,6 +56,31 @@ CASES = {
          "--seed", "3"],
         False,
     ),
+    "check-graph-example1": (
+        ["check", "graph", "--map", "example1", "--samples", "140", "--seed",
+         "5"],
+        False,
+    ),
+    "check-graph-example2_G": (
+        ["check", "graph", "--map", "example2G", "--samples", "150", "--seed",
+         "5"],
+        False,
+    ),
+    "check-graph-example4_3": (
+        ["check", "graph", "--map", "example4", "--dim", "3", "--samples",
+         "60", "--seed", "5"],
+        False,
+    ),
+    "check-graph-normgrad3": (
+        ["check", "graph", "--map", "normgrad3", "--samples", "100", "--seed",
+         "5"],
+        False,
+    ),
+    "check-growth-example3": (
+        ["check", "growth", "--map", "example3", "--samples", "170", "--seed",
+         "5"],
+        False,
+    ),
     "solve-mapfile-example2_G": (
         ["solve", "--map", str(MAPS / "example2_G.json"), "--x0=-0.7", "--T",
          "1", "--output", "traj.csv"],
@@ -68,6 +95,11 @@ CASES = {
 
 # (exit code, sha256 of stdout, sha256 of the CSV or None)
 GOLDEN = {
+    'check-graph-example1': (0, '8ebbc757cf0e232a3a270563db97776891302b5996f615a1f95cd67d1c4b4aa2', None),
+    'check-graph-example2_G': (0, '59b70e033310b49910559467356b1a7acd2587cbd8e1196bd836178934b435c3', None),
+    'check-graph-example4_3': (0, 'fa18907f60d0fbcf0ac38263006ba09c99488e3ed75f9546632cecaa1837585c', None),
+    'check-graph-normgrad3': (3, '8adeb3baca67aa896fd640a0af0d8ffd4cd65764400fd8d759688d17323bb8da', None),
+    'check-growth-example3': (0, '209e78c842d632766da02504390c16725d9b7ac4230694ed5ffa6a3d4ee15133', None),
     'check-monotone-normgrad2': (0, '97aecd8257c6642c7259242fd499ed7229cd22529bee3f62519f24588eef63ca', None),
     'check-wcm-example3': (0, 'c2b6b7c9e8437832adba2f852256a50f10c51a81f2649a75fccaaef5695bf266', None),
     'converge-example2_F-lex-max': (0, 'e3b8bde2d7b3e5b82be15c2b66e9c2aff5caca07a6c5880006be7843e3320161', None),
