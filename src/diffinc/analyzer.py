@@ -24,9 +24,9 @@ A reported ``value`` is one correctly rounded int/int division, equal
 to ``float`` of the same rational, or -inf when that rational lies
 below the double range (IEEE round-to-nearest; ``float`` would raise).
 
-The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
-pairs of the map's trusted ``_eval`` at the float tuples they build;
-``check_closed_graph``, which works on whole sets, calls ``evaluate``.
+The wcm, monotone, cyclic, growth and closed-graph checks decide on
+the (lo, hi) pairs of the map's trusted ``_eval`` at the float tuples
+they build.
 
 Checks draw the deterministic battery, then their random pairs or
 cycles, one at a time and only up to the first failure; the battery
@@ -51,12 +51,12 @@ from .setmap import (
     CompactSet,
     SetValuedMap,
     Vector,
+    _check_vertex_dim,
+    _corners,
     _distance,
     _sup_norm,
     as_vector,
-    distance,
     norm,
-    vertices,
 )
 
 
@@ -467,11 +467,13 @@ def check_closed_graph(
     to F(x) stays above eps at both of the smallest perturbation
     scales, i.e. the image jumps away and the jump does not shrink.
     Open-region piece encodings are the typical culprit.  The points on
-    the axes at the (finite) region bounds are probed first.
+    the axes at the (finite) region bounds are probed first.  A map too
+    large for ``vertices()`` is refused before it is evaluated.
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     _check_budget(radius, count, count, "count")
+    _check_vertex_dim(m.dim)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j, bounds in sorted(m.region_boundaries().items()):
@@ -491,19 +493,20 @@ def check_closed_graph(
                 directions.append(tuple(c / r for c in d))
 
     def probe(x: Vector) -> dict | None:
-        base = m.evaluate(x)
+        base = m._eval(x)
         for d in directions:
             worst: list[float] = []
             worst_vertex: Vector | None = None
             for delta in _GRAPH_DELTAS:
                 shifted = tuple(c + delta * dc for c, dc in zip(x, d))
                 far = 0.0
-                for u in vertices(m.evaluate(shifted)):
-                    gap = distance(base, u)
-                    if gap > far:
-                        far = gap
-                        if delta == _GRAPH_DELTAS[-1]:
-                            worst_vertex = u
+                for lo, hi in m._eval(shifted):
+                    for u in _corners(lo, hi):
+                        gap = _distance(base, u, far)  # > far iff the full one is
+                        if gap > far:
+                            far = gap
+                            if delta == _GRAPH_DELTAS[-1]:
+                                worst_vertex = u
                 worst.append(far)
             if min(worst) > eps:
                 return {

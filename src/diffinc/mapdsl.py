@@ -386,8 +386,8 @@ def validate_map(m: PiecewiseMap) -> None:
 
     Raises MapDefinitionError carrying a witness point on failure.
     """
-    for p in _validation_points(m):
-        m.evaluate(p)  # raises with the witness on empty image / lo > hi
+    for p in _validation_points(m):  # float tuples of the map's dimension
+        m._eval(p)  # raises with the witness on empty image / lo > hi
 
 
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')  # a string or a bracket

@@ -20,18 +20,17 @@ tests, then each matching piece's boxes, a box of constants folded to
 its value (a very large map becomes a few such functions, run in
 order).  The computed corners are still checked for ``lo <= hi`` and
 finiteness on every evaluation, so a bad image raises the same
-``MapDefinitionError`` as ever.  Image
-boxes, and the feasible regions the selector cuts from them, are built
-with ``Box._trusted`` / ``CompactSet._trusted``, which skip re-checking
-what was just checked; every other construction validates.
+``MapDefinitionError`` as ever.
 
-The solver and the analyzer call ``_eval`` directly on float tuples
-they build themselves and work on its (lo, hi) pairs without building
-boxes: the Euler step loop (through the selector core), ``residual``
-(through ``_distance``, which ``distance`` runs too), and the wcm,
-monotone, cyclic and growth checks (through the hardest-corner core,
-``_min_vertex`` and ``_sup_norm``, which ``sup_norm`` runs too).  A
-native builtin's function returns those pairs itself.
+The solver, the analyzer and ``validate_map`` call ``_eval`` directly
+on float tuples they build and work on its (lo, hi) pairs: the Euler
+step loop (through the selector core), ``residual`` (through
+``_distance``, which ``distance`` runs), the graph check (also through
+``_corners``, which ``vertices`` runs), the wcm, monotone, cyclic and
+growth checks (through the hardest-corner core, ``_min_vertex`` and
+``_sup_norm``).  A native builtin's function returns those pairs
+itself.  Boxes and sets are built only for public callers, always by
+the checking constructors.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ MAX_VERTEX_DIM = 16
 
 _INF = math.inf
 _NINF = -math.inf
-_new = object.__new__
-_set = object.__setattr__
 
 
 class MapDefinitionError(ValueError):
@@ -145,7 +142,7 @@ class Expr:
         if self.op not in _EXPR_OPS:
             raise ValueError(f"unknown expression op {self.op!r}")
         if self.op == "const":
-            _set(self, "value", float(self.value))
+            object.__setattr__(self, "value", float(self.value))
 
     @classmethod
     def const(cls, v: float) -> "Expr":
@@ -412,15 +409,6 @@ class Box:
             if a > b:
                 raise MapDefinitionError(f"box has lo {a!r} > hi {b!r}")
 
-    @classmethod
-    def _trusted(cls, lo: Vector, hi: Vector) -> "Box":
-        """Box from float tuples already known to be finite, of one
-        dimension >= 1, with lo <= hi; nothing is re-checked."""
-        b = _new(cls)
-        _set(b, "lo", lo)
-        _set(b, "hi", hi)
-        return b
-
     @property
     def dim(self) -> int:
         return len(self.lo)
@@ -438,15 +426,8 @@ class Box:
         return all(a <= c <= b for a, b, c in zip(self.lo, self.hi, v))
 
     def corners(self) -> list[Vector]:
-        if self.dim > MAX_VERTEX_DIM:
-            raise ValueError(
-                f"corner enumeration limited to dimension {MAX_VERTEX_DIM}"
-            )
-        out: list[Vector] = [()]
-        for a, b in zip(self.lo, self.hi):
-            choices = (a,) if a == b else (a, b)
-            out = [c + (v,) for c in out for v in choices]
-        return out
+        _check_vertex_dim(self.dim)
+        return _corners(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -466,14 +447,6 @@ class CompactSet:
         d = boxes[0].dim
         if any(b.dim != d for b in boxes):
             raise MapDefinitionError("all boxes of a set must share a dimension")
-
-    @classmethod
-    def _trusted(cls, boxes: tuple[Box, ...]) -> "CompactSet":
-        """Set from a nonempty tuple of boxes already known to share one
-        dimension; nothing is re-checked."""
-        s = _new(cls)
-        _set(s, "boxes", boxes)
-        return s
 
     @property
     def dim(self) -> int:
@@ -550,11 +523,22 @@ def vertices(s: CompactSet) -> list[Vector]:
     analyzer's monotone and cyclic checks find the first minimising
     corner in this order per box instead (see ``analyzer``).
     """
-    if s.dim > MAX_VERTEX_DIM:
+    _check_vertex_dim(s.dim)
+    return [u for b in s.boxes for u in _corners(b.lo, b.hi)]
+
+
+def _check_vertex_dim(dim: int) -> None:
+    """ValueError unless boxes of dimension ``dim`` may list their corners."""
+    if dim > MAX_VERTEX_DIM:
         raise ValueError(f"vertices limited to dimension {MAX_VERTEX_DIM}")
-    out: list[Vector] = []
-    for b in s.boxes:
-        out.extend(b.corners())
+
+
+def _corners(lo: Vector, hi: Vector) -> list[Vector]:
+    """The corners of [lo, hi], lo first, the last coordinate fastest."""
+    out: list[Vector] = [()]
+    for a, b in zip(lo, hi):
+        choices = (a,) if a == b else (a, b)
+        out = [c + (v,) for c in out for v in choices]
     return out
 
 
@@ -609,6 +593,14 @@ class Piece:
 # ---------------------------------------------------------------------------
 
 
+def _check_growth(a: float, b: float) -> tuple[float, float]:
+    """(a, b) as floats; MapDefinitionError unless both are finite and >= 0."""
+    a, b = float(a), float(b)
+    if not (0 <= a < _INF and 0 <= b < _INF):
+        raise MapDefinitionError(f"growth constants must be finite and >= 0, got {(a, b)}")
+    return a, b
+
+
 class SetValuedMap:
     """Evaluable mapping x -> CompactSet with optional linear-growth data.
 
@@ -625,14 +617,7 @@ class SetValuedMap:
         if dim < 1:
             raise MapDefinitionError("map dimension must be >= 1")
         self.dim = int(dim)
-        if growth is not None:
-            a, b = float(growth[0]), float(growth[1])
-            if not (0 <= a < _INF and 0 <= b < _INF):
-                raise MapDefinitionError(
-                    f"growth constants must be finite and >= 0, got {(a, b)}"
-                )
-            growth = (a, b)
-        self.growth = growth
+        self.growth = None if growth is None else _check_growth(growth[0], growth[1])
         self.label = label if label is not None else self.kind
 
     def evaluate(self, x: Sequence[float]) -> CompactSet:
@@ -779,7 +764,8 @@ class NativeMap(SetValuedMap):
     """Map backed by a Python function; used for builtins whose images are
     not expressible in the piecewise expression grammar.  The function is
     the map's ``_eval``, so it returns (lo, hi) pairs as ``_eval`` does;
-    it is program code, and its result is not checked again."""
+    it is program code, and its result is checked only where ``evaluate``
+    builds boxes from it."""
 
     kind = "builtin"
     evaluate = SetValuedMap.evaluate
@@ -800,8 +786,8 @@ class NativeMap(SetValuedMap):
 
 
 def _image(pairs: list[tuple[Vector, Vector]]) -> CompactSet:
-    """The CompactSet of checked (lo, hi) pairs from ``_eval``."""
-    return CompactSet._trusted(tuple([Box._trusted(lo, hi) for lo, hi in pairs]))
+    """The CompactSet of the (lo, hi) pairs from ``_eval``."""
+    return CompactSet(tuple([Box(lo, hi) for lo, hi in pairs]))
 
 
 def product(f: SetValuedMap, g: SetValuedMap) -> SetValuedMap:

@@ -35,7 +35,7 @@ from .selector import (
     _pick,
     initial_velocity,
 )
-from .setmap import SetValuedMap, Vector, _image, finite_vector, norm
+from .setmap import SetValuedMap, Vector, _check_growth, _image, finite_vector, norm
 
 # The most mesh steps one polygon may take: 10**7 steps of a 1-D
 # trajectory hold about 2 GB of nodes, velocities and times.
@@ -59,12 +59,13 @@ class GrowthBounds:
 
 
 def gronwall_bounds(a: float, b: float, x0_norm: float, horizon: float) -> GrowthBounds:
-    """Bounds L, M for the module-docstring majorant; see formulas there."""
-    if a < 0 or b < 0:
-        raise ValueError("growth constants must be >= 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    """Bounds L, M for the module-docstring majorant; see formulas there.
+    ValueError on a map's invalid constants, horizon or a NaN x0_norm."""
+    a, b = _check_growth(a, b)
+    _check_horizon(horizon)
     x0_norm = abs(float(x0_norm))
+    if math.isnan(x0_norm):
+        raise ValueError("x0_norm must not be NaN")
     if b > 0:
         grow = math.exp(b * horizon)
         state = x0_norm * grow + ((a + b + 1.0) / b) * (grow - 1.0)

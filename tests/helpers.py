@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and random generators."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from diffinc.analyzer import (
     _LADDER,
     _STRADDLE,
     _axis_point,
+    _check_budget,
     _random_point,
 )
 from diffinc.selector import SignPattern, WcmInfeasible
@@ -469,8 +471,8 @@ def reference_feasible_region(image, prev_v, signs, slack):
             if lo[j] > hi[j]:
                 break
         else:
-            kept.append(Box._trusted(tuple(lo), tuple(hi)))
-    return CompactSet._trusted(tuple(kept)) if kept else None
+            kept.append(Box(tuple(lo), tuple(hi)))
+    return CompactSet(tuple(kept)) if kept else None
 
 
 def _reference_pick(region, target, variant):
@@ -647,6 +649,72 @@ def reference_region_boundaries(m):
             out.setdefault(j, set()).update(vals)
         return {j: tuple(sorted(v)) for j, v in out.items()}
     return m.region_boundaries()
+
+
+# ---------------------------------------------------------------------------
+# Closed graph: the original object path
+# ---------------------------------------------------------------------------
+
+
+def reference_vertices(s):
+    """Each box's corners, box by box, lo first and the last coordinate
+    fastest: the original ``Box.corners()`` order."""
+    return [c for b in s.boxes
+            for c in itertools.product(*[(a,) if a == h else (a, h) for a, h in zip(b.lo, b.hi)])]
+
+
+def reference_closed_graph(m, radius, count, seed, eps):
+    """The original two-scale graph check: public ``evaluate`` at x and
+    at each shifted point, every corner of the shifted image and its
+    full distance to F(x)."""
+    if not math.isfinite(eps) or eps <= 0:
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    _check_budget(radius, count, count, "count")
+    deltas = (1e-5, 1e-7)
+    rng = random.Random(seed)
+    points = [(0.0,) * m.dim]
+    for j, bounds in sorted(m.region_boundaries().items()):
+        for b in bounds:
+            points.append(_axis_point(m.dim, j, b))
+    points.extend(_random_point(rng, m.dim, radius) for _ in range(count))
+
+    directions = []
+    for j in range(m.dim):
+        directions.append(_axis_point(m.dim, j, 1.0))
+        directions.append(_axis_point(m.dim, j, -1.0))
+    if m.dim > 1:
+        for _ in range(2):
+            d = tuple(rng.gauss(0.0, 1.0) for _ in range(m.dim))
+            r = math.hypot(*d)
+            if r > 0:
+                directions.append(tuple(c / r for c in d))
+
+    def probe(x):
+        base = m.evaluate(x)
+        for d in directions:
+            worst = []
+            worst_vertex = None
+            for delta in deltas:
+                shifted = tuple(c + delta * dc for c, dc in zip(x, d))
+                far = 0.0
+                for u in reference_vertices(m.evaluate(shifted)):
+                    gap = reference_distance(base, u)
+                    if gap > far:
+                        far = gap
+                        if delta == deltas[-1]:
+                            worst_vertex = u
+                worst.append(far)
+            if min(worst) > eps:
+                return {
+                    "x": list(x),
+                    "direction": list(d),
+                    "deltas": list(deltas),
+                    "distances": worst,
+                    "vertex": list(worst_vertex) if worst_vertex else None,
+                }
+        return None
+
+    return _eager_report("closed-graph", points, probe, seed, radius, {"eps": eps})
 
 
 # ---------------------------------------------------------------------------

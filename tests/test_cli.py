@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from diffinc.analyzer import MAX_HELD_POINTS
 from diffinc.cli import main, resolve_map
-from diffinc.setmap import MAX_VERTEX_DIM
+from diffinc.setmap import MAX_VERTEX_DIM, UnionMap
 from diffinc.solver import MAX_STEPS, trajectory_from_csv
 
 
@@ -412,6 +415,17 @@ class TestGraphDimensionLimit:
         assert code == 1 and out == ""
         assert f"vertices limited to dimension {MAX_VERTEX_DIM}" in err
 
+    def test_refused_before_the_map_is_evaluated(self, capsys, monkeypatch):
+        # example4 is a union; at 17 dimensions one image holds 2^18 boxes
+        calls = []
+        monkeypatch.setattr(UnionMap, "_eval", lambda m, x: calls.append(x))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "graph", "--map", "example4", "--dim", "17",
+                             "--samples", "1")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and calls == []
+        assert f"vertices limited to dimension {MAX_VERTEX_DIM}" in err
+
 
 class TestMapResolution:
     def test_aliases(self):
@@ -438,3 +452,26 @@ class TestMapResolution:
         doc = json.loads(out)
         assert doc["steps"] >= 1
         assert doc["monotone"][1] in ("increasing", "decreasing", "identically-zero")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_commands():
+    """Each ``diffinc`` line of README's "Command line" block, with its
+    continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs_as_documented(line, capsys, tmp_path, monkeypatch):
+    # the exit code is the line's "# exits N" note, or 0 without one
+    note = re.search(r"#\s*exits (\d+)", line)
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "diffinc"
+    argv = [str(ROOT / a) if a.startswith("maps/") else a for a in argv[1:]]
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == (int(note.group(1)) if note else 0), err

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_expr, reference_eval, tree_eval
 
+from diffinc import mapdsl
 from diffinc.mapdsl import (
     MAX_EXPR_DEPTH,
     MAX_MAP_DEPTH,
@@ -187,7 +188,7 @@ class TestParseMap:
 
     def test_builtin_node_is_not_validated_again(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(PiecewiseMap, "evaluate", lambda m, x: calls.append(x))
+        monkeypatch.setattr(mapdsl, "validate_map", calls.append)
         m = parse_map('{"dim": 3, "builtin": {"name": "example4", "params": {"n": 3}}}')
         assert m.dim == 3 and calls == []
         parse_map(EXAMPLE1_SRC)  # a pieces node still is

@@ -75,6 +75,8 @@ class TestBox:
         b = Box((0.0,) * 17, (1.0,) * 17)
         with pytest.raises(ValueError):
             vertices(CompactSet((b,)))
+        with pytest.raises(ValueError, match="vertices limited to dimension 16"):
+            b.corners()  # one guard, one message
 
 
 class TestSupNorm:

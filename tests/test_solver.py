@@ -54,6 +54,18 @@ class TestGronwallBounds:
         with pytest.raises(ValueError):
             gronwall_bounds(0, 0, 0, 0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 0, 1, 1), "growth constants must be finite and >= 0"),
+        ((1, math.inf, 1, 1), "growth constants must be finite and >= 0"),
+        ((1, math.nan, 1, 1), "growth constants must be finite and >= 0"),
+        ((1, 0, 1, math.nan), "horizon must be finite"),
+        ((1, 0, 1, math.inf), "horizon must be finite"),
+        ((1, 0, math.nan, 1), "x0_norm must not be NaN"),
+    ])
+    def test_rejects_non_finite_inputs(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            gronwall_bounds(*args)
+
 
 class TestMinSteps:
     def test_examples(self):

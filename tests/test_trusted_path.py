@@ -1,13 +1,14 @@
 """The step loop, ``residual`` and the checkers on the trusted (lo, hi) path.
 
-``euler_polygon``, ``residual`` and the wcm, monotone, cyclic and growth
-checks call the maps' ``_eval`` and the selector core directly, and a
-native builtin's function returns (lo, hi) pairs.  The references in
-``helpers`` are the original object path: public ``evaluate``, a
-``SignPattern`` and a feasible ``CompactSet`` per step or pair, per-box
-distances and norms, and ``normgrad`` building a validated set.  Nodes,
-velocities, residuals, every field of a ``WcmInfeasible``, reports,
-certificates and growth fits must agree to the bit.
+``euler_polygon``, ``residual`` and the wcm, monotone, cyclic, growth
+and closed-graph checks call the maps' ``_eval`` and the selector core
+directly, and a native builtin's function returns (lo, hi) pairs.  The
+references in ``helpers`` are the original object path: public
+``evaluate``, a ``SignPattern`` and a feasible ``CompactSet`` per step
+or pair, per-box distances and norms, ``vertices`` of whole sets, and
+``normgrad`` building a validated set.  Nodes, velocities, residuals,
+every field of a ``WcmInfeasible``, reports, certificates and growth
+fits must agree to the bit.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import warnings
 import pytest
 from helpers import (
     reference_check_wcm,
+    reference_closed_graph,
     reference_cyclic,
     reference_distance,
     reference_estimate_growth,
@@ -36,6 +38,7 @@ from test_compiled_eval import maps
 from test_sampled_checks import random_maps
 
 from diffinc.analyzer import (
+    check_closed_graph,
     check_wcm,
     check_wcm_pair,
     estimate_growth,
@@ -371,6 +374,14 @@ class TestCheckersOnPairs:
     def test_estimate_growth_matches_object_path(self, m, budget):
         assert json_outcome(lambda: estimate_growth(m, *budget)) == \
             json_outcome(lambda: reference_estimate_growth(m, *budget))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(every_kind, st.integers(1, 3).flatmap(maps)), check_budgets,
+           st.sampled_from([1e-2, 0.5, 1e-300]))
+    def test_closed_graph_matches_object_path(self, m, budget, eps):
+        assert json_outcome(lambda: check_closed_graph(m, *budget, eps)) == \
+            json_outcome(lambda: reference_closed_graph(m, *budget, eps))
 
     def test_int_radius_draws_float_points(self):
         # antisign fails at the battery pair (-radius, 0.25), as it did
