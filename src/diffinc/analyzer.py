@@ -24,9 +24,9 @@ A reported ``value`` is one correctly rounded int/int division, equal
 to ``float`` of the same rational, or -inf when that rational lies
 below the double range (IEEE round-to-nearest; ``float`` would raise).
 
-The wcm, monotone, cyclic, growth and closed-graph checks decide on
-the (lo, hi) pairs of the map's trusted ``_eval`` at the float tuples
-they build.
+The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
+pairs of the map's trusted ``_eval`` at the float tuples they build;
+``check_closed_graph``, which works on whole sets, calls ``evaluate``.
 
 Checks draw the deterministic battery, then their random pairs or
 cycles, one at a time and only up to the first failure; the battery
@@ -52,11 +52,12 @@ from .setmap import (
     SetValuedMap,
     Vector,
     _check_vertex_dim,
-    _corners,
     _distance,
     _sup_norm,
     as_vector,
+    distance,
     norm,
+    vertices,
 )
 
 
@@ -493,20 +494,19 @@ def check_closed_graph(
                 directions.append(tuple(c / r for c in d))
 
     def probe(x: Vector) -> dict | None:
-        base = m._eval(x)
+        base = m.evaluate(x)
         for d in directions:
             worst: list[float] = []
             worst_vertex: Vector | None = None
             for delta in _GRAPH_DELTAS:
                 shifted = tuple(c + delta * dc for c, dc in zip(x, d))
                 far = 0.0
-                for lo, hi in m._eval(shifted):
-                    for u in _corners(lo, hi):
-                        gap = _distance(base, u, far)  # > far iff the full one is
-                        if gap > far:
-                            far = gap
-                            if delta == _GRAPH_DELTAS[-1]:
-                                worst_vertex = u
+                for u in vertices(m.evaluate(shifted)):
+                    gap = distance(base, u)
+                    if gap > far:
+                        far = gap
+                        if delta == _GRAPH_DELTAS[-1]:
+                            worst_vertex = u
                 worst.append(far)
             if min(worst) > eps:
                 return {

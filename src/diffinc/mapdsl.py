@@ -58,6 +58,7 @@ from .setmap import (
     ProductMap,
     SetValuedMap,
     UnionMap,
+    _check_growth,
     builtin,
 )
 
@@ -260,11 +261,14 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
 
     growth = obj.get("growth")
     if growth is not None:
-        _require(isinstance(growth, list) and len(growth) == 2,
-                 f"{path}: 'growth' must be [A, B] with finite A, B >= 0")
-        growth = tuple(_number(g) for g in growth)
-        _require(all(g is not None and 0 <= g < math.inf for g in growth),
-                 f"{path}: 'growth' must be [A, B] with finite A, B >= 0")
+        bad = f"{path}: 'growth' must be [A, B] with finite A, B >= 0"
+        _require(isinstance(growth, list) and len(growth) == 2, bad)
+        a, b = (_number(g) for g in growth)
+        _require(a is not None and b is not None, bad)
+        try:
+            growth = _check_growth(a, b)
+        except MapDefinitionError:
+            raise MapDefinitionError(bad) from None
 
     kind = keys.pop()
     if kind == "pieces":

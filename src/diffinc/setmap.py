@@ -25,12 +25,12 @@ finiteness on every evaluation, so a bad image raises the same
 The solver, the analyzer and ``validate_map`` call ``_eval`` directly
 on float tuples they build and work on its (lo, hi) pairs: the Euler
 step loop (through the selector core), ``residual`` (through
-``_distance``, which ``distance`` runs), the graph check (also through
-``_corners``, which ``vertices`` runs), the wcm, monotone, cyclic and
+``_distance``, which ``distance`` runs), the wcm, monotone, cyclic and
 growth checks (through the hardest-corner core, ``_min_vertex`` and
 ``_sup_norm``).  A native builtin's function returns those pairs
-itself.  Boxes and sets are built only for public callers, always by
-the checking constructors.
+itself.  Boxes and sets are built only for public callers (the graph
+check is one, through ``evaluate``), always by the checking
+constructors.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class MapDefinitionError(ValueError):
 
 
 def as_vector(x: Sequence[float]) -> Vector:
-    return tuple(float(v) for v in x)
+    return tuple(map(float, x))
 
 
 def norm(x: Sequence[float]) -> float:
@@ -389,16 +389,18 @@ def _empty_image(label: str, x: Vector) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box:
-    """Closed axis-aligned box [lo_1,hi_1] x ... x [lo_n,hi_n], lo_j <= hi_j."""
+    """Closed axis-aligned box [lo_1,hi_1] x ... x [lo_n,hi_n], lo_j <= hi_j.
+
+    Its own ``__init__`` converts, stores and checks each field once."""
 
     lo: Vector
     hi: Vector
 
-    def __post_init__(self) -> None:
-        lo = as_vector(self.lo)
-        hi = as_vector(self.hi)
+    def __init__(self, lo: Sequence[float], hi: Sequence[float]) -> None:
+        lo = as_vector(lo)
+        hi = as_vector(hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
@@ -430,7 +432,7 @@ class Box:
         return _corners(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CompactSet:
     """Nonempty finite union of boxes sharing one dimension.
 
@@ -439,8 +441,8 @@ class CompactSet:
 
     boxes: tuple[Box, ...]
 
-    def __post_init__(self) -> None:
-        boxes = tuple(self.boxes)
+    def __init__(self, boxes: Sequence[Box]) -> None:
+        boxes = tuple(boxes)
         object.__setattr__(self, "boxes", boxes)
         if not boxes:
             raise MapDefinitionError("a compact set needs at least one box")

@@ -419,10 +419,8 @@ class TestGraphDimensionLimit:
         # example4 is a union; at 17 dimensions one image holds 2^18 boxes
         calls = []
         monkeypatch.setattr(UnionMap, "_eval", lambda m, x: calls.append(x))
-        start = time.perf_counter()
         code, out, err = run(capsys, "check", "graph", "--map", "example4", "--dim", "17",
                              "--samples", "1")
-        assert time.perf_counter() - start < 0.1
         assert code == 1 and calls == []
         assert f"vertices limited to dimension {MAX_VERTEX_DIM}" in err
 

@@ -1,14 +1,16 @@
 """The step loop, ``residual`` and the checkers on the trusted (lo, hi) path.
 
-``euler_polygon``, ``residual`` and the wcm, monotone, cyclic, growth
-and closed-graph checks call the maps' ``_eval`` and the selector core
-directly, and a native builtin's function returns (lo, hi) pairs.  The
-references in ``helpers`` are the original object path: public
-``evaluate``, a ``SignPattern`` and a feasible ``CompactSet`` per step
-or pair, per-box distances and norms, ``vertices`` of whole sets, and
-``normgrad`` building a validated set.  Nodes, velocities, residuals,
-every field of a ``WcmInfeasible``, reports, certificates and growth
-fits must agree to the bit.
+``euler_polygon``, ``residual`` and the wcm, monotone, cyclic and
+growth checks call the maps' ``_eval`` and the selector core directly,
+and a native builtin's function returns (lo, hi) pairs.  The references
+in ``helpers`` are the original object path: public ``evaluate``, a
+``SignPattern`` and a feasible ``CompactSet`` per step or pair, per-box
+distances and norms, and ``normgrad`` building a validated set.  Nodes,
+velocities, residuals, every field of a ``WcmInfeasible``, reports,
+certificates and growth fits must agree to the bit.  The closed-graph
+check still calls ``evaluate``; its reference lists corners with its
+own enumeration, which pins the order that ``setmap._corners`` gives
+``vertices`` and ``Box.corners()``.
 """
 
 import dataclasses
