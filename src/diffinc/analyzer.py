@@ -48,6 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .selector import _clip
 from .setmap import (
+    MAX_RADIUS,
     CompactSet,
     SetValuedMap,
     Vector,
@@ -55,6 +56,7 @@ from .setmap import (
     _distance,
     _sup_norm,
     as_vector,
+    checked_vector,
     distance,
     norm,
     vertices,
@@ -153,8 +155,8 @@ MAX_HELD_POINTS = 10 ** 6
 def _check_budget(radius: float, count: int, held: int = 2, name: str = "pair") -> float:
     """The radius as a float, for drawing float tuples; or ValueError.  The
     check holds ``held`` points at once, as its argument ``name`` sets."""
-    if not math.isfinite(radius) or radius <= 0:
-        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    if not (math.isfinite(radius) and 0 < radius <= MAX_RADIUS):
+        raise ValueError(f"radius must be finite and in (0, {MAX_RADIUS!r}], got {radius!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     if held > MAX_HELD_POINTS:
@@ -257,7 +259,7 @@ def wcm_pair_feasible(
 
 def check_wcm_pair(m: SetValuedMap, x: Sequence[float], y: Sequence[float]) -> dict | None:
     """Exact per-pair check on a map; None means the pair passes."""
-    x, y = m._check_point(x), m._check_point(y)
+    x, y = checked_vector(x, m.dim, "point", m), checked_vector(y, m.dim, "point", m)
     return _hardest_corner(m._eval(x), m._eval(y), x, y)
 
 
@@ -473,14 +475,14 @@ def check_closed_graph(
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    _check_budget(radius, count, count, "count")
+    r = _check_budget(radius, count, count, "count")
     _check_vertex_dim(m.dim)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j, bounds in sorted(m.region_boundaries().items()):
         for b in bounds:
             points.append(_axis_point(m.dim, j, b))
-    points.extend(_random_point(rng, m.dim, radius) for _ in range(count))
+    points.extend(_random_point(rng, m.dim, r) for _ in range(count))
 
     directions: list[Vector] = []
     for j in range(m.dim):
@@ -489,9 +491,9 @@ def check_closed_graph(
     if m.dim > 1:
         for _ in range(2):
             d = tuple(rng.gauss(0.0, 1.0) for _ in range(m.dim))
-            r = norm(d)
-            if r > 0:
-                directions.append(tuple(c / r for c in d))
+            length = norm(d)
+            if length > 0:
+                directions.append(tuple(c / length for c in d))
 
     def probe(x: Vector) -> dict | None:
         base = m.evaluate(x)
@@ -577,19 +579,6 @@ def check_trajectory_monotone(traj) -> tuple[CoordinateMonotone, ...]:
     return tuple(out)
 
 
-def _checked_points(points: Sequence[Sequence[float]], m: SetValuedMap,
-                    what: str) -> list[Vector]:
-    """Each point as a float tuple, after checking that it has the
-    map's dimension (ValueError otherwise)."""
-    for p in points:
-        if len(p) != m.dim:
-            raise ValueError(
-                f"trajectory {what} has dimension {len(p)}, map {m.label!r} "
-                f"has {m.dim}"
-            )
-    return [as_vector(p) for p in points]
-
-
 def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[float, float]:
     """(max node residual, max interior residual).
 
@@ -600,9 +589,9 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
 
     Every node image and every interior image is evaluated afresh from
     the map, independently of the solve that built the trajectory, so a
-    selection bug shows as a nonzero node residual.  The node and
-    velocity dimensions are checked once, here (ValueError on a
-    mismatch); the images then come from the map's trusted ``_eval``.
+    selection bug shows as a nonzero node residual.  Every node, then
+    every velocity, is checked once by ``checked_vector``; the images
+    come from the map's trusted ``_eval``.
     Membership is exact: a distance is 0.0 exactly when the velocity
     lies in the image, because a float difference is 0 only between
     equal values and never changes sign, so each coordinate gap
@@ -615,8 +604,8 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
-    nodes = _checked_points(traj.nodes, m, "node")
-    velocities = _checked_points(traj.velocities, m, "velocity")
+    nodes = [checked_vector(p, m.dim, "trajectory node", m) for p in traj.nodes]
+    velocities = [checked_vector(v, m.dim, "trajectory velocity", m) for v in traj.velocities]
     evaluate = m._eval
     node_res = 0.0
     for x, v in zip(nodes, velocities):

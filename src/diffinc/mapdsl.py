@@ -46,8 +46,10 @@ import math
 import random
 import re
 import sys
+from typing import Callable
 
 from .setmap import (
+    MAX_RADIUS,
     _REGION_OPS,
     Condition,
     Expr,
@@ -247,6 +249,14 @@ def _number(v: object) -> float | None:
         return None
 
 
+def _at(path: str, make: Callable, *args: object):
+    """``make(*args)``, with the node path in front of any ValueError."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise MapDefinitionError(f"{path}: {e}") from None
+
+
 def _map_from_obj(obj: object, path: str) -> SetValuedMap:
     _require(isinstance(obj, dict), f"{path}: map node must be a JSON object")
     assert isinstance(obj, dict)
@@ -278,7 +288,7 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
         _require(isinstance(parts, list) and len(parts) == 2,
                  f"{path}: '{kind}' must hold two sub-maps")
         left, right = (_map_from_obj(p, f"{path}.{kind}[{i}]") for i, p in enumerate(parts))
-        m = (ProductMap if kind == "product" else UnionMap)(left, right)
+        m = _at(path, ProductMap if kind == "product" else UnionMap, left, right)
         _require(m.dim == dim, f"{path}: {kind} dim {m.dim} != {dim}")
     else:
         node = obj["builtin"]
@@ -287,10 +297,7 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
         params = node.get("params")
         _require(params is None or isinstance(params, dict),
                  f"{path}: builtin 'params' must be an object")
-        try:
-            m = builtin(node["name"], params)
-        except ValueError as e:
-            raise MapDefinitionError(f"{path}: {e}") from None
+        m = _at(path, builtin, node["name"], params)
         _require(m.dim == dim,
                  f"{path}: builtin {node['name']!r} has dim {m.dim}, file says {dim}")
 
@@ -338,8 +345,8 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
                 coords.append((lo, hi))
             image.append(tuple(coords))
         pieces.append(Piece(tuple(conditions), tuple(image)))
-    m = PiecewiseMap(dim, tuple(pieces))
-    validate_map(m)
+    m = _at(path, PiecewiseMap, dim, tuple(pieces))
+    _at(path, validate_map, m)
     return m
 
 
@@ -367,7 +374,7 @@ def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
     else:
         rng = random.Random(20210 + m.dim)
         points = [tuple(rng.choice(vals) for vals in per_var) for _ in range(256)]
-    radius = min(max([1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]), big / 2)
+    radius = min(max([1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]), MAX_RADIUS)
     rng = random.Random(4002 + m.dim)
     for _ in range(32):
         points.append(tuple(rng.uniform(-radius, radius) for _ in range(m.dim)))

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .setmap import CompactSet, Vector, _image, as_vector, distance, finite_vector
+from .setmap import (CompactSet, Vector, _image, as_vector, checked_vector, distance,
+                     finite_vector)
 
 
 @dataclass(frozen=True)
@@ -224,11 +225,8 @@ def initial_velocity(image: CompactSet,
                      override: Sequence[float] | None = None) -> Vector:
     """First velocity: policy-chosen from the image, or a validated override."""
     if override is not None:
-        v = finite_vector(override, "v0 (initial velocity override)")
-        if len(v) != image.dim:
-            raise ValueError(
-                f"initial velocity has dimension {len(v)}, image has {image.dim}"
-            )
+        v = checked_vector(finite_vector(override, "v0 (initial velocity override)"),
+                           image.dim, "initial velocity", "image")
         if distance(image, v) > policy.slack:
             raise ValueError(
                 f"initial velocity {v} is not in the image (distance "

@@ -11,9 +11,9 @@ rounded ``math.hypot``).
 Maps are immutable and evaluation is pure: the same input vector always
 produces the same box list, bit for bit.
 
-Validation happens once, at the boundary.  A map's public ``evaluate``
-checks the point's dimension and converts it to a float tuple; below
-that, maps pass trusted float tuples to each other through ``_eval``,
+Validation happens once, at the boundary: ``checked_vector`` is the one
+dimension check of a vector from outside (a point, x0, a velocity), and
+returns a float tuple.  Below that, maps pass float tuples through ``_eval``,
 and a piecewise map's ``_eval`` is one function compiled at
 construction from its regions and expression trees: inline region
 tests, then each matching piece's boxes, a box of constants folded to
@@ -39,12 +39,15 @@ import functools
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 Vector = tuple[float, ...]
 
 MAX_VERTEX_DIM = 16
+
+MAX_RADIUS = sys.float_info.max / 2  # uniform(-r, r) and point differences stay finite
 
 _INF = math.inf
 _NINF = -math.inf
@@ -60,6 +63,14 @@ def as_vector(x: Sequence[float]) -> Vector:
 
 def norm(x: Sequence[float]) -> float:
     return math.hypot(*x)
+
+
+def checked_vector(x: Sequence[float], dim: int, what: str, owner: object) -> Vector:
+    """``as_vector(x)`` of ``dim`` coordinates, else ValueError "<what> has dimension <n>,
+    <owner> has <dim>"; ``owner`` is formatted only then, so a map passes itself."""
+    if len(x) != dim:
+        raise ValueError(f"{what} has dimension {len(x)}, {owner} has {dim}")
+    return as_vector(x)
 
 
 def finite_vector(x: Sequence[float], what: str) -> Vector:
@@ -490,9 +501,7 @@ def _sup_norm(pairs: Sequence[tuple[Vector, Vector]]) -> float:
 
 def distance(s: CompactSet, v: Sequence[float]) -> float:
     """Euclidean distance from v to the set; exactly 0 iff v lies in it."""
-    if len(v) != s.dim:
-        raise ValueError(f"point has dimension {len(v)}, set has {s.dim}")
-    return _distance(s._pairs(), v)
+    return _distance(s._pairs(), checked_vector(v, s.dim, "point", "set"))
 
 
 def _distance(pairs: Sequence[tuple[Vector, Vector]], v: Sequence[float],
@@ -625,19 +634,15 @@ class SetValuedMap:
     def evaluate(self, x: Sequence[float]) -> CompactSet:
         # Each concrete class binds this body by name, so a profiler that
         # wraps ``vars(cls)["evaluate"]`` counts every call under its kind.
-        return _image(self._eval(self._check_point(x)))
+        return _image(self._eval(checked_vector(x, self.dim, "point", self)))
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
         """Image boxes as (lo, hi) pairs at a trusted point: a float tuple
         of the map's dimension.  Each pair is finite with lo <= hi."""
         raise NotImplementedError
 
-    def _check_point(self, x: Sequence[float]) -> Vector:
-        if len(x) != self.dim:
-            raise ValueError(
-                f"point has dimension {len(x)}, map {self.label!r} has {self.dim}"
-            )
-        return as_vector(x)
+    def __str__(self) -> str:
+        return f"map {self.label!r}"
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:
         """Per-coordinate finite values where the image definition may
@@ -942,10 +947,12 @@ def _make_normgrad(n: int, k: int) -> SetValuedMap:
         r = math.hypot(*x)
         if r == 0.0:
             return origin
+        if not r < _INF:
+            if not all(map(math.isfinite, x)):
+                raise MapDefinitionError("box corners must be finite")
+            top = max(map(abs, x))  # a finite x whose norm overflows: scale it down first
+            return fn(tuple([v / top for v in x]))
         p = tuple([v / r for v in x])
-        # each |v / r| <= 1 unless r is not finite: an infinite or NaN x
-        if not r < _INF and not all(map(math.isfinite, p)):
-            raise MapDefinitionError("box corners must be finite")
         return [(p, p)]
 
     return NativeMap(

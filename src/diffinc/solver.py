@@ -35,7 +35,8 @@ from .selector import (
     _pick,
     initial_velocity,
 )
-from .setmap import SetValuedMap, Vector, _check_growth, _image, finite_vector, norm
+from .setmap import (SetValuedMap, Vector, _check_growth, _image, checked_vector,
+                     finite_vector, norm)
 
 # The most mesh steps one polygon may take: 10**7 steps of a 1-D
 # trajectory hold about 2 GB of nodes, velocities and times.
@@ -182,9 +183,7 @@ def euler_polygon(
     ValueError before anything is allocated when n, given or derived
     from the growth constants, exceeds MAX_STEPS.
     """
-    x0 = finite_vector(x0, "x0")
-    if len(x0) != m.dim:
-        raise ValueError(f"x0 has dimension {len(x0)}, map has {m.dim}")
+    x0 = checked_vector(finite_vector(x0, "x0"), m.dim, "x0", "map")
     _check_horizon(horizon)
 
     bounds = None

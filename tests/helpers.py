@@ -783,6 +783,10 @@ def reference_normgrad(n, k):
         r = math.hypot(*x)
         if r == 0.0:
             return origin
+        if r == math.inf and all(map(math.isfinite, x)):  # the norm overflows
+            top = max(abs(v) for v in x)
+            x = [v / top for v in x]
+            r = math.hypot(*x)
         return CompactSet.of_points(tuple(v / r for v in x))
 
     return fn

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -366,6 +367,14 @@ class TestClosedGraph:
     def test_cbrt_kink_is_tolerated(self):
         report = check_closed_graph(builtin("example2_F"), 5.0, 60, 7, 1e-2)
         assert not report.failed
+
+    @pytest.mark.parametrize("name", ["example1", "example3", "normgrad"])
+    def test_radius_is_drawn_as_a_float(self, name):
+        # the points are drawn from the float that the budget check returns
+        want = check_closed_graph(builtin(name), 5.0, 10, 1, 1e-2)
+        got = check_closed_graph(builtin(name), Decimal(5), 10, 1, 1e-2)
+        assert (got.verdict, got.samples, got.certificate) == \
+            (want.verdict, want.samples, want.certificate)
 
 
 TRAJECTORY_VALUES = st.sampled_from(

@@ -302,6 +302,21 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert "radius must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        # drew only infinite pairs, which the check skipped, and passed
+        "check monotone --map normgrad2 --radius 1.7e308 --samples 50 --seed 1",
+        # an OverflowError traceback from the exact arithmetic
+        "check cyclic --map normgrad3 --radius 1e308 --samples 50 --seed 1",
+        # "box corners must be finite", which blamed a valid map
+        "check wcm --map example3 --radius 1.7e308",
+        "check growth --map normgrad2 --radius 1.7e308",
+        "check graph --map example1 --radius 1e308",
+    ])
+    def test_radius_above_max_radius(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert "radius must be finite and in (0, 8.988465674311579e+307]" in err
+
     @pytest.mark.parametrize("eps", ["inf", "nan"])
     def test_non_finite_graph_eps(self, capsys, eps):
         code, out, err = run(capsys, "check", "graph", "--map", "example1",

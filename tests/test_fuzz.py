@@ -156,7 +156,8 @@ def commands(draw):
         argv += option("--levels", ["2", "3"], 0.5, ["1", "30", "10000000000"])
         argv += option("--samples-per-interval", ["1", "4"], 0.2, ["0", "100000000"])
     if command == "check":
-        argv += option("--radius", ["0.5", "5"], 0.5, ["0", "-1", "nan", "inf", "1e300"])
+        argv += option("--radius", ["0.5", "5"], 0.5,
+                       ["0", "-1", "nan", "inf", "1e300", "1e308", "1.7976931348623157e308"])
         argv += ["--samples", pick(["1", "5", "20"], ["0"])]
         argv += option("--seed", ["0", "7", "-1"])
         argv += option("--cycle-len", ["2", "3"], 0.3, ["0"])
@@ -170,6 +171,8 @@ def commands(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(commands())
 @example(["check", "growth", "--map", "example40", "--samples", "5"])
+@example(["check", "cyclic", "--map", "normgrad3", "--radius", "1e308", "--samples", "50",
+          "--seed", "1"])
 @example(["converge", "--map", "example1", "--x0", "0", "--T", "1", "--N0", "4",
           "--levels", "2", "--samples-per-interval", "100000000"])
 def test_cli_returns_only_contract_exit_codes(argv):

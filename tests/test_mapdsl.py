@@ -260,6 +260,19 @@ class TestParseMap:
                               {"dim": 1, "growth": [0, -math.inf],
                                "builtin": {"name": "example1"}}]},
          "$.union[1]: 'growth' must be [A, B] with finite A, B >= 0"),
+        # errors of map construction and validation name their node too
+        ({"dim": 3, "product": [{"dim": 1, "builtin": {"name": "example1"}},
+                                {"dim": 2, "union": [{"dim": 1, "builtin": {"name": "example1"}},
+                                                     {"dim": 2, "builtin": {"name": "example3"}}]}]},
+         "$.product[1]: union requires equal dimensions, got 1 and 2"),
+        ({"dim": 3, "product": [{"dim": 1, "builtin": {"name": "example1"}},
+                                {"dim": 2, "pieces": [{"region": [],
+                                                       "image": [[["0", "0"], ["x3", "x3"]]]}]}]},
+         "$.product[1]: image expression uses x3 in a 2-dimensional map"),
+        ({"dim": 2, "union": [{"dim": 2, "builtin": {"name": "example3"}},
+                              {"dim": 2, "pieces": [{"region": [{"var": 2, "op": "gt", "bound": 0}],
+                                                     "image": [[["0", "0"], ["0", "0"]]]}]}]},
+         "$.union[1]: map 'piecewise' has an empty image at (0.0, 0.0) (no piece matches)"),
     ])
     def test_bad_values_are_map_definition_errors(self, node, message):
         with pytest.raises(MapDefinitionError) as err:

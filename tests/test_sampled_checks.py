@@ -8,6 +8,7 @@ the bit.
 
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from diffinc.analyzer import (
     _PRODUCT_UNIT,
     _exact,
     _min_vertex,
+    _random_tuples,
     check_closed_graph,
     check_wcm,
     check_wcm_pair,
@@ -37,6 +39,7 @@ from diffinc.analyzer import (
     wcm_pair_feasible,
 )
 from diffinc.setmap import (
+    MAX_RADIUS,
     Box,
     CompactSet,
     Expr,
@@ -374,6 +377,26 @@ CHECKERS = {
 def test_non_finite_radius_is_rejected(name, radius):
     with pytest.raises(ValueError, match="radius"):
         CHECKERS[name](builtin("example1"), radius)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+def test_radius_above_max_radius_is_rejected(name):
+    for radius in (math.nextafter(MAX_RADIUS, math.inf), 1e308, sys.float_info.max):
+        with pytest.raises(ValueError, match="radius must be finite and in"):
+            CHECKERS[name](builtin("example1"), radius)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+def test_max_radius_is_accepted(name):
+    CHECKERS[name](builtin("example3"), MAX_RADIUS)
+
+
+def test_max_radius_draws_only_finite_points():
+    points = [p for t in _random_tuples(1, 3, MAX_RADIUS, 2000, 2) for p in t]
+    assert all(math.isfinite(c) and abs(c) <= MAX_RADIUS for p in points for c in p)
+    assert max(abs(c) for p in points for c in p) > MAX_RADIUS / 2
+    # two sampled points differ by a finite amount
+    assert math.isfinite(MAX_RADIUS - -MAX_RADIUS)
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])

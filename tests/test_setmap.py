@@ -9,6 +9,8 @@ from helpers import reference_region_boundaries
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_compiled_eval import maps
 
+from diffinc.analyzer import check_wcm_pair, residual
+from diffinc.selector import SelectionPolicy, initial_velocity
 from diffinc.setmap import (
     Box,
     CompactSet,
@@ -22,6 +24,7 @@ from diffinc.setmap import (
     union,
     vertices,
 )
+from diffinc.solver import Trajectory, euler_polygon
 
 
 def grid_points(box, per_coord=25):
@@ -188,6 +191,50 @@ class TestEvaluate:
         assert m.evaluate(x).boxes == m.evaluate(x).boxes
 
 
+def _trajectory(nodes, velocities):
+    times = tuple(float(i) for i in range(len(nodes)))
+    return Trajectory(times, nodes, velocities, "t", SelectionPolicy())
+
+
+# Every entry point that takes a vector from outside the package checks
+# its dimension with the same message shape, "<what> has dimension <n>,
+# <owner> has <d>"; these pin each message exactly.
+OUTSIDE_POINT_MESSAGES = [
+    (lambda: builtin("example3").evaluate((1.0,)),
+     "point has dimension 1, map 'example3' has 2"),
+    (lambda: builtin("example1").evaluate([0.0, 1.0, 2.0]),
+     "point has dimension 3, map 'example1' has 1"),
+    (lambda: check_wcm_pair(builtin("example3"), (1.0, 0.0), (1.0,)),
+     "point has dimension 1, map 'example3' has 2"),
+    (lambda: check_wcm_pair(builtin("example1"), (1.0, 0.0), (1.0,)),
+     "point has dimension 2, map 'example1' has 1"),
+    (lambda: distance(CompactSet.of_points((0.0, 0.0)), (1.0,)),
+     "point has dimension 1, set has 2"),
+    (lambda: initial_velocity(CompactSet.of_points((0.0, 0.0)), override=(0.0,)),
+     "initial velocity has dimension 1, image has 2"),
+    (lambda: euler_polygon(builtin("example3"), (1.0,), 1.0, 8),
+     "x0 has dimension 1, map has 2"),
+    (lambda: residual(_trajectory(((0.0,), (1.0,)), ((1.0,),)), builtin("example3")),
+     "trajectory node has dimension 1, map 'example3' has 2"),
+    (lambda: residual(_trajectory(((0.0, 0.0), (1.0, 1.0), (1.0,)),
+                                  ((1.0,), (1.0, 1.0))), builtin("example3")),
+     "trajectory node has dimension 1, map 'example3' has 2"),
+    (lambda: residual(_trajectory(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),
+                                  ((1.0, 1.0), (1.0,))), builtin("example3")),
+     "trajectory velocity has dimension 1, map 'example3' has 2"),
+    (lambda: residual(_trajectory(((0.0,), (1.0, 1.0)), ((1.0,),)), builtin("example3")),
+     "trajectory node has dimension 1, map 'example3' has 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", OUTSIDE_POINT_MESSAGES)
+def test_outside_point_dimension_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 class TestProduct:
     def test_example3_style_product(self):
         const = builtin("example3").right  # [-2,-1] u [1,2]
@@ -276,6 +323,29 @@ class TestBuiltins:
             assert math.hypot(*b.lo) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
             builtin("normgrad", {"n": 1, "k": 4})
+
+    def test_normgrad_where_the_norm_overflows(self):
+        # hypot overflows to inf here, and x / inf was the zero vector
+        m = builtin("normgrad", {"n": 2, "k": 4})
+        u = 1.0 / math.hypot(1.0, 1.0)  # each coordinate is first divided by 1.7e308
+        assert m.evaluate((1.7e308, 1.7e308)) == CompactSet.of_points((u, u))
+        assert m.evaluate((-1.7e308, 1.7e308)) == CompactSet.of_points((-u, u))
+        rng = random.Random(1)
+        for _ in range(200):
+            n = rng.randint(2, 20)
+            x = tuple(rng.uniform(-8e307, 8e307) for _ in range(n))
+            (box,) = builtin("normgrad", {"n": n, "k": 4}).evaluate(x).boxes
+            if math.hypot(*x) < math.inf:
+                assert box.lo == tuple(v / math.hypot(*x) for v in x)
+            else:
+                assert math.hypot(*box.lo) == pytest.approx(1.0, abs=1e-15)
+                assert all(math.copysign(1.0, p) == math.copysign(1.0, v)
+                           for p, v in zip(box.lo, x))
+
+    @pytest.mark.parametrize("x", [(math.inf, 1.0), (math.nan, 1.0), (math.inf, math.nan)])
+    def test_normgrad_rejects_a_non_finite_point(self, x):
+        with pytest.raises(MapDefinitionError, match="box corners must be finite"):
+            builtin("normgrad", {"n": 2, "k": 4}).evaluate(x)
 
     def test_normgrad_axis_points_high_dim(self):
         m = builtin("normgrad", {"n": 3, "k": 6})
