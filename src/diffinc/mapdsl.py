@@ -342,6 +342,9 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
                          f"{ppath}.image[{bi}][{ci}]: expected [lo, hi] expression strings")
                 lo = parse_expr(pair[0])
                 hi = parse_expr(pair[1])
+                k = max(lo.max_var_index(), hi.max_var_index()) + 1
+                _require(k <= dim,
+                         f"{path}: image expression uses x{k} in a {dim}-dimensional map")
                 coords.append((lo, hi))
             image.append(tuple(coords))
         pieces.append(Piece(tuple(conditions), tuple(image)))

@@ -13,14 +13,16 @@ produces the same box list, bit for bit.
 
 Validation happens once, at the boundary: ``checked_vector`` is the one
 dimension check of a vector from outside (a point, x0, a velocity), and
-returns a float tuple.  Below that, maps pass float tuples through ``_eval``,
-and a piecewise map's ``_eval`` is one function compiled at
-construction from its regions and expression trees: inline region
-tests, then each matching piece's boxes, a box of constants folded to
-its value (a very large map becomes a few such functions, run in
-order).  The computed corners are still checked for ``lo <= hi`` and
-finiteness on every evaluation, so a bad image raises the same
-``MapDefinitionError`` as ever.
+returns a float tuple; the map-file reader (``mapdsl``) is the one
+structural check of a piecewise map, and the map classes trust their
+two builders, that reader and the builtin catalog.  Below that, maps
+pass float tuples through ``_eval``, and a piecewise map's ``_eval`` is
+one function compiled at construction from its regions and expression
+trees: inline region tests, then each matching piece's boxes, a box of
+constants folded to its value (a very large map becomes a few such
+functions, run in order).  The computed corners are still checked for
+``lo <= hi`` and finiteness on every evaluation, so a bad image raises
+the same ``MapDefinitionError`` as ever.
 
 The solver, the analyzer and ``validate_map`` call ``_eval`` directly
 on float tuples they build and work on its (lo, hi) pairs: the Euler
@@ -570,10 +572,6 @@ class Condition:
     bound: float
 
     def __post_init__(self) -> None:
-        if self.op not in _REGION_OPS:
-            raise MapDefinitionError(f"unknown region comparator {self.op!r}")
-        if self.var < 0:
-            raise MapDefinitionError("condition variable index must be >= 0")
         object.__setattr__(self, "bound", float(self.bound))
 
 
@@ -593,10 +591,6 @@ class Piece:
 
     conditions: tuple[Condition, ...]
     image: tuple[ExprBox, ...]
-
-    def __post_init__(self) -> None:
-        if not self.image:
-            raise MapDefinitionError("a piece needs at least one image box")
 
 
 # ---------------------------------------------------------------------------
@@ -662,26 +656,6 @@ class PiecewiseMap(SetValuedMap):
                  label: str | None = None):
         super().__init__(dim, growth, label)
         self.pieces = tuple(pieces)
-        if not self.pieces:
-            raise MapDefinitionError("a piecewise map needs at least one piece")
-        for p in self.pieces:
-            bad = max((c.var for c in p.conditions), default=-1)
-            if bad >= dim:
-                raise MapDefinitionError(
-                    f"region condition uses x{bad + 1} in a {dim}-dimensional map"
-                )
-            for box in p.image:
-                if len(box) != dim:
-                    raise MapDefinitionError(
-                        f"image box has {len(box)} coordinates, map has {dim}"
-                    )
-                for lo_e, hi_e in box:
-                    bad = max(lo_e.max_var_index(), hi_e.max_var_index())
-                    if bad >= dim:
-                        raise MapDefinitionError(
-                            f"image expression uses x{bad + 1} in a "
-                            f"{dim}-dimensional map"
-                        )
         self._eval = _compile_eval(self.pieces, self.label)
 
     def region_boundaries(self) -> dict[int, tuple[float, ...]]:

@@ -15,7 +15,8 @@ where (Gronwall majorant ``r' = A + B + 1 + B*r``)::
     M = A + B + 1 + B * L
 
 The mesh condition ``h * M < 1`` is enforced by default whenever growth
-constants are declared.
+constants are declared.  Bounds that overflow are ``+inf``, which no
+finite N meets; with the check off (``--no-mesh-check``) the solve warns.
 """
 
 from __future__ import annotations
@@ -67,12 +68,19 @@ def gronwall_bounds(a: float, b: float, x0_norm: float, horizon: float) -> Growt
     x0_norm = abs(float(x0_norm))
     if math.isnan(x0_norm):
         raise ValueError("x0_norm must not be NaN")
-    if b > 0:
-        grow = math.exp(b * horizon)
-        state = x0_norm * grow + ((a + b + 1.0) / b) * (grow - 1.0)
-    else:
+    state = speed = math.inf  # where exp(B*T) overflows; x0_norm * inf is NaN at 0
+    if b == 0:
         state = x0_norm + (a + 1.0) * horizon
-    speed = a + b + 1.0 + b * state
+        speed = a + 1.0  # B*L is 0, also where L overflows
+    else:
+        try:
+            grow = math.exp(b * horizon)
+        except OverflowError:
+            grow = math.inf
+        if grow < math.inf:
+            # where exp(B*T) rounds to 1, (A+B+1)/B may overflow, and inf * 0 is NaN
+            state = x0_norm * grow + (((a + b + 1.0) / b) * (grow - 1.0) if grow > 1.0 else 0.0)
+            speed = a + b + 1.0 + b * state
     return GrowthBounds(a, b, x0_norm, horizon, state, speed)
 
 
@@ -205,11 +213,12 @@ def euler_polygon(
             "mesh condition h*M < 1 not checked",
             stacklevel=2,
         )
-    elif n < min_steps(bounds):
-        msg = (
-            f"n = {n} gives h*M = {(horizon / n) * bounds.velocity_bound:.6g} "
-            f">= 1; need n >= {min_steps(bounds)}"
-        )
+    elif n <= horizon * bounds.velocity_bound:  # n < min_steps, or T*M overflows
+        try:
+            msg = (f"n = {n} gives h*M = {(horizon / n) * bounds.velocity_bound:.6g} "
+                   f">= 1; need n >= {min_steps(bounds)}")
+        except ValueError as e:  # no finite n meets h*M < 1
+            msg = str(e)
         if enforce_mesh:
             raise MeshTooCoarse(msg)
         warnings.warn(msg, stacklevel=2)

@@ -278,6 +278,35 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert f"MAX_STEPS = {MAX_STEPS}" in err
 
+    @pytest.mark.parametrize("argv", [
+        "solve --map example3 --x0 0,0 --T 1000 --N 4",
+        "converge --map example3 --x0 0,0 --T 1000 --N0 4 --levels 2",
+    ])
+    def test_overflowing_bounds_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err == ("error: no finite mesh meets h*M < 1: T*M = inf "
+                       "(the a-priori bounds overflow)\n")
+
+    @pytest.mark.parametrize("argv", [
+        "solve --map normgrad2 --x0 1.7e308,1.7e308 --T 1 --N 4",
+        "converge --map normgrad2 --x0 1.7e308,1.7e308 --T 1 --N0 4 --levels 2",
+    ])
+    def test_speed_bound_without_state_growth_ignores_the_state(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--no-timestamp")
+        assert code == 0 and "Traceback" not in err
+        if argv.startswith("solve"):
+            report = json.loads(out)
+            assert report["steps"] == 4
+            assert report["initial_velocity"] == [0.7071067811865475, 0.7071067811865475]
+
+    def test_overflowing_bounds_warn_without_the_mesh_check(self, capsys):
+        with pytest.warns(UserWarning, match="no finite mesh"):
+            code, out, err = run(capsys, "solve", "--map", "example2_F", "--x0", "1e308",
+                                 "--T", "1", "--N", "4", "--no-mesh-check", "--no-timestamp")
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["terminal"] == [1e308]
+
     def test_invalid_map_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 1, "pieces": [{"region": [{"var": 1, "op": "gt", "bound": 0}], "image": [[["0", "1"]]]}]}')

@@ -175,6 +175,7 @@ def commands(draw):
           "--seed", "1"])
 @example(["converge", "--map", "example1", "--x0", "0", "--T", "1", "--N0", "4",
           "--levels", "2", "--samples-per-interval", "100000000"])
+@example(["solve", "--map", "example3", "--x0", "0,0", "--T", "1000", "--N", "4"])
 def test_cli_returns_only_contract_exit_codes(argv):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{tmp}", tmp) for a in argv]

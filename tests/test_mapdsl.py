@@ -273,6 +273,18 @@ class TestParseMap:
                               {"dim": 2, "pieces": [{"region": [{"var": 2, "op": "gt", "bound": 0}],
                                                      "image": [[["0", "0"], ["0", "0"]]]}]}]},
          "$.union[1]: map 'piecewise' has an empty image at (0.0, 0.0) (no piece matches)"),
+        # the structural facts that map classes trust the reader to check
+        ({"dim": 1, "pieces": [{"region": [{"var": 1, "op": "ne", "bound": 0}],
+                                "image": [[["0", "1"]]]}]},
+         "$.pieces[0]: condition 'op' must be one of ('lt', 'le', 'ge', 'gt', 'eq')"),
+        ({"dim": 1, "pieces": [{"region": [{"var": 2, "op": "le", "bound": 0}],
+                                "image": [[["0", "1"]]]}]},
+         "$.pieces[0]: condition 'var' must be in 1..1"),
+        ({"dim": 1, "pieces": [{"region": [], "image": []}]},
+         "$.pieces[0]: 'image' must be a nonempty array of boxes"),
+        ({"dim": 2, "pieces": [{"region": [], "image": [[["0", "1"]]]}]},
+         "$.pieces[0].image[0]: box must list 2 coordinate ranges"),
+        ({"dim": 1, "pieces": []}, "$: 'pieces' must be a nonempty array"),
     ])
     def test_bad_values_are_map_definition_errors(self, node, message):
         with pytest.raises(MapDefinitionError) as err:

@@ -6,6 +6,8 @@ import re
 
 import pytest
 from helpers import integrate_majorant
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from diffinc.analyzer import check_trajectory_monotone, residual
 from diffinc.selector import SelectionPolicy, WcmInfeasible, feasible_region
@@ -65,6 +67,39 @@ class TestGronwallBounds:
     def test_rejects_non_finite_inputs(self, args, message):
         with pytest.raises(ValueError, match=message):
             gronwall_bounds(*args)
+
+    @pytest.mark.parametrize("args, speed", [
+        ((1, 1, 0, 1000), math.inf),     # exp(B*T) raises OverflowError
+        ((0, 1e300, 0, 1e10), math.inf),  # B*T is inf, and 0 * exp(inf) is NaN
+        ((1, 0, math.inf, 1), 2.0),       # B = 0: M = A + 1 although L overflows
+    ])
+    def test_overflowing_state_bound_is_infinite(self, args, speed):
+        g = gronwall_bounds(*args)
+        assert (g.state_bound, g.velocity_bound) == (math.inf, speed)
+
+    @given(a=st.floats(0, math.inf, exclude_max=True),
+           b=st.floats(0, math.inf, exclude_max=True),
+           x0_norm=st.floats(0, math.inf),
+           horizon=st.floats(0, math.inf, exclude_min=True, exclude_max=True))
+    @example(a=1e300, b=1e-20, x0_norm=0.0, horizon=1.0)  # (A+B+1)/B = inf, exp(B*T) = 1
+    @example(a=0.0, b=5e-324, x0_norm=0.0, horizon=1.0)
+    @example(a=0.0, b=1.0, x0_norm=0.0, horizon=709.0)
+    def test_bounds_are_never_nan_and_keep_every_finite_value(self, a, b, x0_norm, horizon):
+        g = gronwall_bounds(a, b, x0_norm, horizon)
+        assert not math.isnan(g.state_bound) and not math.isnan(g.velocity_bound)
+        try:  # the closed forms of the module docstring, term by term
+            if b > 0:
+                grow = math.exp(b * horizon)
+                state = x0_norm * grow + ((a + b + 1.0) / b) * (grow - 1.0)
+            else:
+                state = x0_norm + (a + 1.0) * horizon
+            speed = a + b + 1.0 + b * state
+        except OverflowError:
+            return
+        if math.isfinite(state):
+            assert g.state_bound == state
+        if math.isfinite(speed):
+            assert g.velocity_bound == speed
 
 
 class TestMinSteps:
@@ -159,6 +194,15 @@ class TestEulerPolygon:
         assert need > MAX_STEPS
         with pytest.raises(ValueError, match=f"N = {need} .* {MAX_STEPS}"):
             euler_polygon(m, (1.0,), 50.0)
+
+    def test_overflowing_bounds_warn_without_the_mesh_check(self):
+        m = builtin("example2_F")
+        with pytest.warns(UserWarning, match=r"no finite mesh meets h\*M < 1: T\*M = inf"):
+            traj = euler_polygon(m, (1e308,), 1.0, 4, enforce_mesh=False)
+        assert traj.terminal == (1e308,)
+        assert residual(traj, m) == (0.0, 0.0)
+        with pytest.raises(ValueError, match=r"no finite mesh meets h\*M < 1: T\*M = inf"):
+            euler_polygon(m, (1e308,), 1.0, 4)
 
     def test_overflowing_bounds_are_a_value_error(self):
         with pytest.raises(ValueError, match="no finite mesh"):
