@@ -34,8 +34,9 @@ comes in a fixed order and the random draws from the seeded generator
 in a fixed order, so a report does not depend on how far the search
 went.  Only the pair/cycle *sampling* is approximate: a
 ``pass-sampled`` verdict claims absence of counterexamples within the
-budget, never a proof.  Every ``fail`` verdict carries a certificate
-that re-verifies by direct evaluation.
+budget, never a proof.  Every ``fail`` but growth's carries a
+certificate that re-verifies by direct evaluation; a growth ``fail``
+reports its fit and positive ``declared_violation`` instead.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ from .setmap import (
 class CheckReport:
     """Outcome of one sampled condition check.
 
-    ``fail`` carries a deterministic re-checkable certificate;
-    ``pass-sampled`` only states that the budget found nothing.
+    ``fail`` carries a deterministic re-checkable certificate (growth:
+    its violation, in ``extra``); ``pass-sampled`` only states that the
+    budget found nothing.
     """
 
     condition: str
@@ -216,7 +218,7 @@ def _hardest_corner(pairs_x: Sequence[tuple[Vector, Vector]],
             lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
             for lo, hi, s in zip(lo_x, hi_x, sigma)
         )
-        kept, dropped = _clip(pairs_y, corner, flipped, 0.0, first=True)
+        kept, dropped = _clip(pairs_y, corner, flipped, first=True)
         if not kept:
             return {
                 "x": list(x),
@@ -546,8 +548,9 @@ class CoordinateMonotone:
 def check_trajectory_monotone(traj) -> tuple[CoordinateMonotone, ...]:
     """Verify sign stability and monotonicity of velocities and nodes.
 
-    All comparisons are exact (tolerance 0); a violation indicates a
-    solver bug, not a property of the map.  An all-zero velocity tail is
+    All comparisons are exact (tolerance 0), as is the selection rule,
+    so a violation on an ``euler_polygon`` trajectory indicates a solver
+    bug, not a property of the map.  An all-zero velocity tail is
     monotone.  A decreasing coordinate is checked as the increasing
     coordinate of its negation; negation is exact, so every comparison
     answers as on the coordinate itself.

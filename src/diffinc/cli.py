@@ -69,7 +69,7 @@ def resolve_map(source: str, dim: int | None = None, k: int | None = None) -> Se
 
 
 def _policy(args: argparse.Namespace) -> SelectionPolicy:
-    return SelectionPolicy(args.policy.replace("-", "_"), args.slack)
+    return SelectionPolicy(args.policy.replace("-", "_"))
 
 
 def _emit(payload: dict, args: argparse.Namespace, output: str | None) -> None:
@@ -98,7 +98,6 @@ def _add_solve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, required=True, help="time horizon")
     p.add_argument("--policy", choices=["project", "lex-min", "lex-max"],
                    default="project")
-    p.add_argument("--slack", type=float, default=0.0)
     p.add_argument("--v0", default=None,
                    help="initial velocity override, comma-separated")
     p.add_argument("--no-mesh-check", action="store_true",
@@ -185,7 +184,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     summary = {
         "map": m.label,
         "policy": policy.variant,
-        "slack": policy.slack,
         "horizon": traj.horizon,
         "steps": traj.steps,
         "mesh_size": traj.mesh_size,

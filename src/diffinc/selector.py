@@ -1,11 +1,11 @@
 """Velocity selection under the componentwise sign constraint.
 
 At each polygon step the new velocity w must satisfy, coordinate by
-coordinate, ``s_j * (w_j - prev_v_j) >= -slack`` where ``s_j`` is the
-sign of the previous displacement.  For box-union images that feasible
-set is again a box union (each coordinate interval is clipped by a
-half-line), so feasibility and the selection itself are exact interval
-operations with no tolerances beyond the explicit ``slack``.
+coordinate, ``s_j * (w_j - prev_v_j) >= 0`` where ``s_j`` is the sign
+of the previous displacement.  For box-union images that feasible set
+is again a box union (each coordinate interval is clipped by a
+half-line at ``prev_v_j``), so feasibility and the selection itself are
+exact interval operations with no tolerance.
 
 One core works on (lo, hi) pairs: ``_clip`` cuts them by the sign
 constraint and ``_pick`` takes the policy's point.  The public
@@ -64,21 +64,16 @@ class SelectionPolicy:
     ``project`` (default) clamps the previous velocity into the feasible
     region, minimising velocity chatter; ``lex_min`` / ``lex_max`` take
     the lexicographic extreme vertex, which reproduces branch-following
-    behaviour on multi-branch images.  ``slack`` relaxes the sign
-    constraint; it exists for maps whose images carry expression
-    round-off and defaults to 0 (exact feasibility).
+    behaviour on multi-branch images.
     """
 
     variant: str = "project"
-    slack: float = 0.0
 
     def __post_init__(self) -> None:
         if self.variant not in _POLICY_VARIANTS:
             raise ValueError(
                 f"unknown policy {self.variant!r}; choose from {_POLICY_VARIANTS}"
             )
-        if not (self.slack >= 0.0):
-            raise ValueError("slack must be >= 0")
 
 
 class WcmInfeasible(RuntimeError):
@@ -130,21 +125,20 @@ class WcmInfeasible(RuntimeError):
 
 
 def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
-          signs: Sequence[int], slack: float, first: bool = False
+          signs: Sequence[int], first: bool = False
           ) -> tuple[list[tuple[Vector, Vector]], list[tuple[int, int]]]:
     """The (lo, hi) pairs cut by the sign constraint, empty boxes dropped,
     and for each dropped box (its index, the first coordinate whose cut
     emptied it).  With ``first`` the cut stops at the first box that
     survives it, so only an empty result has cut every box.
 
-    Where ``s_j > 0`` the lower bound becomes ``max(lo_j, prev_v_j -
-    slack)``, where ``s_j < 0`` the upper bound becomes ``min(hi_j,
-    prev_v_j + slack)``.  Each bound is a box corner or the prev_v bound
-    that replaced it because it is tighter, so a kept box is finite with
-    lo <= hi.
+    Where ``s_j > 0`` the lower bound becomes ``max(lo_j, prev_v_j)``,
+    where ``s_j < 0`` the upper bound becomes ``min(hi_j, prev_v_j)``.
+    Each bound is a box corner or the prev_v coordinate that replaced it
+    because it is tighter (a corner equal to it, a zero of either sign
+    included, is kept), so a kept box is finite with lo <= hi.
     """
-    cuts = [(j, s, prev_v[j] - slack if s > 0 else prev_v[j] + slack)
-            for j, s in enumerate(signs) if s]
+    cuts = [(j, s, prev_v[j]) for j, s in enumerate(signs) if s]
     kept = []
     dropped = []
     for k, (lo, hi) in enumerate(pairs):
@@ -193,11 +187,12 @@ def _pick(pairs: Sequence[tuple[Vector, Vector]], target: Vector,
 
 
 def feasible_region(image: CompactSet, prev_v: Sequence[float],
-                    signs: SignPattern, slack: float = 0.0) -> CompactSet | None:
+                    signs: SignPattern) -> CompactSet | None:
     """Image points satisfying the sign constraint, or None if empty.
 
-    Emptiness is a verdict, not an error; callers that need a velocity
-    raise WcmInfeasible.
+    A cut bound that replaces a corner is ``prev_v_j`` itself, bit for
+    bit, so a ``-0.0`` stays ``-0.0``.  Emptiness is a verdict, not an
+    error; callers that need a velocity raise WcmInfeasible.
     """
     prev_v = as_vector(prev_v)
     if len(prev_v) != image.dim or len(signs) != image.dim:
@@ -205,7 +200,7 @@ def feasible_region(image: CompactSet, prev_v: Sequence[float],
             f"dimension mismatch: image {image.dim}, prev_v {len(prev_v)}, "
             f"signs {len(signs)}"
         )
-    kept, _ = _clip(image._pairs(), prev_v, signs.signs, slack)
+    kept, _ = _clip(image._pairs(), prev_v, signs.signs)
     return _image(kept) if kept else None
 
 
@@ -214,7 +209,7 @@ def select_velocity(image: CompactSet, prev_v: Sequence[float],
                     policy: SelectionPolicy = SelectionPolicy()) -> Vector:
     """Pick the next velocity from the constrained image; deterministic."""
     prev_v = as_vector(prev_v)
-    region = feasible_region(image, prev_v, signs, policy.slack)
+    region = feasible_region(image, prev_v, signs)
     if region is None:
         raise WcmInfeasible(prev_v, signs, image)
     return _pick(region._pairs(), prev_v, policy.variant)
@@ -227,10 +222,9 @@ def initial_velocity(image: CompactSet,
     if override is not None:
         v = checked_vector(finite_vector(override, "v0 (initial velocity override)"),
                            image.dim, "initial velocity", "image")
-        if distance(image, v) > policy.slack:
+        if not image.contains(v):
             raise ValueError(
-                f"initial velocity {v} is not in the image (distance "
-                f"{distance(image, v)!r} exceeds slack {policy.slack!r})"
+                f"initial velocity {v} is not in the image (distance {distance(image, v)!r})"
             )
         return v
     return _pick(image._pairs(), (0.0,) * image.dim, policy.variant)

@@ -3,16 +3,16 @@
 The polygon is piecewise linear: ``x(t) = x(t_i) + (t - t_i) * v_i`` on
 each mesh interval, with ``v_0`` taken from the initial image and every
 later velocity chosen so it never moves against the sign of the
-previous displacement.  That selection rule makes each coordinate of
-the polygon and of its derivative monotone by construction.
+previous displacement.  The rule is exact, with no tolerance, so each
+coordinate of the polygon and of its derivative is monotone, and every
+velocity lies in the image at its node (node residual exactly 0).
 
 A-priori bounds: if ``sup_norm(F(x)) <= A + B*|x|`` then every solution
 of the inflated inclusion satisfies ``|x(t)| <= L`` and speed ``<= M``
 where (Gronwall majorant ``r' = A + B + 1 + B*r``)::
 
-    L = |x0| * exp(B*T) + ((A + B + 1) / B) * (exp(B*T) - 1)   (B > 0)
-    L = |x0| + (A + 1) * T                                     (B = 0)
-    M = A + B + 1 + B * L
+    L = |x0| * exp(B*T) + (A + B + 1) * E,   E = (exp(B*T) - 1) / B  (T at B = 0)
+    M = A + B + 1 + B * L = (A + B + 1 + B * |x0|) * exp(B*T)
 
 The mesh condition ``h * M < 1`` is enforced by default whenever growth
 constants are declared.  Bounds that overflow are ``+inf``, which no
@@ -68,19 +68,20 @@ def gronwall_bounds(a: float, b: float, x0_norm: float, horizon: float) -> Growt
     x0_norm = abs(float(x0_norm))
     if math.isnan(x0_norm):
         raise ValueError("x0_norm must not be NaN")
-    state = speed = math.inf  # where exp(B*T) overflows; x0_norm * inf is NaN at 0
-    if b == 0:
-        state = x0_norm + (a + 1.0) * horizon
-        speed = a + 1.0  # B*L is 0, also where L overflows
-    else:
-        try:
-            grow = math.exp(b * horizon)
-        except OverflowError:
-            grow = math.inf
-        if grow < math.inf:
-            # where exp(B*T) rounds to 1, (A+B+1)/B may overflow, and inf * 0 is NaN
-            state = x0_norm * grow + (((a + b + 1.0) / b) * (grow - 1.0) if grow > 1.0 else 0.0)
-            speed = a + b + 1.0 + b * state
+    bt = b * horizon
+    try:
+        grow = math.exp(bt)
+    except OverflowError:
+        grow = math.inf
+    state = math.inf  # where exp(B*T) overflows; x0_norm * inf is NaN at 0
+    if grow < math.inf:
+        # (A+B+1) (exp(BT) - 1) / B as (A+1) T expm1(BT) / BT + expm1(BT): no
+        # cancellation, no error from a subnormal BT, no overflow of A + B
+        em1 = math.expm1(bt)
+        state = x0_norm * grow + (a + 1.0) * (em1 / bt * horizon if bt > 0.0 else horizon) + em1
+    # M's second form stays finite where only L overflows; at B = 0, M = A + 1
+    # also for an infinite |x0|, where B * |x0| would be NaN
+    speed = a + 1.0 if b == 0 else (a + b + 1.0 + b * x0_norm) * grow
     return GrowthBounds(a, b, x0_norm, horizon, state, speed)
 
 
@@ -232,14 +233,13 @@ def euler_polygon(
     # the points built here are float tuples of the map's dimension, so
     # they go to _eval and the selector core without re-validation
     evaluate = m._eval
-    slack = policy.slack
     variant = policy.variant
     for i in range(1, n):
         x = tuple([xc + h * vc for xc, vc in zip(x, v)])
         nodes.append(x)
         signs = tuple([(c > 0) - (c < 0) for c in v])
         image = evaluate(x)
-        region, _ = _clip(image, v, signs, slack)
+        region, _ = _clip(image, v, signs)
         if not region:
             raise WcmInfeasible(v, SignPattern(signs), _image(image),
                                 state=x, step=i, time=times[i])
@@ -280,7 +280,6 @@ class ConvergenceReport:
         return {
             "map": self.map_label,
             "policy": self.policy.variant,
-            "slack": self.policy.slack,
             "x0": list(self.x0),
             "horizon": self.horizon,
             "levels": levels,

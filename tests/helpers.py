@@ -458,16 +458,16 @@ def reference_distance(s, v):
     )
 
 
-def reference_feasible_region(image, prev_v, signs, slack):
+def reference_feasible_region(image, prev_v, signs):
     kept = []
     for box in image.boxes:
         lo = list(box.lo)
         hi = list(box.hi)
         for j, s in enumerate(signs):
             if s > 0:
-                lo[j] = max(lo[j], prev_v[j] - slack)
+                lo[j] = max(lo[j], prev_v[j])
             elif s < 0:
-                hi[j] = min(hi[j], prev_v[j] + slack)
+                hi[j] = min(hi[j], prev_v[j])
             if lo[j] > hi[j]:
                 break
         else:
@@ -491,7 +491,7 @@ def _reference_pick(region, target, variant):
 
 def reference_select_velocity(image, prev_v, signs, policy):
     prev_v = tuple(float(c) for c in prev_v)
-    region = reference_feasible_region(image, prev_v, signs, policy.slack)
+    region = reference_feasible_region(image, prev_v, signs)
     if region is None:
         raise WcmInfeasible(prev_v, signs, image)
     return _reference_pick(region, prev_v, policy.variant)
@@ -504,10 +504,10 @@ def reference_initial_velocity(image, policy, override):
             raise ValueError(
                 f"initial velocity has dimension {len(v)}, image has {image.dim}"
             )
-        if reference_distance(image, v) > policy.slack:
+        if reference_distance(image, v) > 0.0:
             raise ValueError(
-                f"initial velocity {v} is not in the image (distance "
-                f"{reference_distance(image, v)!r} exceeds slack {policy.slack!r})"
+                f"initial velocity {v} is not in the image "
+                f"(distance {reference_distance(image, v)!r})"
             )
         return v
     return _reference_pick(image, (0.0,) * image.dim, policy.variant)
@@ -578,7 +578,7 @@ def reference_wcm_pair_feasible(image_x, image_y, x, y):
             lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
             for lo, hi, s in zip(box.lo, box.hi, sigma)
         )
-        if reference_feasible_region(image_y, corner, flipped, 0.0) is None:
+        if reference_feasible_region(image_y, corner, flipped) is None:
             blocking = []
             for k, ybox in enumerate(image_y.boxes):
                 for j, s in enumerate(sigma):

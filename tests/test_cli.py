@@ -153,6 +153,18 @@ class TestCheck:
         assert doc["fit"] == {"a": 1.0, "b": 0.0}
         assert doc["declared_violation"] == 0.0
 
+    def test_growth_fail_reports_the_violation_without_certificate(self, capsys, tmp_path):
+        path = tmp_path / "low_growth.json"
+        path.write_text('{"dim": 1, "growth": [0.1, 0], "builtin": {"name": "example1"}}')
+        code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--samples", "5",
+                           "--no-timestamp")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert doc["declared"] == [0.1, 0.0]
+        assert doc["declared_violation"] == 0.9
+        assert "certificate" not in doc
+
     def test_growth_declared_bound_met_in_floats(self, capsys):
         # g - A - B*r rounded to 4.4e-16 here although g <= A + B*r
         code, out, _ = run(
@@ -243,6 +255,13 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "list-examples", "--frobnicate")
         assert code == 1
+
+    def test_removed_slack_option(self, capsys):
+        code, out, err = run(capsys, "solve", "--map", "example1", "--x0", "0.1", "--v0", "1",
+                             "--T", "1", "--N", "8", "--policy", "lex-min", "--slack", "0.5")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --slack 0.5" in err
+        assert "Traceback" not in err
 
     def test_unknown_map(self, capsys):
         code, _, err = run(capsys, "solve", "--map", "nosuch", "--x0", "0", "--T", "1")

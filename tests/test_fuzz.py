@@ -145,7 +145,6 @@ def commands(draw):
     if command in ("solve", "converge"):
         argv += ["--x0", vector(), "--T", pick(["1", "0.5", "1e-4"], ["0", "-1", "nan", "50"])]
         argv += option("--policy", ["project", "lex-min", "lex-max"], 0.3, ["bogus"])
-        argv += option("--slack", ["0", "0.25"], 0.2, ["-1", "nan"])
         argv += option("--v0", [vector()], 0.3)
         argv += ["--no-mesh-check"] if rnd.random() < 0.2 else []
     if command == "solve":

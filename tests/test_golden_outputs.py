@@ -102,21 +102,21 @@ GOLDEN = {
     'check-growth-example3': (0, '209e78c842d632766da02504390c16725d9b7ac4230694ed5ffa6a3d4ee15133', None),
     'check-monotone-normgrad2': (0, '97aecd8257c6642c7259242fd499ed7229cd22529bee3f62519f24588eef63ca', None),
     'check-wcm-example3': (0, 'c2b6b7c9e8437832adba2f852256a50f10c51a81f2649a75fccaaef5695bf266', None),
-    'converge-example2_F-lex-max': (0, 'e3b8bde2d7b3e5b82be15c2b66e9c2aff5caca07a6c5880006be7843e3320161', None),
+    'converge-example2_F-lex-max': (0, 'a1dcd6283b9c5c62f01fbf52cfd5e1c6603a4dc119eb3ba53ce49099e112dfd1', None),
     'solve-antisign-infeasible': (2, 'e0d290981c63ae46d2c887c6db2756c340789e4bbdfcd9828ccc5f0f3ee002d3', None),
-    'solve-example1-lex-max': (0, '0fb0f459e50a5bc490d0f03f4e3fbdbdb2023554f758c18637de65a9aed028bb', 'fba1e679e8ebbbdbd4ec089826e7ac4d15dbb9b89f5c551f068ad5a93d04c139'),
-    'solve-example1-lex-min': (0, '55816de4385f8ff61d753d91a39165e4e9776278b7a8d7d85f34edc3e1df1b9c', '904ff920778f3201bfedfae4d2ad269cf06aa6486f3767239d6375ded4ccc296'),
-    'solve-example1-project': (0, '4f6e16046aae81c5ef71d922dc5d66f79b62cd8dc8084ecf2f99f8af22de140d', 'fba1e679e8ebbbdbd4ec089826e7ac4d15dbb9b89f5c551f068ad5a93d04c139'),
-    'solve-example2_F-lex-max': (0, '5551622ea7c161f1d412e8f12a87f93827f5458490c5c686206e3453919f2636', 'e382a203a6f39dab5e81b2ef2a6a3fd75d4efcbf6bb9107523bcdbf80bed3e3d'),
-    'solve-example2_F-lex-min': (0, '152fe89932ba096a83be89de789555701241e2b48b1078f4dcf79344b20e1bc9', '8c397e4d0e1d968144f3b641b8f7623dba0bda936b291bc34cf3a6ba32622ef4'),
-    'solve-example2_F-project': (0, '58c3c54e877d769e2aa84ed2e61a9ad081d2735c021e9554d36c8ab7efc75ea4', '8c397e4d0e1d968144f3b641b8f7623dba0bda936b291bc34cf3a6ba32622ef4'),
-    'solve-example3-lex-max': (0, 'a7a32617ed3c600f899e13290d2d86cfe543d76ff7b4f88419198e30bc896e2d', 'e6401c5e207318c2b5691a0d2fd55d32189b5b2cf37b4ac4b54446f0a564e381'),
-    'solve-example3-lex-min': (0, 'b70e8d668c9ea0c6252b876153f858a079d5fe5136c42fe80247a588bcd075af', '5d02d1114c31daa13ed0336718c54ae1343be83affcc8982c0b3522181a57ca0'),
-    'solve-example3-project': (0, '8de4c0f98818cbdb8cf6e50deb77e23344400c87b4644a9e4949b543666a8d13', '3c2ea96ed95086487c29d6492d9bdaddad97f33daa15dee658cfed32985491b4'),
-    'solve-example4_3-lex-max': (0, 'b469aa5e9cc1793663c4260063955673ed622169b21059b125cfe74218ede487', 'dd815e3f6fdf780c9314708f990470b1cc820d943a54227ca8ed3e69370d39e0'),
-    'solve-example4_3-lex-min': (0, 'd37c628ef7c0b11dabdd6224e19cd05955881a7f1770012e1ce8cda66512e9d4', 'ef29f63aaa729b461a34d16ca55b18647f209030c8a2887c7f4af979611a5ffa'),
-    'solve-example4_3-project': (0, 'ea4df073c082a0a37412cd5e6419de78cdd972b078d9ccceb9a716c01f103528', '93ae454ff236d89dcc0db39636f8033199280ea23387de2b3dad04cfc89b4556'),
-    'solve-mapfile-example2_G': (0, '0dab402f9fdd829907f8febef6ccf8bb2d844f73ba433b26dc63de76670d4de1', '54b0cf2611fb6d389441745efe4070724509d27bed5011b090a9818bc8529dd3'),
+    'solve-example1-lex-max': (0, 'f84f0be4251588f232f10fb459811a491757a9793fb6e9c387aac16633e77956', 'fba1e679e8ebbbdbd4ec089826e7ac4d15dbb9b89f5c551f068ad5a93d04c139'),
+    'solve-example1-lex-min': (0, '7245da014d8f36f8f32e7ee930638aef4510898f9d3646aadd094ce81cc25508', '904ff920778f3201bfedfae4d2ad269cf06aa6486f3767239d6375ded4ccc296'),
+    'solve-example1-project': (0, 'bb8e3e94e12494d861ea22aca008dbba8b2486b78db99645797e3215201fcc23', 'fba1e679e8ebbbdbd4ec089826e7ac4d15dbb9b89f5c551f068ad5a93d04c139'),
+    'solve-example2_F-lex-max': (0, '59d41662b915ca030f3ac0581efc8000a174e9c6f037e7c2f72a7a41ff59e30d', 'e382a203a6f39dab5e81b2ef2a6a3fd75d4efcbf6bb9107523bcdbf80bed3e3d'),
+    'solve-example2_F-lex-min': (0, '932e5446c13d16299a008e3dea47244abf7d518881404af197124562a02e980f', '8c397e4d0e1d968144f3b641b8f7623dba0bda936b291bc34cf3a6ba32622ef4'),
+    'solve-example2_F-project': (0, 'fe1cf1f5ee94e34000cd3fa2c6650628e2beb4903bc0b67324e8b8f85da39c37', '8c397e4d0e1d968144f3b641b8f7623dba0bda936b291bc34cf3a6ba32622ef4'),
+    'solve-example3-lex-max': (0, '0dc680061841265579162b0e64ee5f0c88d547d8b0dcbaf70a25f87d0f549133', 'e6401c5e207318c2b5691a0d2fd55d32189b5b2cf37b4ac4b54446f0a564e381'),
+    'solve-example3-lex-min': (0, '8a59fe961397bea2e3c06babdc6c47932eb9bdadf3b7beb40a726c9c0b0188fd', '5d02d1114c31daa13ed0336718c54ae1343be83affcc8982c0b3522181a57ca0'),
+    'solve-example3-project': (0, '79882852411a8b3c84a35e78868de481ef97a711c5c100e6dabe7c8c6d9ad238', '3c2ea96ed95086487c29d6492d9bdaddad97f33daa15dee658cfed32985491b4'),
+    'solve-example4_3-lex-max': (0, '03bfdabd346076158055fb394a7462583f9624c44c3bde3036be169b307a8de7', 'dd815e3f6fdf780c9314708f990470b1cc820d943a54227ca8ed3e69370d39e0'),
+    'solve-example4_3-lex-min': (0, '6faf4037751ef1de59b62d44ba436dc3ad83c077f0c18d7beb23a73c46579080', 'ef29f63aaa729b461a34d16ca55b18647f209030c8a2887c7f4af979611a5ffa'),
+    'solve-example4_3-project': (0, 'a2bfa852bb0b2992bb505a39768b7a0fb8740553d0cfc2de32c818f9a31fbc4b', '93ae454ff236d89dcc0db39636f8033199280ea23387de2b3dad04cfc89b4556'),
+    'solve-mapfile-example2_G': (0, '013780ccbb4833e30af45978af6ec997498299e63497d60757152e7a85667bf3', '54b0cf2611fb6d389441745efe4070724509d27bed5011b090a9818bc8529dd3'),
 }
 
 

@@ -3,6 +3,8 @@
 import math
 import random
 import re
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, localcontext
 
 import pytest
 from helpers import integrate_majorant
@@ -26,6 +28,27 @@ from diffinc.solver import (
 )
 
 LEX_MAX = SelectionPolicy("lex_max")
+
+
+DBL_MAX = Decimal(sys.float_info.max)
+
+
+def decimal_majorant(a, b, x0_norm, horizon):
+    """L and M of the solver's module docstring for B > 0, in 80-digit
+    decimal arithmetic; an exponent past the decimal range is Infinity."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+        ctx.traps[Overflow] = False
+        a, b, r0, t = map(Decimal, (a, b, x0_norm, horizon))
+        u = b * t
+        # exp(u) - 1 loses about -log10(u) of the 80 digits; below 1e-20
+        # the series' relative truncation error, about u**3 / 24, is tiny
+        em1 = u * (1 + u / 2 + u * u / 6) if u < Decimal("1e-20") else u.exp() - 1
+        if em1.is_infinite():  # and r0 * em1 would be NaN at r0 = 0
+            return em1, em1
+        state = r0 * (em1 + 1) + (a + b + 1) * em1 / b
+        return state, a + b + 1 + b * state
 
 
 class TestGronwallBounds:
@@ -82,24 +105,26 @@ class TestGronwallBounds:
            x0_norm=st.floats(0, math.inf),
            horizon=st.floats(0, math.inf, exclude_min=True, exclude_max=True))
     @example(a=1e300, b=1e-20, x0_norm=0.0, horizon=1.0)  # (A+B+1)/B = inf, exp(B*T) = 1
+    @example(a=0.0, b=1e-20, x0_norm=0.0, horizon=1.0)  # exp(B*T) - 1 cancels to 0
     @example(a=0.0, b=5e-324, x0_norm=0.0, horizon=1.0)
+    @example(a=0.0, b=5e-324, x0_norm=0.0, horizon=1.4)  # B*T rounds to 5e-324
+    @example(a=1e308, b=1e308, x0_norm=0.0, horizon=1e-310)  # A + B overflows, L = 0.0201
     @example(a=0.0, b=1.0, x0_norm=0.0, horizon=709.0)
     def test_bounds_are_never_nan_and_keep_every_finite_value(self, a, b, x0_norm, horizon):
         g = gronwall_bounds(a, b, x0_norm, horizon)
         assert not math.isnan(g.state_bound) and not math.isnan(g.velocity_bound)
-        try:  # the closed forms of the module docstring, term by term
-            if b > 0:
-                grow = math.exp(b * horizon)
-                state = x0_norm * grow + ((a + b + 1.0) / b) * (grow - 1.0)
-            else:
-                state = x0_norm + (a + 1.0) * horizon
-            speed = a + b + 1.0 + b * state
-        except OverflowError:
+        if b == 0:  # the closed form of the module docstring, term by term
+            assert g.state_bound == x0_norm + (a + 1.0) * horizon
+            assert g.velocity_bound == a + 1.0
             return
-        if math.isfinite(state):
-            assert g.state_bound == state
-        if math.isfinite(speed):
-            assert g.velocity_bound == speed
+        state, speed = decimal_majorant(a, b, x0_norm, horizon)
+        for got, want in ((g.state_bound, state), (g.velocity_bound, speed)):
+            if math.isinf(got):  # overflow: the true bound is beyond the double range
+                assert want > DBL_MAX * Decimal(1 - 1e-12)
+            else:
+                # 1e-320: a few roundings in the subnormal range
+                assert want.is_finite()
+                assert abs(Decimal(got) - want) <= Decimal(1e-12) * want + Decimal(1e-320)
 
 
 class TestMinSteps:
