@@ -18,11 +18,12 @@ structural check of a piecewise map, and the map classes trust their
 two builders, that reader and the builtin catalog.  Below that, maps
 pass float tuples through ``_eval``, and a piecewise map's ``_eval`` is
 one function compiled at construction from its regions and expression
-trees: inline region tests, then each matching piece's boxes, a box of
-constants folded to its value (a very large map becomes a few such
-functions, run in order).  The computed corners are still checked for
-``lo <= hi`` and finiteness on every evaluation, so a bad image raises
-the same ``MapDefinitionError`` as ever.
+trees: inline region tests, then each matching piece's boxes (a very
+large map becomes a few such functions, run in order).  A constant
+subexpression is computed once, when the map is built, with the same
+bits as at evaluation.  The other corners, and a constant one that is
+not finite or has ``lo > hi``, are checked on every evaluation, so a
+bad image raises the same ``MapDefinitionError`` as ever.
 
 The solver, the analyzer and ``validate_map`` call ``_eval`` directly
 on float tuples they build and work on its (lo, hi) pairs: the Euler
@@ -133,7 +134,23 @@ def real_cbrt(v: float) -> float:
 # Scalar expressions (the arithmetic used inside piecewise map images)
 # ---------------------------------------------------------------------------
 
-_EXPR_OPS = ("const", "var", "neg", "add", "sub", "mul", "sign", "cbrt", "abs")
+def _sign(v: float) -> float:
+    return 1.0 if v > 0 else -1.0 if v < 0 else 0.0
+
+
+# op -> (source template of its compiled code, the function that folds it
+# when every argument is a constant); the two apply the same operation,
+# and both look ``real_cbrt`` up in this module's globals when called
+_OPS: dict[str, tuple[str, Callable[..., float]]] = {
+    "neg": ("-{}", operator.neg),
+    "add": ("{} + {}", operator.add),
+    "sub": ("{} - {}", operator.sub),
+    "mul": ("{} * {}", operator.mul),
+    "sign": ("1.0 if {0} > 0 else -1.0 if {0} < 0 else 0.0", _sign),
+    "cbrt": ("real_cbrt({})", lambda v: real_cbrt(v)),
+    "abs": ("abs({})", abs),
+}
+_EXPR_OPS = ("const", "var", *_OPS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,10 +227,12 @@ class Expr:
     def _text(self, dim: int, level: int) -> str:
         op = self.op
         if op == "const":
-            if self.value < 0 or (self.value == 0 and math.copysign(1.0, self.value) < 0):
-                body = format(-self.value, ".17g")
+            v = self.value
+            # float("1e999") is inf, and the grammar has no name for it
+            body = "1e999" if math.isinf(v) else format(abs(v), ".17g")
+            if math.copysign(1.0, v) < 0:
                 return f"(-{body})" if level > 2 else f"-{body}"
-            return format(self.value, ".17g")
+            return body
         if op == "var":
             text = "x" if dim == 1 else f"x{self.index + 1}"
             return text
@@ -236,14 +255,6 @@ class Expr:
 
 _pack_double = struct.Struct("<d").pack
 
-_UNARY = {
-    "neg": "-{}",
-    "sign": "1.0 if {0} > 0 else -1.0 if {0} < 0 else 0.0",
-    "cbrt": "real_cbrt({})",
-    "abs": "abs({})",
-}
-_BINARY = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}"}
-
 
 _CHUNK = 2048  # source characters compiled together, at most one piece more
 
@@ -256,10 +267,12 @@ class _Codegen:
     Constants and other objects become parameters of a factory
     function, so each float is bound as an object and never printed;
     constants are keyed by their bits, so 0.0 and -0.0 (equal under
-    ``==``) stay distinct.  Within one box a subtree equal to one
-    already computed reuses its temporary; evaluation is pure, so this
-    changes no result.  ``real_cbrt`` is looked up in this module's
-    globals at call time.
+    ``==``) stay distinct.  A constant subexpression is computed once,
+    here, by the same operation as the compiled code (``_OPS``), so its
+    value has the bits it would have at evaluation.  Within one box a
+    subtree equal to one already computed reuses its temporary;
+    evaluation is pure, so this changes no result.  ``real_cbrt`` is
+    looked up in this module's globals at call time.
     """
 
     def __init__(self):
@@ -281,39 +294,37 @@ class _Codegen:
         return name
 
     def operand(self, e: Expr, memo: dict, body: list[str]) -> str:
-        """Emit the statements computing e; return the name holding it."""
+        """Emit the statements computing e; return the name holding it,
+        a constant's when every argument of e is one."""
         op = e.op
         if op == "const":
             return self.const(e.value)
         if op == "var":
             key: tuple = ("var", e.index)
-            args: tuple[str, ...] = ()
+            rhs = f"x[{e.index}]"
         else:
             args = tuple(self.operand(a, memo, body) for a in e.args)
+            template, fold = _OPS[op]
+            if all(a in self.bound for a in args):
+                return self.const(fold(*(self.bound[a] for a in args)))
             key = (op, *args)
+            rhs = template.format(*args)
         name = memo.get(key)
         if name is None:
             name = memo[key] = f"t{len(memo)}"
-            if op == "var":
-                rhs = f"x[{e.index}]"
-            else:
-                rhs = (_BINARY.get(op) or _UNARY[op]).format(*args)
             body.append(f"{name} = {rhs}")
         return name
 
     def piece(self, p: Piece) -> None:
         """Emit the statements that append p's boxes to ``out`` where its
-        region holds.  A box with a corner that is not finite, or with
-        lo > hi, raises through ``_bad_box``; a valid box of constants
-        is folded to its value."""
+        region holds.  A coordinate whose corners are constants is
+        checked here; the others, and a constant one that fails, are
+        checked at evaluation, where a corner that is not finite, or
+        lo > hi, raises through ``_bad_box``.  A box whose coordinates
+        all pass here is bound as its value."""
         body: list[str] = []
         names = []
         for box in p.image:
-            if all(e.op == "const" for pair in box for e in pair):
-                pair = (tuple(a.value for a, _ in box), tuple(b.value for _, b in box))
-                if all(_NINF < a <= b < _INF for a, b in zip(*pair)):
-                    names.append(self.bind(pair))
-                    continue
             memo: dict = {}
             los, his = [], []
             ok = {}  # ordered set: a repeated coordinate is checked once
@@ -322,7 +333,13 @@ class _Codegen:
                 b = a if hi_e is lo_e else self.operand(hi_e, memo, body)
                 los.append(a)
                 his.append(b)
-                ok[f"_NINF < {a} < _INF" if a == b else f"_NINF < {a} <= {b} < _INF"] = None
+                if not (a in self.bound and b in self.bound
+                        and _NINF < self.bound[a] <= self.bound[b] < _INF):
+                    ok[f"_NINF < {a} < _INF" if a == b else f"_NINF < {a} <= {b} < _INF"] = None
+            if not ok:
+                names.append(self.bind((tuple(self.bound[n] for n in los),
+                                        tuple(self.bound[n] for n in his))))
+                continue
             name = f"b{len(names)}"
             body += [f"lo = ({''.join(n + ', ' for n in los)})",
                      f"{name} = lo, " + ("lo" if los == his else

@@ -14,6 +14,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from diffinc.mapdsl import parse_map
 from diffinc.setmap import (
     Condition,
     Expr,
@@ -123,6 +124,45 @@ def test_signed_zero_constants_stay_distinct():
     e = Expr.add(Expr.const(-0.0), Expr.mul(Expr.const(0.0), Expr.const(-0.0)))
     assert bits(compiled_eval(e, ())) == bits(tree_eval(e, ())) == bits(-0.0)
     assert bits(compiled_eval(Expr.const(-0.0), ())) == bits(-0.0)
+    # folded when the map is built, with the bits of the tree walker
+    zero, neg_zero = Expr.const(0.0), Expr.const(-0.0)
+    folded = {
+        "-(0.0)": (Expr.neg(zero), -0.0),
+        "0.0*-1.0": (Expr.mul(zero, Expr.const(-1.0)), -0.0),
+        "cbrt(-0.0)": (Expr.cbrt(neg_zero), -0.0),
+        "sign(-0.0)": (Expr.sign(neg_zero), 0.0),
+        "abs(-0.0)": (Expr.abs(neg_zero), 0.0),
+    }
+    for name, (e, want) in folded.items():
+        assert bits(compiled_eval(e, ())) == bits(tree_eval(e, ())) == bits(want), name
+        # the same value beside a coordinate, and added to -0.0
+        x = Expr.var(0)
+        for whole in (Expr.add(e, neg_zero), Expr.add(x, Expr.mul(e, x))):
+            assert bits(compiled_eval(whole, (-0.0,))) == bits(tree_eval(whole, (-0.0,))), name
+
+
+def test_constant_subtrees_are_computed_when_the_map_is_built(monkeypatch):
+    x = Expr.var(0)
+    two = Expr.const(2.0)
+    boxes = (
+        ((Expr.mul(Expr.cbrt(two), x), Expr.add(x, Expr.abs(Expr.cbrt(Expr.const(-27.0))))),),
+        ((Expr.mul(Expr.sign(Expr.const(-3.0)), x),) * 2,),
+        ((Expr.cbrt(Expr.const(-8.0)), Expr.abs(Expr.cbrt(two))),),
+    )
+    m = PiecewiseMap(1, (Piece((), boxes),), label="consts")
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return real_cbrt(v)
+
+    # compiled code looks real_cbrt up when it runs
+    monkeypatch.setattr("diffinc.setmap.real_cbrt", counted)
+    for p in ((1.5,), (-0.0,), (-1e300,)):
+        got = m._eval(p)
+        assert calls == []
+        assert box_bits(got) == box_bits(reference_image(m, p))
+    assert m._eval((1.5,))[2] is m._eval((0.0,))[2]  # a box of constants is bound once
 
 
 REGION_OPS = ["lt", "le", "ge", "gt", "eq"]
@@ -226,6 +266,32 @@ def test_each_error_kind_matches_reference():
         got = outcome(m.evaluate, point)
         assert got[0] is MapDefinitionError
         assert got == outcome(reference_image, m, point)
+    # corners of constants only, folded when the map is built, fail at
+    # evaluation: alone, and beside a coordinate of the point
+    overflow = Expr.mul(big, Expr.const(10.0))
+    folded = {
+        "overflow": ((overflow, overflow), "box corners must be finite",
+                     '"1e308*10", "1e308*10"'),
+        "nan corner": ((Expr.sub(overflow, overflow), Expr.const(0.0)),
+                       "box corners must be finite", '"1e308*10-1e308*10", "0"'),
+        "lo > hi": ((Expr.cbrt(Expr.const(27.0)), Expr.const(2.0)),
+                    "produced lo 3.0 > hi 2.0 at (1.0, -2.0)", '"cbrt(27)", "2"'),
+    }
+    for name, (bad, message, text) in folded.items():
+        for box in ((bad,), ((x, x), bad), (bad, (x, Expr.abs(x)))):
+            m = PiecewiseMap(len(box), (Piece((), (box,)),), label=name)
+            point = (1.0, -2.0)[:m.dim]
+            got = outcome(m.evaluate, point)
+            assert got[0] is MapDefinitionError
+            assert got == outcome(reference_image, m, point)
+            if m.dim == 2:
+                assert message in got[1]
+        # a map file holding it is rejected, naming the node
+        src = ('{"dim": 2, "union": [{"dim": 2, "builtin": {"name": "normgrad"}}, '
+               '{"dim": 2, "pieces": [{"region": [], "image": [[["x1", "x1"], [' + text + ']]]}]}]}')
+        with pytest.raises(MapDefinitionError, match=r"^\$\.union\[1\]: ") as err:
+            parse_map(src)
+        assert message.split(" at ")[0] in str(err.value)
     empty = PiecewiseMap(1, (Piece((Condition(0, "gt", 0.0),),
                                    (((x, x),),)),), label="half")
     got = outcome(empty.evaluate, (-1.0,))

@@ -462,6 +462,21 @@ class TestRoundtrip:
         for v in (-2.0, 0.0, 0.3):
             assert tree_eval(parse_expr(text), (v,)) == tree_eval(e, (v,))
 
+    def test_infinite_constants_roundtrip(self):
+        # `inf` is no name in the grammar; 1e999 reads back as inf
+        src = json.dumps({"dim": 1, "pieces": [
+            {"region": [], "image": [[["sign(1e999)", "2"]], [["sign(-1e999)", "abs(x)"]]]}]})
+        m = parse_map(src)
+        text = roundtrip(m)
+        again = parse_map(text)
+        assert roundtrip(again) == text
+        assert again.evaluate((0.5,)) == m.evaluate((0.5,))
+        for v in (math.inf, -math.inf):
+            for e in (Expr.const(v), Expr.neg(Expr.const(v)), Expr.mul(Expr.var(0), Expr.const(v))):
+                back = parse_expr(e.to_text(1))
+                assert back.to_text(1) == e.to_text(1)
+                assert tree_eval(back, (2.0,)) == tree_eval(e, (2.0,))
+
     def test_normgrad_keeps_builtin_node(self):
         doc = json.loads(roundtrip(builtin("normgrad", {"n": 2, "k": 4})))
         assert doc["builtin"]["name"] == "normgrad"
