@@ -201,6 +201,17 @@ def _random_tuples(seed: int, n: int, radius: float, count: int, size: int):
 # ---------------------------------------------------------------------------
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """A point of [lo, hi]: ``(lo + hi) / 2``, or ``lo / 2 + hi / 2``
+    where the sum overflows.  Both ends are then far above the
+    subnormals, so the halves are exact and their rounded sum lies in
+    [lo, hi] (it is lo itself when lo == hi)."""
+    mid = (lo + hi) / 2.0
+    if math.isinf(mid):
+        return lo / 2.0 + hi / 2.0
+    return mid
+
+
 def _hardest_corner(pairs_x: Sequence[tuple[Vector, Vector]],
                     pairs_y: Sequence[tuple[Vector, Vector]],
                     x: Vector, y: Vector) -> dict | None:
@@ -215,7 +226,7 @@ def _hardest_corner(pairs_x: Sequence[tuple[Vector, Vector]],
     flipped = tuple([-s for s in sigma])
     for box_index, (lo_x, hi_x) in enumerate(pairs_x):
         corner = tuple(
-            lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
+            lo if s > 0 else hi if s < 0 else _midpoint(lo, hi)
             for lo, hi, s in zip(lo_x, hi_x, sigma)
         )
         kept, dropped = _clip(pairs_y, corner, flipped, first=True)
@@ -246,8 +257,9 @@ def wcm_pair_feasible(
     Hardest corner: with sigma_j = sign(x_j - y_j) the constraint on w
     is ``w_j <= v_j`` where sigma_j > 0 and ``w_j >= v_j`` where
     sigma_j < 0, so it is tightest at v*_j = lo_j (resp. hi_j); free
-    coordinates take the midpoint so v* stays inside its box.  One w for
-    v* serves the whole box, and v* itself is a genuine witness.
+    coordinates take the midpoint of the box's side, halved before
+    adding where ``lo + hi`` overflows, so v* stays inside its box.  One
+    w for v* serves the whole box, and v* itself is a genuine witness.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -601,9 +613,19 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     ``max(lo - v, v - hi, 0.0)`` is 0.0 exactly when ``lo <= v <= hi``.
     A nonzero distance is ``math.hypot`` of rounded gaps, accurate to a
     few ulps, and the interior sample states carry the rounding of
-    ``x + dt * v``.  Each distance stops at the first box within the
-    running maximum (``_distance``'s ``stop``), which leaves the maximum
-    unchanged; every image is still evaluated and corner-checked.
+    ``x + dt * v``.  Two shortcuts leave both maxima unchanged, bit for
+    bit; every image is still evaluated and corner-checked:
+
+    * each distance stops at the first box within the running maximum
+      (``_distance``'s ``stop``);
+    * within one interval v is fixed, so an interior image equal
+      (``==``) to the previous sample's has the distance that sample
+      already folded into the running maximum (equal corners give
+      equal gaps up to the sign of a zero, which ``hypot`` drops); its
+      distance is not computed again.
+
+    A maximum is raised only by a strictly larger distance, so it keeps
+    its earlier value on a tie, as ``max`` would.
     """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
@@ -612,15 +634,22 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     evaluate = m._eval
     node_res = 0.0
     for x, v in zip(nodes, velocities):
-        node_res = max(node_res, _distance(evaluate(x), v, node_res))
+        d = _distance(evaluate(x), v, node_res)
+        if d > node_res:
+            node_res = d
     interval_res = 0.0
     parts = samples_per_interval + 1
     times = traj.times
     for i, (x, v) in enumerate(zip(nodes, velocities)):
         t0 = times[i]
         span = times[i + 1] - t0
+        seen = None
         for k in range(1, parts):
             dt = span * k / parts
-            state = tuple([c + dt * vc for c, vc in zip(x, v)])
-            interval_res = max(interval_res, _distance(evaluate(state), v, interval_res))
+            image = evaluate(tuple([c + dt * vc for c, vc in zip(x, v)]))
+            if image != seen:
+                seen = image
+                d = _distance(image, v, interval_res)
+                if d > interval_res:
+                    interval_res = d
     return node_res, interval_res

@@ -135,25 +135,35 @@ def _clip(pairs: Sequence[tuple[Vector, Vector]], prev_v: Vector,
     Where ``s_j > 0`` the lower bound becomes ``max(lo_j, prev_v_j)``,
     where ``s_j < 0`` the upper bound becomes ``min(hi_j, prev_v_j)``.
     Each bound is a box corner or the prev_v coordinate that replaced it
-    because it is tighter (a corner equal to it, a zero of either sign
-    included, is kept), so a kept box is finite with lo <= hi.
+    because it is strictly tighter (a corner equal to it, a zero of
+    either sign included, is kept, as ``max`` and ``min`` keep their
+    first argument on a tie), so a kept box is finite with lo <= hi.  A
+    corner tuple is rebuilt only where a bound replaces one of its
+    coordinates, and a pair that no cut changes comes back as the very
+    pair that came in.
     """
     cuts = [(j, s, prev_v[j]) for j, s in enumerate(signs) if s]
     kept = []
     dropped = []
-    for k, (lo, hi) in enumerate(pairs):
-        lo = list(lo)
-        hi = list(hi)
+    for k, pair in enumerate(pairs):
+        lo, hi = pair
+        cut = False
         for j, s, bound in cuts:
             if s > 0:
-                lo[j] = max(lo[j], bound)
-            else:
-                hi[j] = min(hi[j], bound)
-            if lo[j] > hi[j]:
-                dropped.append((k, j))
-                break
+                if bound > lo[j]:
+                    if bound > hi[j]:
+                        dropped.append((k, j))
+                        break
+                    lo = lo[:j] + (bound,) + lo[j + 1:]
+                    cut = True
+            elif bound < hi[j]:
+                if bound < lo[j]:
+                    dropped.append((k, j))
+                    break
+                hi = hi[:j] + (bound,) + hi[j + 1:]
+                cut = True
         else:
-            kept.append((tuple(lo), tuple(hi)))
+            kept.append((lo, hi) if cut else pair)
             if first:
                 break
     return kept, dropped

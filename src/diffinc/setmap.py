@@ -533,7 +533,13 @@ def _distance(pairs: Sequence[tuple[Vector, Vector]], v: Sequence[float],
     lift the minimum above ``stop``, so ``max(stop, d)`` is the same
     with or without the stop; a caller keeping a running maximum passes
     it as ``stop``.  No distance is below the default stop, 0.0, so
-    there the minimum itself comes back."""
+    there the minimum itself comes back.
+
+    Each gap stays ``max(lo - v, v - hi, 0.0)``: at a NaN coordinate of
+    v both differences are NaN and ``max`` returns its first argument,
+    so the gap, and the distance, are NaN.  A gap written with
+    comparisons instead (``lo - v if v < lo else ...``) would make that
+    gap 0.0."""
     best = None
     for lo, hi in pairs:
         d = math.hypot(*[max(a - c, c - b, 0.0) for a, b, c in zip(lo, hi, v)])

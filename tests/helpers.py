@@ -458,6 +458,31 @@ def reference_distance(s, v):
     )
 
 
+def reference_clip(pairs, prev_v, signs, first=False):
+    """The sign cut on (lo, hi) pairs as ``selector._clip`` once made it:
+    list copies of every pair, each cut bound through ``max`` / ``min``,
+    and every kept pair rebuilt as fresh tuples."""
+    cuts = [(j, s, prev_v[j]) for j, s in enumerate(signs) if s]
+    kept = []
+    dropped = []
+    for k, (lo, hi) in enumerate(pairs):
+        lo = list(lo)
+        hi = list(hi)
+        for j, s, bound in cuts:
+            if s > 0:
+                lo[j] = max(lo[j], bound)
+            else:
+                hi[j] = min(hi[j], bound)
+            if lo[j] > hi[j]:
+                dropped.append((k, j))
+                break
+        else:
+            kept.append((tuple(lo), tuple(hi)))
+            if first:
+                break
+    return kept, dropped
+
+
 def reference_feasible_region(image, prev_v, signs):
     kept = []
     for box in image.boxes:
@@ -574,8 +599,11 @@ def reference_wcm_pair_feasible(image_x, image_y, x, y):
     sigma = SignPattern.of_vector(tuple(a - b for a, b in zip(x, y)))
     flipped = SignPattern(tuple(-s for s in sigma))
     for box_index, box in enumerate(image_x.boxes):
+        # a free coordinate takes the midpoint, halved first where the
+        # sum overflows, so the corner stays in the box
         corner = tuple(
-            lo if s > 0 else hi if s < 0 else (lo + hi) / 2.0
+            lo if s > 0 else hi if s < 0
+            else (lo + hi) / 2.0 if math.isfinite(lo + hi) else lo / 2.0 + hi / 2.0
             for lo, hi, s in zip(box.lo, box.hi, sigma)
         )
         if reference_feasible_region(image_y, corner, flipped) is None:

@@ -120,6 +120,26 @@ class TestWcmPair:
         flipped = SignPattern(tuple(-s for s in sigma))
         assert feasible_region(m.evaluate(y), v, flipped) is None
 
+    def test_witness_stays_in_the_image_where_the_midpoint_sum_overflows(self):
+        """sigma_1 = 0, so v*_1 is the midpoint of the side [1.7e308,
+        1.7e308], whose lo + hi overflows: v* is still a point of F(x)."""
+        def huge(second):
+            return ((Expr.const(1.7e308), Expr.const(1.7e308)),
+                    (Expr.const(second), Expr.const(second)))
+        m = PiecewiseMap(2, (
+            Piece((Condition(1, "gt", 0.0),), (huge(1.0),)),
+            Piece((Condition(1, "le", 0.0),), (huge(2.0),)),
+        ))
+        cert = check_wcm_pair(m, (0.0, -5.0), (0.0, 0.25))
+        assert cert["signs"] == [0, -1]
+        assert cert["v"] == [1.7e308, 2.0]
+        assert distance(m.evaluate(tuple(cert["x"])), tuple(cert["v"])) == 0.0
+        # a side 2**1023 apart from its other end: the halves are added
+        image = CompactSet((Box((2.0 ** 1023, 0.0), (1.5 * 2.0 ** 1023, 0.0)),))
+        cert = wcm_pair_feasible(image, CompactSet.of_points((0.0, -1.0)),
+                                 (1.0, -1.0), (1.0, 0.0))
+        assert cert["v"] == [1.25 * 2.0 ** 1023, 0.0]
+
     def test_agrees_with_grid_oracle(self):
         rng = random.Random(41)
         for _ in range(250):
@@ -152,6 +172,10 @@ class TestHardestCornerSharesTheCut:
     def test_certificate_bytes_match_reference(self, case):
         mine = wcm_pair_feasible(*case)
         assert json.dumps(mine) == json.dumps(reference_wcm_pair_feasible(*case))
+        if mine is not None:
+            # the witness is a finite point of image_x
+            assert all(map(math.isfinite, mine["v"]))
+            assert distance(case[0], tuple(mine["v"])) == 0.0
 
     def test_every_blocked_box_is_listed(self):
         image_y = CompactSet((Box((2.0, -1.0), (3.0, 0.0)), Box((-1.0, -6.0), (0.0, -5.0))))

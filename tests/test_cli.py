@@ -212,6 +212,23 @@ class TestCheck:
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "pass-sampled"
 
+    def test_wcm_certificate_is_strict_json_where_a_midpoint_overflows(self, capsys,
+                                                                      tmp_path):
+        path = tmp_path / "huge_side.json"
+        path.write_text(json.dumps({"dim": 2, "pieces": [
+            {"region": [{"var": 2, "op": "gt", "bound": 0}],
+             "image": [[["1.7e308", "1.7e308"], ["1", "1"]]]},
+            {"region": [{"var": 2, "op": "le", "bound": 0}],
+             "image": [[["1.7e308", "1.7e308"], ["2", "2"]]]}]}))
+        code, out, _ = run(capsys, "check", "wcm", "--map", str(path), "--samples", "10",
+                           "--seed", "1", "--no-timestamp")
+        assert code == 3
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON number {name}")
+
+        assert json.loads(out, parse_constant=reject)["certificate"]["v"] == [1.7e308, 2.0]
+
     def test_graph_check_runs(self, capsys):
         code, out, _ = run(
             capsys, "check", "graph", "--map", "example1", "--samples", "30",

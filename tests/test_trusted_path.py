@@ -22,6 +22,7 @@ import warnings
 import pytest
 from helpers import (
     reference_check_wcm,
+    reference_clip,
     reference_closed_graph,
     reference_cyclic,
     reference_distance,
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 from test_compiled_eval import maps
 from test_sampled_checks import random_maps
 
+from diffinc import analyzer
 from diffinc.analyzer import (
     check_closed_graph,
     check_trajectory_monotone,
@@ -53,12 +55,16 @@ from diffinc.selector import (
     SelectionPolicy,
     SignPattern,
     WcmInfeasible,
+    _clip,
     feasible_region,
     select_velocity,
 )
 from diffinc.setmap import (
     Box,
     CompactSet,
+    Expr,
+    Piece,
+    PiecewiseMap,
     _distance,
     builtin,
     distance,
@@ -252,7 +258,50 @@ def box_union_cases(draw):
     return CompactSet(tuple(boxes)), prev_v, signs, draw(policies)
 
 
+@st.composite
+def clip_cases(draw):
+    """(lo, hi) pairs, a prev_v and signs for ``_clip``.  Corners are
+    often zeros of either sign, and a prev_v coordinate is often a
+    corner of a drawn box, or that corner's zero with the other sign,
+    so cuts tie with a corner of the same value but other bits."""
+    dim = draw(st.integers(1, 3))
+    coords = st.one_of(st.sampled_from([0.0, -0.0]), finite_coordinates)
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        sides = [sorted((draw(coords), draw(coords))) for _ in range(dim)]
+        pairs.append((tuple(a for a, _ in sides), tuple(b for _, b in sides)))
+    prev_v = []
+    for j in range(dim):
+        kind = draw(st.sampled_from(["free", "corner", "other-zero"]))
+        if kind == "free":
+            prev_v.append(draw(coords))
+            continue
+        lo, hi = draw(st.sampled_from(pairs))
+        c = draw(st.sampled_from([lo[j], hi[j]]))
+        prev_v.append(-c if kind == "other-zero" and c == 0.0 else c)
+    signs = tuple(draw(st.sampled_from([-1, 0, 1])) for _ in range(dim))
+    return pairs, tuple(prev_v), signs
+
+
+def pair_bits(pair):
+    return tuple(vbits(pair))
+
+
 class TestSelectorCore:
+    @settings(max_examples=400, deadline=None)
+    @given(clip_cases(), st.booleans())
+    def test_clip_matches_list_copy_reference(self, case, first):
+        pairs, prev_v, signs = case
+        got = _clip(pairs, prev_v, signs, first)
+        want = reference_clip(pairs, prev_v, signs, first)
+        assert [pair_bits(p) for p in got[0]] == [pair_bits(p) for p in want[0]]
+        assert got[1] == want[1]
+        # a kept pair is the pair that came in exactly when no cut changed it
+        cut = {k for k, _ in got[1]}
+        kept_from = [k for k in range(len(pairs)) if k not in cut][:len(got[0])]
+        for k, pair in zip(kept_from, got[0]):
+            assert (pair is pairs[k]) == (pair_bits(pair) == pair_bits(pairs[k]))
+
     @settings(max_examples=400, deadline=None)
     @given(box_union_cases())
     def test_public_functions_match_object_path(self, case):
@@ -333,6 +382,46 @@ class TestResidual:
         assert got == residual_outcome(lambda: reference_residual(traj, m))
         if got[0] == "ok":
             assert got[1][0] == bits(0.0)
+
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        """The velocities ``residual`` measures a distance for, in order."""
+        calls = []
+
+        def counted(pairs, v, stop=0.0):
+            calls.append(v)
+            return _distance(pairs, v, stop)
+
+        monkeypatch.setattr(analyzer, "_distance", counted)
+        return calls
+
+    def test_repeated_images_skip_the_distance(self, distance_calls):
+        """Within a step an image equal to the previous sample's is not
+        measured again: on example1 that leaves the node's distance and
+        one interior distance per step, plus one where the polygon
+        crosses 0, rather than one per sample."""
+        m = builtin("example1")
+        traj = euler_polygon(m, (0.3,), 1.0, 64, SelectionPolicy("lex_min"), v0=(-1.0,))
+        assert traj.nodes[0][0] > 0.0 > traj.nodes[-1][0]
+        want = residual_outcome(lambda: reference_residual(traj, m))
+        assert residual_outcome(lambda: residual(traj, m)) == want
+        assert len(distance_calls) <= 2 * traj.steps
+
+    def test_repeated_images_outside_the_velocity_keep_the_maximum(self, distance_calls):
+        """A constant image with every velocity outside it: each step's
+        four interior images are equal and at distance > 0, and the
+        largest distance is neither the first nor the last step's."""
+        box = ((Expr.const(0.0), Expr.const(1.0)), (Expr.const(-0.0), Expr.const(0.0)))
+        m = PiecewiseMap(2, (Piece((), (box,)),))
+        velocities = ((3.0, 0.5), (-4.0, 2.0), (1.0, -0.0), (2.5, 0.25))
+        nodes = ((0.0, 0.0), (0.5, 1.0), (-1.0, 0.0), (2.0, 5.0), (0.0, 0.0))
+        traj = Trajectory((0.0, 0.25, 0.5, 0.75, 1.0), nodes, velocities, m.label,
+                          SelectionPolicy())
+        got = residual(traj, m)
+        assert tuple(map(bits, got)) == tuple(map(bits, reference_residual(traj, m)))
+        assert got[1] == math.hypot(4.0, 2.0)
+        # one node distance and one interior distance per step
+        assert distance_calls == list(velocities) * 2
 
     def test_wrong_dimension_raises(self):
         traj = euler_polygon(builtin("example1"), (-0.5,), 1.0, 8)
