@@ -2,7 +2,10 @@
 
 Subcommands: ``solve`` (one polygon, CSV trajectory + JSON summary),
 ``converge`` (mesh-refinement study, JSON report), ``check`` (condition
-checks, JSON report) and ``list-examples``.
+checks, JSON report) and ``list-examples``.  ``main`` builds the
+parser of the named subcommand only; a command line that names none
+(no arguments, ``--help``, an unknown command) gets the parser of all
+four, with the same usage, help and error text either way.
 
 Exit codes: 0 success / pass, 1 usage or map errors, 2 infeasible
 selection (certificate printed), 3 a check found a counterexample.
@@ -110,14 +113,7 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
                    help="omit the timestamp field (byte-reproducible output)")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="diffinc",
-                     description="Euler polygons and condition checks for "
-                                 "set-valued velocity fields with box-union images")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="build one Euler polygon")
-    p.set_defaults(run=cmd_solve)
+def _add_solve_arguments(p: argparse.ArgumentParser) -> None:
     _add_map_options(p)
     _add_solve_options(p)
     p.add_argument("--N", type=int, default=None,
@@ -126,8 +122,8 @@ def build_parser() -> _Parser:
                    help="trajectory file format (default csv)")
     _add_output_options(p)
 
-    p = sub.add_parser("converge", help="mesh-refinement study")
-    p.set_defaults(run=cmd_converge)
+
+def _add_converge_arguments(p: argparse.ArgumentParser) -> None:
     _add_map_options(p)
     _add_solve_options(p)
     p.add_argument("--N0", type=int, required=True, help="coarsest mesh steps")
@@ -135,8 +131,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples-per-interval", type=int, default=4)
     _add_output_options(p)
 
-    p = sub.add_parser("check", help="verify or refute a condition on a map")
-    p.set_defaults(run=cmd_check)
+
+def _add_check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("condition", choices=["wcm", "monotone", "cyclic", "growth", "graph"],
                    help="the condition; graph enumerates box corners, so it "
                         f"takes maps of dimension <= {MAX_VERTEX_DIM}")
@@ -150,11 +146,9 @@ def build_parser() -> _Parser:
                    help="closed-graph distance threshold")
     _add_output_options(p)
 
-    p = sub.add_parser("list-examples", help="catalog of builtin maps")
-    p.set_defaults(run=cmd_list_examples)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    return parser
+def _add_list_examples_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -256,8 +250,36 @@ def cmd_list_examples(args: argparse.Namespace) -> int:
     return 0
 
 
+# (name, help line, adds the arguments, runs the parsed command), in help order
+_COMMANDS = (
+    ("solve", "build one Euler polygon", _add_solve_arguments, cmd_solve),
+    ("converge", "mesh-refinement study", _add_converge_arguments, cmd_converge),
+    ("check", "verify or refute a condition on a map", _add_check_arguments, cmd_check),
+    ("list-examples", "catalog of builtin maps", _add_list_examples_arguments,
+     cmd_list_examples),
+)
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone when it
+    names one.  Either way a command line that starts with ``command``
+    parses, prints help and fails the same, byte for byte: a subcommand's
+    parser does not depend on its siblings."""
+    parser = _Parser(prog="diffinc",
+                     description="Euler polygons and condition checks for "
+                                 "set-valued velocity fields with box-union images")
+    sub = parser.add_subparsers(dest="command", required=True)
+    entries = [e for e in _COMMANDS if e[0] == command] or _COMMANDS
+    for name, help_line, add_arguments, run in entries:
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(run=run)
+        add_arguments(p)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.run(args)

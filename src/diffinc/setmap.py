@@ -54,6 +54,7 @@ MAX_RADIUS = sys.float_info.max / 2  # uniform(-r, r) and point differences stay
 
 _INF = math.inf
 _NINF = -math.inf
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 class MapDefinitionError(ValueError):
@@ -933,6 +934,23 @@ def _normgrad_origin(n: int, k: int) -> list[tuple[Vector, Vector]]:
     return [(p, p) for p in points]
 
 
+# normgrad's declared A: 1 plus a margin for rounding, with u = 2^-53.
+# Off the origin the image is p, p_j = fl(y_j / s) with s = fl(hypot(y)),
+# where y is x, or x divided by its largest |x_j| when hypot(x) overflows
+# or is subnormal; that y has a coordinate exactly +-1, so s is a normal
+# float in [1, sqrt(n)] and the function does not recurse twice.  Python's
+# hypot is within 1 ulp, a relative 2u on a normal result, so s >= |y|(1 - 2u).
+# Each quotient is within a relative u, or an absolute 2^-1075 where it is
+# subnormal, so |p| <= (1 + u) / (1 - 2u) + sqrt(n) 2^-1075 < 1 + 3.1u.  At
+# the origin the points are unit axis vectors (norm 1 exactly) or
+# (fl(cos a), fl(sin a)); with a libm within 1 ulp their norm is at most
+# 1 + 2u whatever the rounding of a.  ``_sup_norm`` takes one more hypot,
+# another factor 1 + 2u: every image norm is below 1 + 5.2u < 1 + 8u.
+# Without the rescaling of a subnormal norm, x = (5e-324, 5e-324) has
+# hypot 5e-324 and the image (1, 1).
+_NORMGRAD_A = 1.0 + 2.0 ** -50
+
+
 def _make_normgrad(n: int, k: int) -> SetValuedMap:
     if n < 2:
         raise ValueError("normgrad needs n >= 2")
@@ -944,17 +962,17 @@ def _make_normgrad(n: int, k: int) -> SetValuedMap:
         r = math.hypot(*x)
         if r == 0.0:
             return origin
-        if not r < _INF:
+        if not _TINY <= r < _INF:
             if not all(map(math.isfinite, x)):
                 raise MapDefinitionError("box corners must be finite")
-            top = max(map(abs, x))  # a finite x whose norm overflows: scale it down first
+            top = max(map(abs, x))  # the norm overflows or is subnormal: rescale first
             return fn(tuple([v / top for v in x]))
         p = tuple([v / r for v in x])
         return [(p, p)]
 
     return NativeMap(
         n, fn, "normgrad", {"n": n, "k": k},
-        growth=(1.0, 0.0),
+        growth=(_NORMGRAD_A, 0.0),
         boundaries={j: (0.0,) for j in range(n)},
         label=f"normgrad({n},{k})",
     )

@@ -309,14 +309,16 @@ def converge(
 
     Starts at max(n0, declared mesh minimum).  Levels are independent
     solves (selections are not nested across levels).  WcmInfeasible is
-    re-raised annotated with the level at which it occurred; x0, horizon
-    and v0 must be finite, the finest level may take at most MAX_STEPS
-    steps, and samples_per_interval must be >= 1 with at most MAX_STEPS
-    samples at the finest level (ValueError otherwise, before the first
-    solve).
+    re-raised annotated with the level at which it occurred.  n0 must be
+    >= 1 whatever the map declares; x0, horizon and v0 must be finite;
+    the finest level may take at most MAX_STEPS steps; and
+    samples_per_interval must be >= 1 with at most MAX_STEPS samples at
+    the finest level (ValueError otherwise, before the first solve).
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
+    if n0 < 1:
+        raise ValueError(f"n0 must be >= 1, got {n0}")
     x0 = finite_vector(x0, "x0")
     _check_horizon(horizon)
     if v0 is not None:

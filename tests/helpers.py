@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 from diffinc.analyzer import (
@@ -811,7 +812,8 @@ def reference_normgrad(n, k):
         r = math.hypot(*x)
         if r == 0.0:
             return origin
-        if r == math.inf and all(map(math.isfinite, x)):  # the norm overflows
+        # the norm overflows, or is subnormal and so lost its relative precision
+        if (r == math.inf or r < sys.float_info.min) and all(map(math.isfinite, x)):
             top = max(abs(v) for v in x)
             x = [v / top for v in x]
             r = math.hypot(*x)

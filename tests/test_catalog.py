@@ -3,15 +3,19 @@ the README, and the example4 product tree."""
 
 import itertools
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from helpers import reference_balanced_example4, reference_example4
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from diffinc.analyzer import check_growth
 from diffinc.cli import main
 from diffinc.mapdsl import parse_map, roundtrip
-from diffinc.setmap import BUILTINS, builtin
+from diffinc.setmap import BUILTINS, _sup_norm, builtin
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,3 +144,56 @@ def test_large_example4_builds_and_parses_quickly():
     parsed = parse_map(src)
     assert time.perf_counter() - start < 0.5
     assert parsed.label == "example4(10000)"
+
+
+# every entry with its defaults, and some other parameters
+CATALOG = [(name, {}) for name in BUILTINS] + [
+    ("example4", {"n": 3}), ("normgrad", {"n": 3}), ("normgrad", {"n": 6, "k": 3})]
+TINY_RADIUS = 1e-310  # sampled points have subnormal norms
+
+
+@pytest.mark.parametrize("name, params", CATALOG)
+def test_every_entry_passes_check_growth_on_its_own_constants(name, params):
+    m = builtin(name, params)
+    for radius in (0.5, 5.0, 1e3, 1e150, TINY_RADIUS):
+        for seed in range(5):
+            report = check_growth(m, radius, 512, seed)
+            assert report.verdict == "pass-sampled", (m.label, radius, seed, report.extra)
+
+
+def test_normgrad_growth_check_passes_from_the_command_line(capsys):
+    # the rounded x/|x| has hypot 1 + 2^-52 here, which failed a declared A of 1
+    assert main(["check", "growth", "--map", "normgrad2", "--seed", "1",
+                 "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["declared"] == [1.0 + 2.0 ** -50, 0.0]
+    assert report["declared_violation"] == 0.0
+
+
+HUGE = sys.float_info.max
+coordinates = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [HUGE, -HUGE, 5e-324, -5e-324, 0.0, -0.0])
+
+
+@st.composite
+def normgrad_points(draw):
+    """(n, k, x): a normgrad map's parameters and a point, often with
+    huge, subnormal or zero coordinates."""
+    n = draw(st.integers(2, 6))
+    return n, draw(st.integers(1, 8)), tuple(draw(st.lists(coordinates, min_size=n,
+                                                          max_size=n)))
+
+
+@given(normgrad_points())
+@example((2, 4, (5e-324, 5e-324)))  # hypot rounds to 5e-324: the image was (1, 1)
+@example((2, 4, (HUGE, HUGE)))
+@example((3, 4, (HUGE, -HUGE, 1.0)))
+@example((2, 4, (0.0, -0.0)))
+@example((2, 7, (0.0, 0.0)))
+@example((6, 3, (0.0,) * 6))
+@example((3, 4, (1e-320, -3e-321, 2.2250738585072014e-308)))
+def test_normgrad_image_norm_is_within_its_declared_a(case):
+    n, k, x = case
+    m = builtin("normgrad", {"n": n, "k": k})
+    assert m.growth[1] == 0.0
+    assert _sup_norm(m._eval(x)) <= m.growth[0]

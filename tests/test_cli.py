@@ -469,6 +469,19 @@ class TestConvergeBudget:
         assert "samples_per_interval must be >= 1, got 0" in err
 
 
+    @pytest.mark.parametrize("declares_growth", [True, False])
+    def test_n0_below_one_exits_1(self, capsys, tmp_path, declares_growth):
+        source = "example1"
+        if not declares_growth:
+            source = str(tmp_path / "no-growth.json")
+            Path(source).write_text('{"dim": 1, "pieces": [{"region": [], '
+                                    '"image": [[["0", "1"]]]}]}', encoding="utf-8")
+        code, out, err = run(capsys, "converge", "--map", source, "--x0", "0",
+                             "--T", "1", "--N0", "0", "--levels", "2")
+        assert code == 1 and out == ""
+        assert err == "error: n0 must be >= 1, got 0\n"
+
+
 class TestHeldPointsLimit:
     @pytest.mark.parametrize("argv, held", [
         (("growth", "--map", "example1", "--samples", "30000000"), "count = 30000000"),

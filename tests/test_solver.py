@@ -364,6 +364,22 @@ class TestConverge:
         with pytest.raises(ValueError, match=re.escape(message)):
             converge(builtin("example1"), (0.0,), 1.0, n0, 2, samples_per_interval=samples)
 
+    @pytest.mark.parametrize("n0", [0, -3])
+    @pytest.mark.parametrize("declares_growth", [True, False])
+    def test_n0_below_one_rejected_before_the_first_solve(self, monkeypatch, n0,
+                                                          declares_growth):
+        # with declared growth the mesh minimum used to lift n0 silently
+        import diffinc.solver as solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(solver, "euler_polygon", no_solve)
+        m = builtin("example1") if declares_growth else \
+            PiecewiseMap(1, (Piece((), (((Expr.const(0.0), Expr.const(0.0)),),)),))
+        with pytest.raises(ValueError, match=f"n0 must be >= 1, got {n0}"):
+            converge(m, (0.0,), 1.0, n0, 2)
+
     def test_many_levels_rejected_before_doubling(self):
         with pytest.raises(ValueError, match="10000000000 levels double N past MAX_STEPS"):
             converge(builtin("example1"), (0.0,), 1.0, 4, 10 ** 10)

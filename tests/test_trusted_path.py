@@ -527,7 +527,7 @@ def normgrad_cases(draw):
     n = draw(st.integers(2, 4))
     k = draw(st.integers(1, 7))
     zeros = st.sampled_from([0.0, -0.0])
-    odd = st.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308])
+    odd = st.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308, 5e-324])
     x = draw(st.one_of(
         st.tuples(*[zeros] * n),  # the origin, with either zero
         points(n),
