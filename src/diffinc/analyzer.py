@@ -17,12 +17,18 @@ Per-pair decisions are exact for box-union images:
 * a map is monotone exactly when it is 2-cyclically monotone: <x-y, v-w>
   is the circulation of the 2-cycle (y, x), and is decided as such.
 
-The bilinear sums are exact: every finite double is an integer multiple
-of 2^-1074, so each coordinate is scaled to a plain ``int`` and sums of
-products are exact integers (telescoping sums come out exactly zero).
-A reported ``value`` is one correctly rounded int/int division, equal
-to ``float`` of the same rational, or -inf when that rational lies
-below the double range (IEEE round-to-nearest; ``float`` would raise).
+The sign of each bilinear sum is decided exactly, in two steps.  A
+float filter (``_surely_positive``) settles a circulation that a proven
+rounding bound shows to be positive.  Every other one (zero, negative,
+too close to call, or overflowing) goes to the exact sum: every finite
+double is an integer multiple of 2^-1074, so each coordinate is scaled
+to a plain ``int`` and sums of products are exact integers (telescoping
+sums come out exactly zero).  The filter only passes what the exact sum
+would pass, so verdicts, ``samples`` counts and certificates are those
+of the exact sum alone.  A reported ``value`` is one correctly rounded
+int/int division, equal to ``float`` of the same rational, or -inf when
+that rational lies below the double range (IEEE round-to-nearest;
+``float`` would raise).
 
 The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
 pairs of the map's trusted ``_eval`` at the float tuples they build;
@@ -45,6 +51,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .selector import _clip
@@ -332,14 +339,96 @@ def _violation_value(value: int) -> float:
         return -math.inf
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = 5e-324  # 2**-1074, the smallest subnormal double
+
+
+def _surely_positive(points: Sequence[Vector],
+                     images: Sequence[Sequence[tuple[Vector, Vector]]]) -> bool:
+    """True only when the cycle's minimal circulation is exactly > 0.
+
+    ``images[k]`` holds the (lo, hi) boxes of F at ``points[k + 1]``
+    (cyclically), so term k pairs that image with the displacement
+    ``c = points[k + 1] - points[k]``.  Everything is computed in
+    doubles: ``c~ = fl(c)`` per coordinate, per box the products
+    ``q_j = fl(c~_j v_j)`` at the corner v, their running sum ``t~``
+    and, over all terms and boxes, the running sum ``A`` of ``|q_j|``;
+    ``m~`` is the least ``t~`` of a term and ``S~`` the running sum of
+    the L terms' ``m~``.  The cycle is accepted when ``B < S~ < inf``
+    with ``B = fl(fl(K A) + U)``, ``K = 4 (n + L) u`` and ``U = 8 M eta``.
+
+    The corner is the exact path's: ``fl(a - b)`` has the sign of
+    ``a - b`` and is +-0 only when ``a == b``, so ``c >= 0 or lo == hi``
+    picks ``lo`` exactly where ``_min_vertex`` does, and v minimises
+    <c, v> over its box exactly.
+
+    The bound, with u = 2**-53, eta = 2**-1075 (the most a product loses
+    when it lands among the subnormals), gamma_k = k u / (1 - k u) as in
+    Higham's "Accuracy and Stability of Numerical Algorithms", n the
+    dimension, L the terms, N the boxes of all L images (N >= L) and
+    M = n N the products.  Every count is below 2**40 (the images are
+    held in memory), so k u <= 1/4 for every k used.  While nothing
+    overflows:
+
+    1. subtraction: ``c~ = c (1 + e)``, |e| <= u; a difference that
+       lands among the subnormals is exact, so there is no absolute term;
+    2. product: ``q = c~ v (1 + d) + h``, |d| <= u, |h| <= eta;
+    3. sum of the n products of a box (its first addition is to 0.0 and
+       exact): with T = <c, v> and P = sum |c_j v_j|,
+       |t~ - T| <= gamma_{n+1} P + n eta (1 + gamma_{n-1});
+    4. min over boxes: min is 1-Lipschitz in the max norm, so a term's
+       ``m~`` is within the largest box error of the exact minimum, which
+       is at most the same bound with P summed over the term's boxes;
+       and |m~| <= (1 + gamma_{n+1}) P + n eta (1 + gamma_{n-1});
+    5. sum of the L terms: |S~ - sum m~| <= gamma_{L-1} sum |m~|.  With
+       P now summed over all N boxes, and gamma_j + gamma_k +
+       gamma_j gamma_k <= gamma_{j+k}, the exact circulation S obeys
+       |S~ - S| <= gamma_{n+L} P + 2 L n eta;
+    6. magnitudes: |q| >= |c v| (1 - u)**2 - eta and ``A`` is a rounded
+       sum of M non-negative terms, so P <= A / (1 - u)**(M+1) +
+       M eta / (1 - u)**2; with k u <= 1/4 that gives
+       |S~ - S| <= 2 (n + L) u A + 3 M eta;
+    7. the bound's own rounding: K and U are exact doubles and
+       B >= (K A (1 - u) - eta + U)(1 - u) >= 2 (n + L) u A + 3 M eta.
+
+    So ``B < S~`` gives S >= S~ - |S~ - S| > 0.  Overflow fails the
+    test: an inf displacement or product makes ``A`` inf or NaN (inf
+    times a zero corner), and then B too.  A finite ``A`` bounds every
+    product and every partial sum of a box (rounding is monotone), and
+    a finite ``S~`` had no inf or NaN partial sum, so with both finite
+    nothing overflowed.
+    """
+    total = mag = 0.0
+    boxes = 0
+    for here, prev, pairs in zip((*points[1:], points[0]), points, images):
+        d = tuple(map(sub, here, prev))
+        best = math.inf
+        for lo_b, hi_b in pairs:
+            val = 0.0
+            for c, lo, hi in zip(d, lo_b, hi_b):
+                q = c * lo if c >= 0 or lo == hi else c * hi
+                val += q
+                mag += abs(q)
+            if val < best:
+                best = val
+        total += best
+        boxes += len(pairs)
+    n = len(points[0])
+    bound = 4 * (n + len(points)) * _UNIT_ROUNDOFF * mag + 4 * n * boxes * _TINY
+    return bound < total < math.inf
+
+
 def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
+    length = len(points)
+    images = [m._eval(points[i % length]) for i in range(1, length + 1)]
+    if _surely_positive(points, images):
+        return None
     scaled = [[_exact(c) for c in p] for p in points]
     total = 0
     chosen: list[Vector] = []
-    length = len(points)
-    for i in range(1, length + 1):
+    for i, pairs in enumerate(images, 1):
         d = [a - b for a, b in zip(scaled[i % length], scaled[i - 1])]
-        val, v = _min_vertex(m._eval(points[i % length]), d)
+        val, v = _min_vertex(pairs, d)
         total += val
         chosen.append(v)
     if total < 0:

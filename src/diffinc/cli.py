@@ -281,15 +281,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-        return args.run(args)
+        try:
+            args = parser.parse_args(argv)
+            code = args.run(args)
+        except WcmInfeasible as e:
+            print(f"infeasible: {e}", file=sys.stderr)
+            print(json.dumps({"infeasible": e.to_json_dict()}, indent=2))
+            code = 2
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left: as Python's signal docs advise for SIGPIPE, point
+        # stdout at devnull so the flush at exit has nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (UsageError, ValueError, OSError) as e:  # ParseError, MapDefinitionError too
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except WcmInfeasible as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        print(json.dumps({"infeasible": e.to_json_dict()}, indent=2))
-        return 2
 
 
 if __name__ == "__main__":

@@ -353,16 +353,28 @@ def _monotone_gap(m, x, y):
     return None
 
 
-def _cycle_gap(m, points):
+def reference_circulation(points, images):
+    """The cycle's minimal circulation in Fraction and its minimising
+    corners; ``images[k]`` is the image at ``points[(k + 1) % L]``."""
     total = Fraction(0)
     chosen = []
     length = len(points)
-    for i in range(1, length + 1):
-        here = points[i % length]
-        d = _exact_diff(here, points[i - 1])
-        val, v = reference_min_vertex(m.evaluate(here), d)
+    for i, image in enumerate(images, 1):
+        d = _exact_diff(points[i % length], points[i - 1])
+        val, v = reference_min_vertex(image, d)
         total += val
         chosen.append(v)
+    return total, chosen
+
+
+def cycle_images(m, points):
+    """The images of ``points`` in the order the circulation's terms use
+    them: ``F(points[1]), ..., F(points[-1]), F(points[0])``."""
+    return [m.evaluate(p) for p in (*points[1:], points[0])]
+
+
+def _cycle_gap(m, points):
+    total, chosen = reference_circulation(points, cycle_images(m, points))
     if total < 0:
         cycle = [list(p) for p in points] + [list(points[0])]
         return {"cycle": cycle, "velocities": [list(v) for v in chosen],

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -266,6 +269,26 @@ class TestListExamples:
         assert code == 0
         rows = json.loads(out)
         assert {r["name"] for r in rows} >= {"example1", "normgrad"}
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``| head``, ``| grep -q``) closes the
+    pipe; the CLI then exits 1 without a word on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_pipe_exits_1_quietly(self, unbuffered):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diffinc.cli", "check", "growth", "--map",
+             "example1", "--samples", "50", "--seed", "1", "--no-timestamp"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child has started, so before it writes
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestUsageErrors:

@@ -3,9 +3,11 @@
 Each case runs ``cli.main`` with ``--no-timestamp`` and pins the exit
 code, the sha256 of stdout and, where the run writes one, the sha256 of
 the trajectory CSV.  The cases cover each policy on four catalog maps,
-a refinement study, the wcm, monotone, growth and closed-graph checks
-(the last on piecewise, product and union images and on one failing
-native map), a map file and an infeasible solve, so a
+a refinement study, the wcm, monotone, cyclic, growth and closed-graph
+checks (the last on piecewise, product and union images and on one
+failing native map; monotone and cyclic on passing runs whose battery
+holds exact-zero circulations and on failing runs with certificates),
+a map file and an infeasible solve, so a
 change to the arithmetic of map evaluation, selection or the checks
 shows up here as a changed digest.  After an intended change of
 results, print the new table with
@@ -56,6 +58,19 @@ CASES = {
          "--seed", "3"],
         False,
     ),
+    "check-monotone-example2_F": (
+        ["check", "monotone", "--map", "example2F", "--seed", "1"],
+        False,
+    ),
+    "check-cyclic-normgrad3": (
+        ["check", "cyclic", "--map", "normgrad3", "--samples", "300", "--seed",
+         "1"],
+        False,
+    ),
+    "check-cyclic-example3": (
+        ["check", "cyclic", "--map", "example3", "--seed", "1"],
+        False,
+    ),
     "check-graph-example1": (
         ["check", "graph", "--map", "example1", "--samples", "140", "--seed",
          "5"],
@@ -95,11 +110,14 @@ CASES = {
 
 # (exit code, sha256 of stdout, sha256 of the CSV or None)
 GOLDEN = {
+    'check-cyclic-example3': (3, '7ec2d238a6532d60a1e875c9fd21cc5d8a8970edd51a5e40552e27c6e0bbc5ad', None),
+    'check-cyclic-normgrad3': (0, '251c70ce60b2eb4419d55e549dcf82078fcd521cb190e1f1785a7a6991909005', None),
     'check-graph-example1': (0, '8ebbc757cf0e232a3a270563db97776891302b5996f615a1f95cd67d1c4b4aa2', None),
     'check-graph-example2_G': (0, '59b70e033310b49910559467356b1a7acd2587cbd8e1196bd836178934b435c3', None),
     'check-graph-example4_3': (0, 'fa18907f60d0fbcf0ac38263006ba09c99488e3ed75f9546632cecaa1837585c', None),
     'check-graph-normgrad3': (3, '8adeb3baca67aa896fd640a0af0d8ffd4cd65764400fd8d759688d17323bb8da', None),
     'check-growth-example3': (0, '209e78c842d632766da02504390c16725d9b7ac4230694ed5ffa6a3d4ee15133', None),
+    'check-monotone-example2_F': (3, 'b777e4d32bfc5f985b5fdb386f1635fdddbe7ececc83794de06535b91325e057', None),
     'check-monotone-normgrad2': (0, '97aecd8257c6642c7259242fd499ed7229cd22529bee3f62519f24588eef63ca', None),
     'check-wcm-example3': (0, 'c2b6b7c9e8437832adba2f852256a50f10c51a81f2649a75fccaaef5695bf266', None),
     'converge-example2_F-lex-max': (0, 'a1dcd6283b9c5c62f01fbf52cfd5e1c6603a4dc119eb3ba53ce49099e112dfd1', None),
