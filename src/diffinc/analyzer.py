@@ -525,7 +525,8 @@ def estimate_growth(
     b = 0.0
     for (r1, gmin1, _), (r2, _, gmax2) in zip(groups, groups[1:]):
         b = max(b, (gmax2 - gmin1) / (r2 - r1))
-    a = max(g - b * r for r, g in data)
+    # g at the origin, where b * 0.0 would be NaN if the steepest slope overflowed
+    a = max(g - b * r if r else g for r, g in data)
 
     violation = None
     if m.growth is not None:
@@ -683,19 +684,22 @@ def check_trajectory_monotone(traj) -> tuple[CoordinateMonotone, ...]:
     return tuple(out)
 
 
-def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[float, float]:
+RESIDUAL_SAMPLES = 4  # interior states ``residual`` samples in each step
+
+
+def residual(traj, m: SetValuedMap) -> tuple[float, float]:
     """(max node residual, max interior residual).
 
     Node residual is the distance from each interval velocity to the
     image at its node — 0 by selection soundness.  The interior residual
-    samples strictly inside each interval; expected O(h) away from image
-    discontinuities.
+    samples RESIDUAL_SAMPLES states strictly inside each interval;
+    expected O(h) away from image discontinuities.
 
     Every node image and every interior image is evaluated afresh from
     the map, independently of the solve that built the trajectory, so a
-    selection bug shows as a nonzero node residual.  Every node, then
-    every velocity, is checked once by ``checked_vector``; the images
-    come from the map's trusted ``_eval``.
+    selection bug shows as a nonzero node residual.  A ``Trajectory`` is
+    checked where it is built, so only its dimension is checked against
+    the map's; the images come from the map's trusted ``_eval``.
     Membership is exact: a distance is 0.0 exactly when the velocity
     lies in the image, because a float difference is 0 only between
     equal values and never changes sign, so each coordinate gap
@@ -716,20 +720,18 @@ def residual(traj, m: SetValuedMap, samples_per_interval: int = 4) -> tuple[floa
     A maximum is raised only by a strictly larger distance, so it keeps
     its earlier value on a tie, as ``max`` would.
     """
-    if samples_per_interval < 1:
-        raise ValueError("samples_per_interval must be >= 1")
-    nodes = [checked_vector(p, m.dim, "trajectory node", m) for p in traj.nodes]
-    velocities = [checked_vector(v, m.dim, "trajectory velocity", m) for v in traj.velocities]
+    if traj.dim != m.dim:
+        raise ValueError(f"trajectory has dimension {traj.dim}, {m} has {m.dim}")
     evaluate = m._eval
     node_res = 0.0
-    for x, v in zip(nodes, velocities):
+    for x, v in zip(traj.nodes, traj.velocities):
         d = _distance(evaluate(x), v, node_res)
         if d > node_res:
             node_res = d
     interval_res = 0.0
-    parts = samples_per_interval + 1
+    parts = RESIDUAL_SAMPLES + 1
     times = traj.times
-    for i, (x, v) in enumerate(zip(nodes, velocities)):
+    for i, (x, v) in enumerate(zip(traj.nodes, traj.velocities)):
         t0 = times[i]
         span = times[i + 1] - t0
         seen = None

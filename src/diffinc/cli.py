@@ -118,8 +118,6 @@ def _add_solve_arguments(p: argparse.ArgumentParser) -> None:
     _add_solve_options(p)
     p.add_argument("--N", type=int, default=None,
                    help="mesh steps (default: smallest n with h*M < 1)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv",
-                   help="trajectory file format (default csv)")
     _add_output_options(p)
 
 
@@ -128,7 +126,6 @@ def _add_converge_arguments(p: argparse.ArgumentParser) -> None:
     _add_solve_options(p)
     p.add_argument("--N0", type=int, required=True, help="coarsest mesh steps")
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--samples-per-interval", type=int, default=4)
     _add_output_options(p)
 
 
@@ -161,19 +158,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         enforce_mesh=not args.no_mesh_check,
     )
     if args.output:
-        if args.format == "json":
-            doc = {
-                "map": m.label,
-                "policy": policy.variant,
-                "times": list(traj.times),
-                "nodes": [list(p) for p in traj.nodes],
-                "velocities": [list(v) for v in traj.velocities],
-            }
-            text = json.dumps(doc, indent=2) + "\n"
-        else:
-            text = solver.trajectory_to_csv(traj)
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(solver.trajectory_to_csv(traj))
     node_res, interval_res = analyzer.residual(traj, m)
     summary = {
         "map": m.label,
@@ -197,10 +183,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     m = resolve_map(args.map, args.dim, args.k)
     x0 = _parse_vector(args.x0, "--x0")
     v0 = _parse_vector(args.v0, "--v0") if args.v0 else None
-    report = solver.converge(
-        m, x0, args.T, args.N0, args.levels, _policy(args), v0,
-        samples_per_interval=args.samples_per_interval,
-    )
+    report = solver.converge(m, x0, args.T, args.N0, args.levels, _policy(args), v0)
     _emit(report.to_json_dict(), args, args.output)
     return 0
 

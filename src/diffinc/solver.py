@@ -25,6 +25,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from . import analyzer
@@ -36,8 +37,8 @@ from .selector import (
     _pick,
     initial_velocity,
 )
-from .setmap import (SetValuedMap, Vector, _check_growth, _image, checked_vector,
-                     finite_vector, norm)
+from .setmap import (SetValuedMap, Vector, _check_growth, _image, as_vector,
+                     checked_vector, finite_vector, norm)
 
 # The most mesh steps one polygon may take: 10**7 steps of a 1-D
 # trajectory hold about 2 GB of nodes, velocities and times.
@@ -99,28 +100,40 @@ def min_steps(bounds: GrowthBounds) -> int:
     return int(math.floor(tm)) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
     """Euler polygon: N+1 nodes, N >= 1 per-interval velocities.
 
     ``times[i] = (i / N) * T`` so refinements that double N share the
     coarse grid bit-exactly.  Velocities are held constant on
     ``[t_i, t_{i+1})``; the final interval is closed.
+
+    Its ``__init__`` converts each field once and raises ValueError
+    unless the counts match the mesh, the times increase strictly from 0
+    and every node and velocity shares one dimension >= 1.
     """
 
     times: tuple[float, ...]
     nodes: tuple[Vector, ...]
     velocities: tuple[Vector, ...]
-    map_label: str
-    policy: SelectionPolicy
 
-    def __post_init__(self) -> None:
-        if len(self.nodes) != len(self.times) or len(self.velocities) != len(self.times) - 1:
+    def __init__(self, times: Sequence[float], nodes: Sequence[Sequence[float]],
+                 velocities: Sequence[Sequence[float]]) -> None:
+        times = as_vector(times)
+        nodes = tuple(map(as_vector, nodes))
+        velocities = tuple(map(as_vector, velocities))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "velocities", velocities)
+        if len(nodes) != len(times) or len(velocities) != len(times) - 1:
             raise ValueError("node/velocity counts do not match the mesh")
-        if not self.velocities:
+        if not velocities:
             raise ValueError("a trajectory needs at least one step")
-        if self.times[0] != 0.0 or any(not a < b for a, b in zip(self.times, self.times[1:])):
+        if times[0] != 0.0 or any(not a < b for a, b in zip(times, times[1:])):
             raise ValueError("times must increase strictly from 0")
+        dim = len(nodes[0])
+        if not dim or any(len(p) != dim for p in chain(nodes, velocities)):
+            raise ValueError("trajectory nodes and velocities must share a dimension >= 1")
 
     @property
     def steps(self) -> int:
@@ -246,7 +259,7 @@ def euler_polygon(
         v = _pick(region, v, variant)
         velocities.append(v)
     nodes.append(tuple(xc + h * vc for xc, vc in zip(x, v)))
-    return Trajectory(times, tuple(nodes), tuple(velocities), m.label, policy)
+    return Trajectory(times, nodes, velocities)
 
 
 @dataclass(frozen=True)
@@ -303,7 +316,6 @@ def converge(
     levels: int,
     policy: SelectionPolicy = SelectionPolicy(),
     v0: Sequence[float] | None = None,
-    samples_per_interval: int = 4,
 ) -> ConvergenceReport:
     """Run `levels` polygons with N, 2N, 4N, ... steps and compare them.
 
@@ -311,9 +323,8 @@ def converge(
     solves (selections are not nested across levels).  WcmInfeasible is
     re-raised annotated with the level at which it occurred.  n0 must be
     >= 1 whatever the map declares; x0, horizon and v0 must be finite;
-    the finest level may take at most MAX_STEPS steps; and
-    samples_per_interval must be >= 1 with at most MAX_STEPS samples at
-    the finest level (ValueError otherwise, before the first solve).
+    and the finest N times ``analyzer.RESIDUAL_SAMPLES`` may be at most
+    MAX_STEPS (ValueError otherwise, before the first solve).
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
@@ -330,13 +341,10 @@ def converge(
     if levels - 1 > MAX_STEPS.bit_length():
         raise ValueError(f"{levels} levels double N past MAX_STEPS = {MAX_STEPS}")
     ns = [start * (2 ** k) for k in range(levels)]
-    # residual evaluates the map at 1 + samples_per_interval points a step;
-    # with at least one sample, this bounds the finest N by MAX_STEPS too
-    if samples_per_interval < 1:
-        raise ValueError(f"samples_per_interval must be >= 1, got {samples_per_interval}")
-    if ns[-1] * samples_per_interval > MAX_STEPS:
-        raise ValueError(f"N = {ns[-1]} steps at the finest level times samples_per_interval"
-                         f" = {samples_per_interval} exceeds MAX_STEPS = {MAX_STEPS}")
+    # residual evaluates the map at 1 + RESIDUAL_SAMPLES points a step
+    if ns[-1] * analyzer.RESIDUAL_SAMPLES > MAX_STEPS:
+        raise ValueError(f"N = {ns[-1]} steps at the finest level times RESIDUAL_SAMPLES"
+                         f" = {analyzer.RESIDUAL_SAMPLES} exceeds MAX_STEPS = {MAX_STEPS}")
 
     trajectories: list[Trajectory] = []
     for lvl, n in enumerate(ns):
@@ -350,9 +358,7 @@ def converge(
         _grid_delta(coarse, fine)
         for coarse, fine in zip(trajectories, trajectories[1:])
     )
-    residuals = tuple(
-        analyzer.residual(traj, m, samples_per_interval) for traj in trajectories
-    )
+    residuals = tuple(analyzer.residual(traj, m) for traj in trajectories)
     monotone = tuple(
         tuple(r.classification for r in analyzer.check_trajectory_monotone(traj))
         for traj in trajectories
@@ -382,8 +388,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_from_csv(text: str, map_label: str = "csv",
-                        policy: SelectionPolicy = SelectionPolicy()) -> Trajectory:
+def trajectory_from_csv(text: str) -> Trajectory:
     """The trajectory of a ``trajectory_to_csv`` text: a header and at
     least two rows (ValueError otherwise)."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
@@ -394,15 +399,14 @@ def trajectory_from_csv(text: str, map_label: str = "csv",
         raise ValueError(f"a trajectory CSV needs at least two rows, got {len(lines) - 1}")
     n = (len(header) - 1) // 2
     times: list[float] = []
-    nodes: list[Vector] = []
-    velocities: list[Vector] = []
+    nodes: list[list[float]] = []
+    velocities: list[list[float]] = []
     for ln in lines[1:]:
         cells = [float(c) for c in ln.split(",")]
         if len(cells) != 1 + 2 * n:
             raise ValueError(f"row has {len(cells)} cells, expected {1 + 2 * n}")
         times.append(cells[0])
-        nodes.append(tuple(cells[1 : 1 + n]))
-        velocities.append(tuple(cells[1 + n :]))
+        nodes.append(cells[1 : 1 + n])
+        velocities.append(cells[1 + n :])
     velocities.pop()  # final row repeats the last interval velocity
-    return Trajectory(tuple(times), tuple(nodes), tuple(velocities),
-                      map_label, policy)
+    return Trajectory(times, nodes, velocities)

@@ -10,6 +10,7 @@ from diffinc.analyzer import (
     CheckReport,
     CoordinateMonotone,
     GrowthFit,
+    RESIDUAL_SAMPLES,
     _LADDER,
     _STRADDLE,
     _axis_point,
@@ -577,11 +578,9 @@ def reference_polygon(m, x0, horizon, n, policy, v0=None):
     return nodes, velocities
 
 
-def reference_residual(traj, m, samples_per_interval=4):
+def reference_residual(traj, m):
     """(max node residual, max interior residual) by public ``evaluate``
     and ``reference_distance`` at every node and interior sample."""
-    if samples_per_interval < 1:
-        raise ValueError("samples_per_interval must be >= 1")
     node_res = 0.0
     for x, v in zip(traj.nodes, traj.velocities):
         node_res = max(node_res, reference_distance(m.evaluate(x), v))
@@ -591,8 +590,8 @@ def reference_residual(traj, m, samples_per_interval=4):
         span = traj.times[i + 1] - t0
         v = traj.velocities[i]
         x = traj.nodes[i]
-        for k in range(1, samples_per_interval + 1):
-            dt = span * k / (samples_per_interval + 1)
+        for k in range(1, RESIDUAL_SAMPLES + 1):
+            dt = span * k / (RESIDUAL_SAMPLES + 1)
             state = tuple(c + dt * vc for c, vc in zip(x, v))
             interval_res = max(interval_res, reference_distance(m.evaluate(state), v))
     return node_res, interval_res
@@ -791,7 +790,7 @@ def reference_estimate_growth(m, radius, count, seed):
     b = 0.0
     for (r1, gmin1, _), (r2, _, gmax2) in zip(groups, groups[1:]):
         b = max(b, (gmax2 - gmin1) / (r2 - r1))
-    a = max(g - b * r for r, g in data)
+    a = max(g - b * r if r else g for r, g in data)  # b * 0.0 is NaN at b = inf
     violation = None
     if m.growth is not None:
         da, db = m.growth

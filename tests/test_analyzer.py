@@ -436,14 +436,13 @@ class TestTrajectoryMonotone:
                      max_size=steps)))))
     def test_matches_the_two_branch_reference(self, case):
         nodes, velocities = case
-        traj = Trajectory(tuple(float(i) for i in range(len(nodes))), tuple(nodes),
-                          tuple(velocities), "random", SelectionPolicy())
+        traj = Trajectory(range(len(nodes)), nodes, velocities)
         assert check_trajectory_monotone(traj) == reference_check_trajectory_monotone(traj)
 
     def test_signed_zero_and_nan_in_a_decreasing_coordinate(self):
         nodes = ((0.0,), (-0.0,), (-1.0,), (math.nan,))
         velocities = ((-1.0,), (-0.0,), (-math.inf,))
-        traj = Trajectory((0.0, 1.0, 2.0, 3.0), nodes, velocities, "t", SelectionPolicy())
+        traj = Trajectory((0.0, 1.0, 2.0, 3.0), nodes, velocities)
         (rep,) = check_trajectory_monotone(traj)
         assert rep == reference_check_trajectory_monotone(traj)[0]
         assert rep.classification == "decreasing"
@@ -460,28 +459,22 @@ class TestResidual:
             params = {"n": 1} if name == "example4" else None
             m = builtin(name, params)
             traj = euler_polygon(m, x0, 1.0, 24, v0=v0)
-            node, _ = residual(traj, m, 3)
+            node, _ = residual(traj, m)
             assert node == 0.0
 
     def test_locally_constant_image_has_zero_interval_residual(self):
         m = builtin("example4", {"n": 1})
         traj = euler_polygon(m, (-1.0,), 0.5, 8, v0=(-1.0,))
-        assert residual(traj, m, 5) == (0.0, 0.0)
+        assert residual(traj, m) == (0.0, 0.0)
 
     def test_growth_branch_interval_residual_order_h(self):
         m = builtin("example2_F")
         traj = euler_polygon(m, (1.0,), 1.0, 1000, SelectionPolicy("lex_max"),
                              v0=(1.0,))
-        _, interval = residual(traj, m, 4)
+        _, interval = residual(traj, m)
         from diffinc.solver import gronwall_bounds
         bound = gronwall_bounds(1, 1, 1, 1).velocity_bound * traj.mesh_size
         assert 0 < interval <= bound
-
-    def test_samples_validation(self):
-        m = builtin("example1")
-        traj = euler_polygon(m, (0.0,), 1.0, 4)
-        with pytest.raises(ValueError):
-            residual(traj, m, 0)
 
 
 class TestUnionPreservation:

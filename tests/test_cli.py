@@ -51,16 +51,16 @@ class TestSolve:
         assert traj.times == direct.times
 
     def test_json_trajectory_format(self, capsys, tmp_path):
+        # CSV is the only trajectory format; --format is no option
         out_file = tmp_path / "traj.json"
-        code, _, _ = run(
+        code, out, err = run(
             capsys, "solve", "--map", "example4", "--dim", "1", "--x0", "-1",
             "--v0", "-1", "--T", "1", "--N", "8", "--format", "json",
             "--output", str(out_file), "--no-timestamp",
         )
-        assert code == 0
-        doc = json.loads(out_file.read_text(encoding="utf-8"))
-        assert doc["nodes"][-1] == [-2.0]
-        assert len(doc["velocities"]) == 8
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --format json" in err
+        assert not out_file.exists()
 
     def test_pinned_example1(self, capsys):
         code, out, _ = run(
@@ -176,6 +176,18 @@ class TestCheck:
         )
         assert code == 0
         assert json.loads(out)["declared_violation"] == 0.0
+
+    def test_growth_fit_over_a_subnormal_radius_gap_is_finite(self, capsys, tmp_path):
+        # the slope from the origin to a subnormal radius overflows to inf,
+        # and the origin's term g - inf * 0.0 used to make the fit's a NaN
+        path = tmp_path / "jump.json"
+        path.write_text(json.dumps({"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": "le", "bound": 0}], "image": [[["0", "0"]]]},
+            {"region": [{"var": 1, "op": "gt", "bound": 0}], "image": [[["1", "1"]]]}]}))
+        code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--radius",
+                           "1e-310", "--samples", "20", "--seed", "1", "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["fit"] == {"a": 0.0, "b": math.inf}
 
     @pytest.mark.parametrize("condition", ["monotone", "cyclic"])
     def test_violation_below_double_range_is_minus_infinity(self, capsys, tmp_path,
@@ -474,13 +486,18 @@ class TestBuiltinParameters:
 
 class TestConvergeBudget:
     def test_samples_per_interval_bounded_before_solving(self, capsys):
-        start = time.perf_counter()
+        # the sample count is fixed; the residual's work is still bounded
         code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "0",
                              "--T", "1", "--N0", "4", "--levels", "2",
                              "--samples-per-interval", "100000000")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --samples-per-interval 100000000" in err
+        start = time.perf_counter()
+        code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "0",
+                             "--T", "1", "--N0", str(MAX_STEPS // 8 + 1), "--levels", "2")
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
-        assert "N = 8 steps" in err and "samples_per_interval = 100000000" in err
+        assert f"N = {2 * (MAX_STEPS // 8 + 1)} steps" in err and "RESIDUAL_SAMPLES = 4" in err
 
     def test_zero_samples_rejected_before_solving(self, capsys):
         start = time.perf_counter()
@@ -489,7 +506,7 @@ class TestConvergeBudget:
                              "--samples-per-interval", "0")
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
-        assert "samples_per_interval must be >= 1, got 0" in err
+        assert "unrecognized arguments: --samples-per-interval 0" in err
 
 
     @pytest.mark.parametrize("declares_growth", [True, False])

@@ -9,7 +9,9 @@ failing native map; monotone and cyclic on passing runs whose battery
 holds exact-zero circulations and on failing runs with certificates),
 a map file and an infeasible solve, so a
 change to the arithmetic of map evaluation, selection or the checks
-shows up here as a changed digest.  After an intended change of
+shows up here as a changed digest.  Each trajectory CSV, read back,
+must give ``residual`` the residuals of its summary, bit for bit.
+After an intended change of
 results, print the new table with
 ``PYTHONPATH=src python tests/test_golden_outputs.py``.
 """
@@ -17,12 +19,16 @@ results, print the new table with
 import contextlib
 import hashlib
 import io
+import json
 import os
+import struct
 from pathlib import Path
 
 import pytest
 
-from diffinc.cli import main
+from diffinc.analyzer import residual
+from diffinc.cli import main, resolve_map
+from diffinc.solver import trajectory_from_csv
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 
@@ -157,6 +163,24 @@ def test_output_bytes_are_pinned(name, tmp_path, monkeypatch):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, writes_csv) in CASES.items() if writes_csv))
+def test_csv_replays_the_summary_residuals(name, tmp_path, monkeypatch):
+    """The CSV a solve writes, read back, has the residuals its summary
+    reports, bit for bit."""
+    monkeypatch.chdir(tmp_path)
+    argv, _ = CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--no-timestamp"]) == 0
+    summary = json.loads(out.getvalue())
+    m = resolve_map(argv[argv.index("--map") + 1],
+                    int(argv[argv.index("--dim") + 1]) if "--dim" in argv else None)
+    traj = trajectory_from_csv(Path("traj.csv").read_text(encoding="utf-8"))
+    got = residual(traj, m)
+    want = (summary["node_residual"], summary["interval_residual"])
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Polygon construction, growth bounds, refinement studies, CSV export."""
 
+import dataclasses
 import math
 import random
 import re
@@ -285,7 +286,7 @@ class TestEulerPolygon:
             x0 = tuple(rng.uniform(-2, 2) for _ in range(m.dim))
             traj = euler_polygon(m, x0, 0.25)
             assert all(r.ok for r in check_trajectory_monotone(traj))
-            assert residual(traj, m, 2)[0] == 0.0
+            assert residual(traj, m)[0] == 0.0
 
 
 class TestInterpolate:
@@ -347,22 +348,18 @@ class TestConverge:
         with pytest.raises(ValueError, match=f"N = {4 * n0} .* {MAX_STEPS}"):
             converge(builtin("example1"), (0.0,), 1.0, n0, 3)
 
-    @pytest.mark.parametrize("samples, n0, message", [
-        (0, 8, "samples_per_interval must be >= 1, got 0"),
-        (4, MAX_STEPS // 8 + 1, f"N = {2 * (MAX_STEPS // 8 + 1)} steps at the finest level "
-                                f"times samples_per_interval = 4 exceeds MAX_STEPS"),
-        (MAX_STEPS // 16 + 1, 8, "samples_per_interval = 625001 exceeds"),
-    ])
-    def test_residual_work_checked_before_the_first_solve(self, monkeypatch, samples,
-                                                          n0, message):
+    def test_residual_work_checked_before_the_first_solve(self, monkeypatch):
         import diffinc.solver as solver
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a level was solved")
 
         monkeypatch.setattr(solver, "euler_polygon", no_solve)
+        n0 = MAX_STEPS // 8 + 1  # 2 * n0 steps fit MAX_STEPS, 4 samples a step do not
+        message = (f"N = {2 * n0} steps at the finest level times RESIDUAL_SAMPLES = 4 "
+                   f"exceeds MAX_STEPS = {MAX_STEPS}")
         with pytest.raises(ValueError, match=re.escape(message)):
-            converge(builtin("example1"), (0.0,), 1.0, n0, 2, samples_per_interval=samples)
+            converge(builtin("example1"), (0.0,), 1.0, n0, 2)
 
     @pytest.mark.parametrize("n0", [0, -3])
     @pytest.mark.parametrize("declares_growth", [True, False])
@@ -385,12 +382,14 @@ class TestConverge:
             converge(builtin("example1"), (0.0,), 1.0, 4, 10 ** 10)
 
     def test_residual_budget_is_inclusive(self, monkeypatch):
-        import diffinc.analyzer as analyzer
+        import diffinc.solver as solver
 
-        monkeypatch.setattr(analyzer, "residual", lambda traj, m, samples: (0.0, 0.0))
-        rep = converge(builtin("example1"), (0.0,), 1.0, 4, 2,
-                       samples_per_interval=MAX_STEPS // 8)
+        # the finest level's 8 steps take exactly MAX_STEPS residual samples
+        monkeypatch.setattr(solver, "MAX_STEPS", 8 * 4)
+        rep = converge(builtin("example1"), (0.0,), 1.0, 4, 2)
         assert [t.steps for t in rep.trajectories] == [4, 8]
+        with pytest.raises(ValueError, match="N = 16 steps"):
+            converge(builtin("example1"), (0.0,), 1.0, 8, 2)
 
     def test_levels_validation(self):
         with pytest.raises(ValueError):
@@ -455,8 +454,31 @@ class TestTrajectoryValidation:
     def test_times_must_increase_strictly_from_zero(self, times):
         n = len(times)
         with pytest.raises(ValueError, match="times must increase strictly from 0"):
-            Trajectory(times, ((0.0,),) * n, ((1.0,),) * (n - 1), "t", LEX_MAX)
+            Trajectory(times, ((0.0,),) * n, ((1.0,),) * (n - 1))
 
     def test_at_least_one_step(self):
         with pytest.raises(ValueError, match="at least one step"):
-            Trajectory((0.0,), ((0.0,),), (), "t", LEX_MAX)
+            Trajectory((0.0,), ((0.0,),), ())
+
+    # each was built once, and then its consumer failed or wrote nonsense
+    @pytest.mark.parametrize("times, nodes, velocities, consumer", [
+        # a ragged node made check_trajectory_monotone raise IndexError
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (1.0,), (2.0, 2.0)), ((1.0, 1.0), (1.0, 1.0)),
+         check_trajectory_monotone),
+        # a ragged velocity made a 4-cell row that trajectory_from_csv rejects
+        ((0.0, 0.5, 1.0), ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), ((1.0, 1.0), (1.0,)),
+         trajectory_to_csv),
+        # no dimension at all wrote the CSV "t\n0\n1\n"
+        ((0.0, 1.0), ((), ()), ((),), trajectory_to_csv),
+    ])
+    def test_one_dimension_of_at_least_one(self, times, nodes, velocities, consumer):
+        with pytest.raises(ValueError, match="must share a dimension >= 1"):
+            consumer(Trajectory(times, nodes, velocities))
+
+    def test_fields_are_converted_once(self):
+        traj = Trajectory([0, 1], [[0, 1], [1, 2]], [[1, 1]])
+        assert traj.times == (0.0, 1.0)
+        assert traj.nodes == ((0.0, 1.0), (1.0, 2.0)) and traj.velocities == ((1.0, 1.0),)
+        assert all(type(c) is float for p in (traj.times, *traj.nodes) for c in p)
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["times", "nodes",
+                                                                     "velocities"]

@@ -13,7 +13,9 @@ own enumeration, which pins the order that ``setmap._corners`` gives
 ``vertices`` and ``Box.corners()``.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import struct
@@ -40,7 +42,7 @@ from hypothesis import strategies as st
 from test_compiled_eval import maps
 from test_sampled_checks import random_maps
 
-from diffinc import analyzer
+from diffinc import analyzer, cli, selector, setmap, solver
 from diffinc.analyzer import (
     check_closed_graph,
     check_trajectory_monotone,
@@ -67,6 +69,7 @@ from diffinc.setmap import (
     PiecewiseMap,
     _distance,
     builtin,
+    checked_vector,
     distance,
 )
 from diffinc.solver import Trajectory, euler_polygon
@@ -347,8 +350,7 @@ def trajectory_cases(draw):
     times = tuple((i / steps) * horizon for i in range(steps + 1))
     nodes = tuple(draw(points(m.dim)) for _ in range(steps + 1))
     velocities = tuple(draw(points(m.dim)) for _ in range(steps))
-    traj = Trajectory(times, nodes, velocities, m.label, SelectionPolicy())
-    return m, traj, draw(st.integers(1, 5))
+    return m, Trajectory(times, nodes, velocities)
 
 
 def residual_outcome(fn):
@@ -363,9 +365,9 @@ class TestResidual:
               suppress_health_check=[HealthCheck.too_slow])
     @given(trajectory_cases())
     def test_matches_object_path(self, case):
-        m, traj, samples = case
-        assert residual_outcome(lambda: residual(traj, m, samples)) == \
-            residual_outcome(lambda: reference_residual(traj, m, samples))
+        m, traj = case
+        assert residual_outcome(lambda: residual(traj, m)) == \
+            residual_outcome(lambda: reference_residual(traj, m))
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -415,8 +417,7 @@ class TestResidual:
         m = PiecewiseMap(2, (Piece((), (box,)),))
         velocities = ((3.0, 0.5), (-4.0, 2.0), (1.0, -0.0), (2.5, 0.25))
         nodes = ((0.0, 0.0), (0.5, 1.0), (-1.0, 0.0), (2.0, 5.0), (0.0, 0.0))
-        traj = Trajectory((0.0, 0.25, 0.5, 0.75, 1.0), nodes, velocities, m.label,
-                          SelectionPolicy())
+        traj = Trajectory((0.0, 0.25, 0.5, 0.75, 1.0), nodes, velocities)
         got = residual(traj, m)
         assert tuple(map(bits, got)) == tuple(map(bits, reference_residual(traj, m)))
         assert got[1] == math.hypot(4.0, 2.0)
@@ -429,10 +430,47 @@ class TestResidual:
             residual(traj, builtin("example3"))
 
     def test_ragged_velocity_raises(self):
-        traj = Trajectory((0.0, 0.5, 1.0), ((0.0, 0.0), (0.1, 0.1), (0.2, 0.2)),
-                          ((1.0, 1.0), (1.0,)), "ragged", SelectionPolicy())
-        with pytest.raises(ValueError, match="velocity has dimension 1"):
-            residual(traj, builtin("example3"))
+        # where the trajectory is built, so residual never sees it
+        with pytest.raises(ValueError, match="must share a dimension >= 1"):
+            Trajectory((0.0, 0.5, 1.0), ((0.0, 0.0), (0.1, 0.1), (0.2, 0.2)),
+                       ((1.0, 1.0), (1.0,)))
+
+
+@pytest.fixture
+def checked_vector_calls(monkeypatch):
+    """A counter of ``setmap.checked_vector`` calls from every module that
+    imports it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return checked_vector(*args)
+
+    for module in (setmap, selector, analyzer, solver):
+        if hasattr(module, "checked_vector"):
+            monkeypatch.setattr(module, "checked_vector", counted)
+    return calls
+
+
+class TestValidatedOnce:
+    """A vector is checked where it enters, never once per step."""
+
+    def count(self, calls, argv):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        return len(calls)
+
+    def test_solve_checks_as_often_at_any_n(self, checked_vector_calls):
+        argv = ["solve", "--map", "example1", "--x0", "0.1", "--T", "1", "--N"]
+        assert self.count(checked_vector_calls, [*argv, "100"]) == \
+            self.count(checked_vector_calls, [*argv, "1000"]) == 2
+
+    def test_converge_checks_as_often_at_any_n0(self, checked_vector_calls):
+        argv = ["converge", "--map", "example1", "--x0", "0.1", "--T", "1", "--levels", "3",
+                "--N0"]
+        assert self.count(checked_vector_calls, [*argv, "100"]) == \
+            self.count(checked_vector_calls, [*argv, "400"]) == 6
 
 
 # ---------------------------------------------------------------------------
