@@ -17,18 +17,32 @@ Per-pair decisions are exact for box-union images:
 * a map is monotone exactly when it is 2-cyclically monotone: <x-y, v-w>
   is the circulation of the 2-cycle (y, x), and is decided as such.
 
-The sign of each bilinear sum is decided exactly, in two steps.  A
-float filter (``_surely_positive``) settles a circulation that a proven
-rounding bound shows to be positive.  Every other one (zero, negative,
-too close to call, or overflowing) goes to the exact sum: every finite
-double is an integer multiple of 2^-1074, so each coordinate is scaled
-to a plain ``int`` and sums of products are exact integers (telescoping
-sums come out exactly zero).  The filter only passes what the exact sum
-would pass, so verdicts, ``samples`` counts and certificates are those
-of the exact sum alone.  A reported ``value`` is one correctly rounded
-int/int division, equal to ``float`` of the same rational, or -inf when
-that rational lies below the double range (IEEE round-to-nearest;
-``float`` would raise).
+The sign of each bilinear sum is decided exactly, in three steps:
+
+1. constant point: when every term's image is the same one-point box
+   {p}, the circulation is <sum of displacements, p>, and a cycle's
+   displacements sum to exactly 0, so the total is 0 and the cycle
+   passes before any arithmetic;
+2. float filter (``_float_pass``): one pass in doubles passes a cycle
+   that a proven rounding bound shows to be positive.  The same pass
+   marks, in each term with more than one box, the candidate boxes:
+   those that a proven per-box bound leaves able to attain the term's
+   exact minimum;
+3. exact sum: every other cycle (zero, negative, too close to call, or
+   overflowing) is summed exactly over the candidate boxes alone.  Every
+   finite double is an integer multiple of 2^-1074, so each coordinate
+   is scaled to a plain ``int`` and sums of products are exact integers
+   (telescoping sums come out exactly zero).
+
+Steps 1 and 2 pass only cycles whose exact total is >= 0, which the
+exact sum passes too, and a passing cycle has no certificate.  Step 3
+drops only boxes whose exact value lies strictly above the term's
+minimum, so the first minimising box, its corner and the total are those
+of a walk over every box.  So verdicts, ``samples`` counts and
+certificates are those of the exact sum over every box.  A reported
+``value`` is one correctly rounded int/int division, equal to ``float``
+of the same rational, or -inf when that rational lies below the double
+range (IEEE round-to-nearest; ``float`` would raise).
 
 The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
 pairs of the map's trusted ``_eval`` at the float tuples they build;
@@ -51,7 +65,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .selector import _clip
@@ -343,19 +357,22 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _TINY = 5e-324  # 2**-1074, the smallest subnormal double
 
 
-def _surely_positive(points: Sequence[Vector],
-                     images: Sequence[Sequence[tuple[Vector, Vector]]]) -> bool:
-    """True only when the cycle's minimal circulation is exactly > 0.
+def _float_pass(points: Sequence[Vector],
+                images: Sequence[Sequence[tuple[Vector, Vector]]]
+                ) -> list[Sequence[tuple[Vector, Vector]]] | None:
+    """None only when the cycle's minimal circulation is exactly > 0;
+    otherwise, per term, the candidate boxes of its image, in order.
 
     ``images[k]`` holds the (lo, hi) boxes of F at ``points[k + 1]``
     (cyclically), so term k pairs that image with the displacement
     ``c = points[k + 1] - points[k]``.  Everything is computed in
     doubles: ``c~ = fl(c)`` per coordinate, per box the products
     ``q_j = fl(c~_j v_j)`` at the corner v, their running sum ``t~``
-    and, over all terms and boxes, the running sum ``A`` of ``|q_j|``;
-    ``m~`` is the least ``t~`` of a term and ``S~`` the running sum of
-    the L terms' ``m~``.  The cycle is accepted when ``B < S~ < inf``
-    with ``B = fl(fl(K A) + U)``, ``K = 4 (n + L) u`` and ``U = 8 M eta``.
+    and, over all terms and boxes, a rounded sum ``A`` of every
+    ``|q_j|``; ``m~`` is the least ``t~`` of a term and ``S~`` the
+    running sum of the L terms' ``m~``.  The cycle is accepted when
+    ``B < S~ < inf`` with ``B = fl(fl(K A) + U)``, ``K = 4 (n + L) u``
+    and ``U = 8 M eta``.
 
     The corner is the exact path's: ``fl(a - b)`` has the sign of
     ``a - b`` and is +-0 only when ``a == b``, so ``c >= 0 or lo == hi``
@@ -384,10 +401,11 @@ def _surely_positive(points: Sequence[Vector],
        P now summed over all N boxes, and gamma_j + gamma_k +
        gamma_j gamma_k <= gamma_{j+k}, the exact circulation S obeys
        |S~ - S| <= gamma_{n+L} P + 2 L n eta;
-    6. magnitudes: |q| >= |c v| (1 - u)**2 - eta and ``A`` is a rounded
-       sum of M non-negative terms, so P <= A / (1 - u)**(M+1) +
-       M eta / (1 - u)**2; with k u <= 1/4 that gives
-       |S~ - S| <= 2 (n + L) u A + 3 M eta;
+    6. magnitudes: |q| >= |c v| (1 - u)**2 - eta, and ``A`` adds the M
+       non-negative ``|q_j|`` (per box first, where a term has more than
+       one box), each through at most M + 1 roundings, so
+       P <= A / (1 - u)**(M+1) + M eta / (1 - u)**2; with k u <= 1/4
+       that gives |S~ - S| <= 2 (n + L) u A + 3 M eta;
     7. the bound's own rounding: K and U are exact doubles and
        B >= (K A (1 - u) - eta + U)(1 - u) >= 2 (n + L) u A + 3 M eta.
 
@@ -397,36 +415,83 @@ def _surely_positive(points: Sequence[Vector],
     product and every partial sum of a box (rounding is monotone), and
     a finite ``S~`` had no inf or NaN partial sum, so with both finite
     nothing overflowed.
+
+    Candidates, in a term with more than one box, for a cycle that is
+    not accepted.  Box b has ``t~_b``, ``P_b``, the rounded sum of its n
+    ``|q_j|``, and ``E_b = fl(fl(k P_b) + w)`` with ``k = 4 (n + 1) u``
+    and ``w = 4 n 2**-1074 = 8 n eta``, both exact doubles.  While
+    nothing overflows, steps 1 and 2 give |sum q - T_b| <= gamma_2 P +
+    n eta, with P = sum |c_j v_j| over the box's n products, the
+    additions |t~_b - sum q| <= gamma_{n-1} sum |q|, and
+    sum |q| <= P_b / (1 - u)**(n-1), P <= (sum |q| + n eta) / (1 - u)**2.
+    With (n + 1) u <= 1/4 these give |t~_b - T_b| <= 2 (n + 1) u P_b +
+    2 n eta, which E_b >= (k P_b (1 - u) - eta + w)(1 - u) covers.  Box
+    b is a candidate when ``fl(t~_b - E_b) <= C``, where ``C`` is the
+    least ``fl(t~_b' + E_b')`` of the term.  Rounding is monotone, so a
+    box that is not a candidate has T_b >= t~_b - E_b > t~_b' + E_b' >=
+    T_b' for the b' that sets C: its exact value lies strictly above the
+    term's minimum.  The box that sets C is a candidate, so none is left
+    empty.  A finite ``A`` shows that nothing overflowed; otherwise every
+    box is kept.  A one-box term keeps its image, with no per-box lists.
     """
     total = mag = 0.0
     boxes = 0
-    for here, prev, pairs in zip((*points[1:], points[0]), points, images):
+    spread = []  # (term, every t~_b, every P_b) of the terms with several boxes
+    for term, (here, prev, pairs) in enumerate(zip((*points[1:], points[0]), points, images)):
         d = tuple(map(sub, here, prev))
-        best = math.inf
-        for lo_b, hi_b in pairs:
+        boxes += len(pairs)
+        if len(pairs) == 1:
+            (lo_b, hi_b), = pairs
             val = 0.0
             for c, lo, hi in zip(d, lo_b, hi_b):
                 q = c * lo if c >= 0 or lo == hi else c * hi
                 val += q
                 mag += abs(q)
-            if val < best:
-                best = val
-        total += best
-        boxes += len(pairs)
+            total += val
+            continue
+        values = []
+        sizes = []
+        for lo_b, hi_b in pairs:
+            val = size = 0.0
+            for c, lo, hi in zip(d, lo_b, hi_b):
+                q = c * lo if c >= 0 or lo == hi else c * hi
+                val += q
+                size += abs(q)
+            values.append(val)
+            sizes.append(size)
+            mag += size
+        total += min(values)
+        spread.append((term, values, sizes))
     n = len(points[0])
     bound = 4 * (n + len(points)) * _UNIT_ROUNDOFF * mag + 4 * n * boxes * _TINY
-    return bound < total < math.inf
+    if bound < total < math.inf:
+        return None
+    terms = list(images)
+    if mag < math.inf:
+        k = 4 * (n + 1) * _UNIT_ROUNDOFF
+        w = 4 * n * _TINY
+        for term, values, sizes in spread:
+            errors = [k * size + w for size in sizes]
+            cut = min(map(add, values, errors))
+            terms[term] = [box for box, val, err in zip(images[term], values, errors)
+                           if val - err <= cut]
+    return terms
 
 
 def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
     length = len(points)
     images = [m._eval(points[i % length]) for i in range(1, length + 1)]
-    if _surely_positive(points, images):
+    first = images[0]
+    # one point p at every term: the total is <sum of displacements, p> = 0
+    if len(first) == 1 and first[0][0] == first[0][1] and images.count(first) == length:
+        return None
+    terms = _float_pass(points, images)
+    if terms is None:
         return None
     scaled = [[_exact(c) for c in p] for p in points]
     total = 0
     chosen: list[Vector] = []
-    for i, pairs in enumerate(images, 1):
+    for i, pairs in enumerate(terms, 1):
         d = [a - b for a, b in zip(scaled[i % length], scaled[i - 1])]
         val, v = _min_vertex(pairs, d)
         total += val

@@ -390,7 +390,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def trajectory_from_csv(text: str) -> Trajectory:
     """The trajectory of a ``trajectory_to_csv`` text: a header and at
-    least two rows (ValueError otherwise)."""
+    least two rows of finite cells (ValueError otherwise, naming the row
+    and column of a ``nan`` or ``inf`` cell)."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     header = lines[0].split(",") if lines else []
     if len(header) < 3 or header[0] != "t" or len(header) % 2 == 0:
@@ -401,10 +402,13 @@ def trajectory_from_csv(text: str) -> Trajectory:
     times: list[float] = []
     nodes: list[list[float]] = []
     velocities: list[list[float]] = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         cells = [float(c) for c in ln.split(",")]
         if len(cells) != 1 + 2 * n:
             raise ValueError(f"row has {len(cells)} cells, expected {1 + 2 * n}")
+        if not all(map(math.isfinite, cells)):
+            name, cell = next((h, c) for h, c in zip(header, cells) if not math.isfinite(c))
+            raise ValueError(f"row {row}, column {name}: {cell!r} is not finite")
         times.append(cells[0])
         nodes.append(cells[1 : 1 + n])
         velocities.append(cells[1 + n :])

@@ -443,6 +443,18 @@ class TestCsv:
         with pytest.raises(ValueError, match=message):
             trajectory_from_csv(text)
 
+    # a non-finite cell is the file's fault, not the map's that residual
+    # would later be run on
+    @pytest.mark.parametrize("text, message", [
+        ("t,x_1,v_1\n0,nan,1\n1,1,1\n", "row 1, column x_1: nan is not finite"),
+        ("t,x_1,v_1\n0,0,1\n1,1,inf\n", "row 2, column v_1: inf is not finite"),
+        ("t,x_1,x_2,v_1,v_2\n0,0,-inf,1,1\n1,1,1,1,1\n", "row 1, column x_2: -inf is not finite"),
+        ("t,x_1,v_1\nnan,0,1\n1,1,1\n", "row 1, column t: nan is not finite"),
+    ])
+    def test_non_finite_cells_are_value_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            trajectory_from_csv(text)
+
     def test_two_rows_make_one_step(self):
         traj = trajectory_from_csv("t,x_1,v_1\n0,1,2\n0.5,2,2\n")
         assert traj.steps == 1 and traj.mesh_size == 0.5
