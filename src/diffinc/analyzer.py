@@ -48,15 +48,14 @@ The wcm, monotone, cyclic and growth checks decide on the (lo, hi)
 pairs of the map's trusted ``_eval`` at the float tuples they build;
 ``check_closed_graph``, which works on whole sets, calls ``evaluate``.
 
-Checks draw the deterministic battery, then their random pairs or
-cycles, one at a time and only up to the first failure; the battery
+Checks draw the deterministic battery, then their random points, pairs
+or cycles, one at a time and only up to the first failure; the battery
 comes in a fixed order and the random draws from the seeded generator
 in a fixed order, so a report does not depend on how far the search
 went.  Only the pair/cycle *sampling* is approximate: a
 ``pass-sampled`` verdict claims absence of counterexamples within the
-budget, never a proof.  Every ``fail`` but growth's carries a
-certificate that re-verifies by direct evaluation; a growth ``fail``
-reports its fit and positive ``declared_violation`` instead.
+budget, never a proof.  Every ``fail`` carries a certificate that
+re-verifies by direct evaluation of the map at the points it names.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from .setmap import (
     Vector,
     _check_vertex_dim,
     _distance,
-    _sup_norm,
+    _farthest_corner,
     as_vector,
     checked_vector,
     distance,
@@ -89,9 +88,9 @@ from .setmap import (
 class CheckReport:
     """Outcome of one sampled condition check.
 
-    ``fail`` carries a deterministic re-checkable certificate (growth:
-    its violation, in ``extra``); ``pass-sampled`` only states that the
-    budget found nothing.
+    ``fail`` carries a deterministic certificate that replays by
+    evaluating the map; ``pass-sampled`` only states that the budget
+    found nothing.
     """
 
     condition: str
@@ -170,8 +169,8 @@ def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
     return tuple(rng.uniform(-radius, radius) for _ in range(n))
 
 
-# The most points a check holds at once: all growth or graph samples
-# (about 270 bytes each on CPython 3.11), or one cycle (900 bytes a 3-D point).
+# The most points a check holds at once: all graph samples (about 270
+# bytes each on CPython 3.11), or one cycle (900 bytes a 3-D point).
 MAX_HELD_POINTS = 10 ** 6
 
 
@@ -328,19 +327,20 @@ def _min_vertex(pairs: Sequence[tuple[Vector, Vector]],
     """Minimum of <d, v> over the union of the (lo, hi) boxes (scaled by
     2**2148) and the first corner in ``vertices()`` order that attains
     it; ``d`` is scaled by 2**1074."""
-    best = best_v = None
-    for lo_b, hi_b in pairs:
-        v = tuple(lo if c >= 0 or lo == hi else hi
-                  for c, lo, hi in zip(d, lo_b, hi_b))
+    best = best_box = None
+    for box in pairs:
         val = 0
-        for c, a in zip(d, v):
-            if c:  # c * _exact(a), multiplying by the 53-bit numerator before the shift
-                num, den = a.as_integer_ratio()
+        for c, lo, hi in zip(d, *box):
+            if c:  # c * _exact(corner), multiplying by the 53-bit numerator before the shift
+                num, den = (lo if c > 0 else hi).as_integer_ratio()
                 val += c * num << (_SCALE + 1 - den.bit_length())
         if best is None or val < best:
-            best, best_v = val, v
-    assert best_v is not None
-    return best, best_v
+            best, best_box = val, box
+    assert best_box is not None
+    # where c < 0 and lo == hi the corner takes lo: the same value, and
+    # the sign of zero that ``vertices()`` lists first
+    return best, tuple([lo if c >= 0 or lo == hi else hi
+                        for c, lo, hi in zip(d, *best_box)])
 
 
 def _violation_value(value: int) -> float:
@@ -548,75 +548,42 @@ def find_cyclic_violation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    """Conservative fit of sup_norm(F(x)) <= a + b|x| over the sample.
-
-    Max-based, never an underestimate on the sampled points: b is the
-    steepest observed slope of the norm against |x| (clipped at 0) and a
-    closes the largest remaining gap.  ``declared_violation`` is the
-    worst excess ``g - (a + b*r)`` of a sampled norm g over the map's
-    declared bound evaluated in floats at r = |x| (None if undeclared),
-    so it is 0 exactly when no sampled norm exceeds that float bound.
-    """
-
-    a: float
-    b: float
-    declared_violation: float | None
-    samples: int
-
-
-def estimate_growth(
-    m: SetValuedMap, radius: float, count: int, seed: int
-) -> GrowthFit:
-    r = _check_budget(radius, count, count, "count")
-    rng = random.Random(seed)
-    points: list[Vector] = [(0.0,) * m.dim]
-    for j in range(m.dim):
-        for v in (r, -r, r / 2, 1.0, -1.0):
-            points.append(_axis_point(m.dim, j, v))
-    points.extend(_random_point(rng, m.dim, r) for _ in range(count))
-
-    data = sorted((norm(p), _sup_norm(m._eval(p))) for p in points)
-    # steepest pairwise slope; equal-radius groups collapse to (min, max)
-    # so consecutive groups dominate all pairs
-    groups: list[tuple[float, float, float]] = []
-    for r, g in data:
-        if groups and groups[-1][0] == r:
-            pr, gmin, gmax = groups[-1]
-            groups[-1] = (pr, min(gmin, g), max(gmax, g))
-        else:
-            groups.append((r, g, g))
-    b = 0.0
-    for (r1, gmin1, _), (r2, _, gmax2) in zip(groups, groups[1:]):
-        b = max(b, (gmax2 - gmin1) / (r2 - r1))
-    # g at the origin, where b * 0.0 would be NaN if the steepest slope overflowed
-    a = max(g - b * r if r else g for r, g in data)
-
-    violation = None
-    if m.growth is not None:
-        da, db = m.growth
-        violation = max(0.0, max(g - (da + db * r) for r, g in data))
-    return GrowthFit(a, b, violation, len(points))
+def _growth_gap(m: SetValuedMap, x: Vector) -> dict | None:
+    """None unless a box of F(x) has a farthest corner whose norm exceeds
+    the declared bound ``A + B*|x|``, both evaluated in floats; then a
+    certificate for the first such box.  F(x) is evaluated even where no
+    bound is declared, so a bad image raises there too."""
+    pairs = m._eval(x)
+    if m.growth is None:
+        return None
+    a, b = m.growth
+    bound = a + b * norm(x)
+    for box_index, (lo, hi) in enumerate(pairs):
+        v = _farthest_corner(lo, hi)
+        g = math.hypot(*v)
+        if g > bound:
+            return {"x": list(x), "box_index": box_index, "v": list(v),
+                    "norm": g, "bound": bound}
+    return None
 
 
 def check_growth(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckReport:
-    """The growth fit as a report: ``fail`` when some sampled norm
-    exceeds the declared bound (see GrowthFit), else ``pass-sampled``;
-    a map that declares no growth constants always passes.  The fit,
-    the declared constants and the violation go to the report's extra
-    fields; there is no certificate."""
-    fit = estimate_growth(m, radius, count, seed)
-    failed = fit.declared_violation is not None and fit.declared_violation > 0
-    return CheckReport(
-        "growth", "fail" if failed else "pass-sampled", fit.samples, seed,
-        radius, None,
-        {
-            "fit": {"a": fit.a, "b": fit.b},
-            "declared": list(m.growth) if m.growth else None,
-            "declared_violation": fit.declared_violation,
-        },
+    """Test the declared growth ``sup_norm(F(x)) <= A + B*|x|`` at the
+    origin, at ``(r, -r, r/2, 1, -1)`` on each axis, then at ``count``
+    random points; ``fail`` at the first point where it breaks, with the
+    certificate of ``_growth_gap``: x, ``box_index``, the box's farthest
+    corner ``v``, ``norm = hypot(v)`` and ``bound``.  A map that declares
+    no growth constants passes.  The declared constants go to the
+    report's ``declared`` field."""
+    r = _check_budget(radius, count)
+    n = m.dim
+    points = chain(
+        [(0.0,) * n],
+        (_axis_point(n, j, v) for j in range(n) for v in (r, -r, r / 2, 1.0, -1.0)),
+        (p for p, in _random_tuples(seed, n, r, count, 1)),
     )
+    return _sampled_check("growth", points, lambda x: _growth_gap(m, x), seed, radius,
+                          {"declared": list(m.growth) if m.growth else None})
 
 
 # ---------------------------------------------------------------------------

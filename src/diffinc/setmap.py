@@ -30,7 +30,7 @@ on float tuples they build and work on its (lo, hi) pairs: the Euler
 step loop (through the selector core), ``residual`` (through
 ``_distance``, which ``distance`` runs), the wcm, monotone, cyclic and
 growth checks (through the hardest-corner core, ``_min_vertex`` and
-``_sup_norm``).  A native builtin's function returns those pairs
+``_farthest_corner``).  A native builtin's function returns those pairs
 itself.  Boxes and sets are built only for public callers (the graph
 check is one, through ``evaluate``), always by the checking
 constructors.
@@ -515,8 +515,15 @@ def _sup_norm(pairs: Sequence[tuple[Vector, Vector]]) -> float:
     """``sup_norm`` of the union of the (lo, hi) boxes."""
     best = 0.0
     for lo, hi in pairs:
-        best = max(best, math.hypot(*[max(abs(a), abs(c)) for a, c in zip(lo, hi)]))
+        best = max(best, math.hypot(*_farthest_corner(lo, hi)))
     return best
+
+
+def _farthest_corner(lo: Vector, hi: Vector) -> Vector:
+    """The corner of the box [lo, hi] farthest from the origin: in each
+    coordinate the end of larger magnitude, ``lo`` on a tie.  ``hypot``
+    ignores signs, so its norm is that of the magnitudes."""
+    return tuple([a if abs(a) >= abs(c) else c for a, c in zip(lo, hi)])
 
 
 def distance(s: CompactSet, v: Sequence[float]) -> float:

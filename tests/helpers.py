@@ -9,7 +9,6 @@ from fractions import Fraction
 from diffinc.analyzer import (
     CheckReport,
     CoordinateMonotone,
-    GrowthFit,
     RESIDUAL_SAMPLES,
     _LADDER,
     _STRADDLE,
@@ -758,7 +757,7 @@ def reference_closed_graph(m, radius, count, seed, eps):
 
 
 # ---------------------------------------------------------------------------
-# Growth fit and normgrad: the original object path
+# Growth and normgrad: the original object path
 # ---------------------------------------------------------------------------
 
 
@@ -770,32 +769,56 @@ def reference_sup_norm(s):
     return best
 
 
-def reference_estimate_growth(m, radius, count, seed):
-    """The original fit: public ``evaluate`` and ``sup_norm`` of the
-    CompactSet at every sample point."""
+def reference_growth_points(m, radius, count, seed):
+    """The growth check's points, drawn up front: the origin, then
+    (r, -r, r/2, 1, -1) on each axis, then the random draws."""
     rng = random.Random(seed)
     points = [(0.0,) * m.dim]
     for j in range(m.dim):
         for v in (radius, -radius, radius / 2, 1.0, -1.0):
             points.append(_axis_point(m.dim, j, v))
     points.extend(_random_point(rng, m.dim, radius) for _ in range(count))
-    data = sorted((math.hypot(*p), reference_sup_norm(m.evaluate(p))) for p in points)
-    groups = []
-    for r, g in data:
-        if groups and groups[-1][0] == r:
-            pr, gmin, gmax = groups[-1]
-            groups[-1] = (pr, min(gmin, g), max(gmax, g))
-        else:
-            groups.append((r, g, g))
-    b = 0.0
-    for (r1, gmin1, _), (r2, _, gmax2) in zip(groups, groups[1:]):
-        b = max(b, (gmax2 - gmin1) / (r2 - r1))
-    a = max(g - b * r if r else g for r, g in data)  # b * 0.0 is NaN at b = inf
-    violation = None
-    if m.growth is not None:
-        da, db = m.growth
-        violation = max(0.0, max(g - (da + db * r) for r, g in data))
-    return GrowthFit(a, b, violation, len(points))
+    return points
+
+
+def reference_check_growth(m, radius, count, seed):
+    """The growth check on the object path, with the original rule as its
+    verdict.
+
+    Each point's public ``evaluate`` is taken in order, up to the first
+    point whose excess ``sup_norm - (A + B*|x|)`` is > 0.  The verdict is
+    the original fit's: ``fail`` when its ``declared_violation``, the
+    largest of 0 and every excess taken in order of |x|, is > 0.  A fail
+    names, as its certificate, the first box of that point whose corner
+    of largest magnitudes, signed as in the box, has a norm above the
+    bound."""
+    _check_budget(radius, count)
+    points = reference_growth_points(m, radius, count, seed)
+    extra = {"declared": list(m.growth) if m.growth else None}
+    if m.growth is None:
+        for p in points:
+            m.evaluate(p)
+        return CheckReport("growth", "pass-sampled", len(points), seed, radius, None, extra)
+    da, db = m.growth
+    data = []
+    for p in points:
+        image = m.evaluate(p)
+        r = math.hypot(*p)
+        data.append((r, reference_sup_norm(image)))
+        if data[-1][1] - (da + db * r) > 0:
+            break
+    violation = max(0.0, max(g - (da + db * r) for r, g in sorted(data)))
+    if not violation > 0:
+        return CheckReport("growth", "pass-sampled", len(data), seed, radius, None, extra)
+    x = points[len(data) - 1]
+    bound = da + db * math.hypot(*x)
+    for k, b in enumerate(image.boxes):
+        v = [a if abs(a) >= abs(c) else c for a, c in zip(b.lo, b.hi)]
+        if math.hypot(*v) > bound:
+            cert = {"x": list(x), "box_index": k, "v": v, "norm": math.hypot(*v),
+                    "bound": bound}
+            return CheckReport("growth", "fail", len(data), seed, radius, cert, extra)
+    raise AssertionError(f"no box of F({x}) exceeds the bound {bound}")
 
 
 def reference_normgrad(n, k):

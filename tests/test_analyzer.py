@@ -22,7 +22,6 @@ from diffinc.analyzer import (
     check_trajectory_monotone,
     check_wcm,
     check_wcm_pair,
-    estimate_growth,
     find_cyclic_violation,
     find_monotonicity_violation,
     residual,
@@ -34,6 +33,8 @@ from diffinc.setmap import (
     CompactSet,
     Condition,
     Expr,
+    MapDefinitionError,
+    NativeMap,
     Piece,
     PiecewiseMap,
     builtin,
@@ -319,48 +320,56 @@ class TestCyclic:
 
 class TestGrowth:
     def test_example1_exact_fit(self):
-        fit = estimate_growth(builtin("example1"), 10.0, 200, 7)
-        assert fit.b == 0.0
-        assert fit.a == 1.0
-        assert fit.declared_violation == 0.0
+        # |F(x)| = 1 everywhere, so the declared (1, 0) holds with equality
+        m = builtin("example1")
+        report = check_growth(m, 10.0, 200, 7)
+        assert (report.verdict, report.samples) == ("pass-sampled", 206)
+        m.growth = (math.nextafter(1.0, 0.0), 0.0)
+        report = check_growth(m, 10.0, 200, 7)
+        assert (report.verdict, report.samples) == ("fail", 1)
+        # F(0) = [-1, 0] u [-1, 1]: the first box's farthest corner is -1
+        assert report.certificate == {"x": [0.0], "box_index": 0, "v": [-1.0],
+                                      "norm": 1.0, "bound": math.nextafter(1.0, 0.0)}
 
     def test_example2_declared_constants_hold(self):
-        fit = estimate_growth(builtin("example2_F"), 10.0, 400, 7)
-        assert fit.declared_violation == 0.0
+        report = check_growth(builtin("example2_F"), 10.0, 400, 7)
+        assert (report.verdict, report.samples) == ("pass-sampled", 406)
 
     def test_zero_map(self):
         m = constant_map(0.0)
-        fit = estimate_growth(m, 5.0, 100, 7)
-        assert (fit.a, fit.b) == (0.0, 0.0)
+        m.growth = (0.0, 0.0)
+        assert not check_growth(m, 5.0, 100, 7).failed
 
     def test_report_pass_and_fail(self):
         report = check_growth(builtin("example1"), 10.0, 200, 7)
-        fit = estimate_growth(builtin("example1"), 10.0, 200, 7)
-        assert (report.condition, report.verdict, report.samples) == \
-            ("growth", "pass-sampled", fit.samples)
-        assert report.extra == {"fit": {"a": fit.a, "b": fit.b},
-                                "declared": [1.0, 0.0], "declared_violation": 0.0}
+        assert report.to_json_dict() == {
+            "condition": "growth", "verdict": "pass-sampled", "samples": 206, "seed": 7,
+            "radius": 10.0, "declared": [1.0, 0.0]}
         # declares growth (0, 0) but its image is the point 2
         understated = PiecewiseMap(1, (Piece((), (((Expr.const(2.0),) * 2,),)),),
                                    growth=(0.0, 0.0))
         report = check_growth(understated, 5.0, 50, 3)
-        assert report.failed and report.certificate is None
-        assert report.extra["declared_violation"] == 2.0
+        assert report.failed and report.samples == 1
+        assert report.certificate == {"x": [0.0], "box_index": 0, "v": [2.0],
+                                      "norm": 2.0, "bound": 0.0}
+        assert report.extra == {"declared": [0.0, 0.0]}
         undeclared = check_growth(PiecewiseMap(1, constant_map(3.0).pieces), 5.0, 50, 3)
-        assert undeclared.verdict == "pass-sampled"
-        assert undeclared.extra["declared"] is None
-        assert undeclared.extra["declared_violation"] is None
+        assert (undeclared.verdict, undeclared.samples) == ("pass-sampled", 56)
+        assert undeclared.extra == {"declared": None}
 
-    def test_fit_majorizes_every_sample(self):
-        rng = random.Random(44)
-        for name in ("example2_G", "example3"):
-            m = builtin(name)
-            fit = estimate_growth(m, 6.0, 150, 9)
-            from diffinc.setmap import sup_norm
-            for _ in range(150):
-                # same sampling distribution; the fit must cover fresh draws
-                x = tuple(rng.uniform(-6, 6) for _ in range(m.dim))
-                assert sup_norm(m.evaluate(x)) <= fit.a + fit.b * math.hypot(*x) + 1e-6
+    def test_points_are_evaluated_up_to_the_first_failure(self):
+        def fn(x):
+            if x[0] > 4.0:
+                raise MapDefinitionError("no image beyond 4")
+            return [((1.0,), (1.0,))]
+
+        # without constants every point is evaluated, and the error at
+        # x = r = 5, the second point, surfaces
+        with pytest.raises(MapDefinitionError, match="no image beyond 4"):
+            check_growth(NativeMap(1, fn, "short", {}), 5.0, 10, 1)
+        # understated constants fail at the origin, before any error
+        report = check_growth(NativeMap(1, fn, "short", {}, growth=(0.5, 0.0)), 5.0, 10, 1)
+        assert (report.verdict, report.samples) == ("fail", 1)
 
 
 class TestClosedGraph:

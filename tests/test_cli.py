@@ -146,27 +146,28 @@ class TestCheck:
         )
         assert code == 3
 
-    def test_growth_pass_reports_fit(self, capsys):
+    def test_growth_pass_reports_the_declared_constants(self, capsys):
         code, out, _ = run(
             capsys, "check", "growth", "--map", "example1", "--radius", "10",
             "--samples", "100", "--seed", "7", "--no-timestamp",
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["fit"] == {"a": 1.0, "b": 0.0}
-        assert doc["declared_violation"] == 0.0
+        assert (doc["verdict"], doc["samples"]) == ("pass-sampled", 106)
+        assert doc["declared"] == [1.0, 0.0]
+        assert "certificate" not in doc and "fit" not in doc
 
-    def test_growth_fail_reports_the_violation_without_certificate(self, capsys, tmp_path):
+    def test_growth_fail_reports_a_certificate(self, capsys, tmp_path):
         path = tmp_path / "low_growth.json"
         path.write_text('{"dim": 1, "growth": [0.1, 0], "builtin": {"name": "example1"}}')
         code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--samples", "5",
                            "--no-timestamp")
         assert code == 3
         doc = json.loads(out)
-        assert doc["verdict"] == "fail"
-        assert doc["declared"] == [0.1, 0.0]
-        assert doc["declared_violation"] == 0.9
-        assert "certificate" not in doc
+        assert (doc["verdict"], doc["samples"], doc["declared"]) == ("fail", 1, [0.1, 0.0])
+        assert doc["certificate"] == {"x": [0.0], "box_index": 0, "v": [-1.0], "norm": 1.0,
+                                      "bound": 0.1}
+        assert "declared_violation" not in doc
 
     def test_growth_declared_bound_met_in_floats(self, capsys):
         # g - A - B*r rounded to 4.4e-16 here although g <= A + B*r
@@ -175,11 +176,11 @@ class TestCheck:
             "--samples", "100", "--seed", "810910", "--no-timestamp",
         )
         assert code == 0
-        assert json.loads(out)["declared_violation"] == 0.0
+        assert json.loads(out)["verdict"] == "pass-sampled"
 
-    def test_growth_fit_over_a_subnormal_radius_gap_is_finite(self, capsys, tmp_path):
-        # the slope from the origin to a subnormal radius overflows to inf,
-        # and the origin's term g - inf * 0.0 used to make the fit's a NaN
+    def test_growth_report_over_a_subnormal_radius_is_strict_json(self, capsys, tmp_path):
+        # the fit this report used to carry had slope inf from the origin
+        # to a subnormal radius and printed "b": Infinity
         path = tmp_path / "jump.json"
         path.write_text(json.dumps({"dim": 1, "pieces": [
             {"region": [{"var": 1, "op": "le", "bound": 0}], "image": [[["0", "0"]]]},
@@ -187,7 +188,11 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--radius",
                            "1e-310", "--samples", "20", "--seed", "1", "--no-timestamp")
         assert code == 0
-        assert json.loads(out)["fit"] == {"a": 0.0, "b": math.inf}
+
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in the growth report")
+
+        assert json.loads(out, parse_constant=reject)["verdict"] == "pass-sampled"
 
     @pytest.mark.parametrize("condition", ["monotone", "cyclic"])
     def test_violation_below_double_range_is_minus_infinity(self, capsys, tmp_path,
@@ -523,10 +528,12 @@ class TestConvergeBudget:
 
 
 class TestHeldPointsLimit:
+    # the ids keep the names these cases had while growth was argv0
     @pytest.mark.parametrize("argv, held", [
-        (("growth", "--map", "example1", "--samples", "30000000"), "count = 30000000"),
-        (("graph", "--map", "example1", "--samples", "30000000"), "count = 30000000"),
-        (("cyclic", "--map", "normgrad3", "--cycle-len", "30000000"), "cycle_len = 30000000"),
+        pytest.param(("graph", "--map", "example1", "--samples", "30000000"),
+                     "count = 30000000", id="argv1-count = 30000000"),
+        pytest.param(("cyclic", "--map", "normgrad3", "--cycle-len", "30000000"),
+                     "cycle_len = 30000000", id="argv2-cycle_len = 30000000"),
     ])
     def test_exits_1_before_drawing(self, capsys, argv, held):
         start = time.perf_counter()
@@ -534,6 +541,16 @@ class TestHeldPointsLimit:
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
         assert held in err and f"MAX_HELD_POINTS = {MAX_HELD_POINTS}" in err
+
+    def test_growth_draws_its_points_lazily(self, capsys, tmp_path):
+        # |F(0)| = 1 breaks the declared A = 0.1 at the first point
+        path = tmp_path / "low_growth.json"
+        path.write_text('{"dim": 1, "growth": [0.1, 0], "builtin": {"name": "example1"}}')
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "growth", "--map", str(path),
+                           "--samples", "30000000", "--no-timestamp")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and json.loads(out)["samples"] == 1
 
 
 class TestGraphDimensionLimit:

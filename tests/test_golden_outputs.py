@@ -122,7 +122,7 @@ GOLDEN = {
     'check-graph-example2_G': (0, '59b70e033310b49910559467356b1a7acd2587cbd8e1196bd836178934b435c3', None),
     'check-graph-example4_3': (0, 'fa18907f60d0fbcf0ac38263006ba09c99488e3ed75f9546632cecaa1837585c', None),
     'check-graph-normgrad3': (3, '8adeb3baca67aa896fd640a0af0d8ffd4cd65764400fd8d759688d17323bb8da', None),
-    'check-growth-example3': (0, '209e78c842d632766da02504390c16725d9b7ac4230694ed5ffa6a3d4ee15133', None),
+    'check-growth-example3': (0, '802a8ea0a5231b5b53180e248be4795b7643c17ee56332d45635a3ef397a1222', None),
     'check-monotone-example2_F': (3, 'b777e4d32bfc5f985b5fdb386f1635fdddbe7ececc83794de06535b91325e057', None),
     'check-monotone-normgrad2': (0, '97aecd8257c6642c7259242fd499ed7229cd22529bee3f62519f24588eef63ca', None),
     'check-wcm-example3': (0, 'c2b6b7c9e8437832adba2f852256a50f10c51a81f2649a75fccaaef5695bf266', None),

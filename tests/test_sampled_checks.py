@@ -30,9 +30,9 @@ from diffinc.analyzer import (
     _min_vertex,
     _random_tuples,
     check_closed_graph,
+    check_growth,
     check_wcm,
     check_wcm_pair,
-    estimate_growth,
     find_cyclic_violation,
     find_monotonicity_violation,
     structured_pairs,
@@ -367,7 +367,7 @@ CHECKERS = {
     "wcm": lambda m, r: check_wcm(m, r, 10, 1),
     "monotone": lambda m, r: find_monotonicity_violation(m, r, 10, 1),
     "cyclic": lambda m, r: find_cyclic_violation(m, r, 3, 10, 1),
-    "growth": lambda m, r: estimate_growth(m, r, 10, 1),
+    "growth": lambda m, r: check_growth(m, r, 10, 1),
     "graph": lambda m, r: check_closed_graph(m, r, 10, 1, 1e-2),
 }
 
@@ -407,17 +407,17 @@ def test_non_finite_eps_is_rejected(eps):
 
 class TestHeldPointsLimit:
     """A check that holds all its samples, or a whole cycle, at once takes
-    at most MAX_HELD_POINTS of them; lazily drawn pairs are not bounded."""
+    at most MAX_HELD_POINTS of them; lazily drawn pairs and growth points
+    are not bounded."""
 
     @pytest.fixture(autouse=True)
     def small_limit(self, monkeypatch):
         monkeypatch.setattr(analyzer, "MAX_HELD_POINTS", 10)
 
-    @pytest.mark.parametrize("check", [
-        lambda count: estimate_growth(builtin("example1"), 5.0, count, 1),
-        lambda count: check_closed_graph(builtin("example1"), 5.0, count, 1, 1e-2),
-    ])
-    def test_samples_held_at_once(self, check):
+    def test_samples_held_at_once(self):
+        def check(count):
+            return check_closed_graph(builtin("example1"), 5.0, count, 1, 1e-2)
+
         assert check(10) is not None
         with pytest.raises(ValueError, match="count = 11 points held at once exceeds "
                                              "MAX_HELD_POINTS = 10"):
@@ -432,3 +432,7 @@ class TestHeldPointsLimit:
     def test_pairs_are_not_bounded(self):
         assert check_wcm(builtin("antisign"), 5.0, 10 ** 9, 3).failed
         assert find_monotonicity_violation(builtin("example1"), 5.0, 10 ** 9, 7).failed
+        # |F(0)| = 1 breaks a declared A of 0.5 at the first point
+        understated = builtin("example1")
+        understated.growth = (0.5, 0.0)
+        assert check_growth(understated, 5.0, 10 ** 9, 1).samples == 1

@@ -6,15 +6,15 @@ and a native builtin's function returns (lo, hi) pairs.  The references
 in ``helpers`` are the original object path: public ``evaluate``, a
 ``SignPattern`` and a feasible ``CompactSet`` per step or pair, per-box
 distances and norms, and ``normgrad`` building a validated set.  Nodes,
-velocities, residuals, every field of a ``WcmInfeasible``, reports,
-certificates and growth fits must agree to the bit.  The closed-graph
+velocities, residuals, every field of a ``WcmInfeasible``, reports and
+certificates must agree to the bit.  The closed-graph
 check still calls ``evaluate``; its reference lists corners with its
 own enumeration, which pins the order that ``setmap._corners`` gives
 ``vertices`` and ``Box.corners()``.
 """
 
 import contextlib
-import dataclasses
+import copy
 import io
 import json
 import math
@@ -23,18 +23,20 @@ import warnings
 
 import pytest
 from helpers import (
+    reference_check_growth,
     reference_check_wcm,
     reference_clip,
     reference_closed_graph,
     reference_cyclic,
     reference_distance,
-    reference_estimate_growth,
     reference_feasible_region,
+    reference_growth_points,
     reference_monotone,
     reference_normgrad,
     reference_polygon,
     reference_residual,
     reference_select_velocity,
+    reference_sup_norm,
     reference_wcm_pair_feasible,
 )
 from hypothesis import HealthCheck, given, settings
@@ -45,10 +47,10 @@ from test_sampled_checks import random_maps
 from diffinc import analyzer, cli, selector, setmap, solver
 from diffinc.analyzer import (
     check_closed_graph,
+    check_growth,
     check_trajectory_monotone,
     check_wcm,
     check_wcm_pair,
-    estimate_growth,
     find_cyclic_violation,
     find_monotonicity_violation,
     residual,
@@ -62,6 +64,7 @@ from diffinc.selector import (
     select_velocity,
 )
 from diffinc.setmap import (
+    MAX_RADIUS,
     Box,
     CompactSet,
     Expr,
@@ -479,16 +482,14 @@ class TestValidatedOnce:
 
 
 def json_outcome(fn):
-    """JSON of a report, certificate or fit (so -0.0 stays distinct from
-    0.0), or the type and message of an error."""
+    """JSON of a report or certificate (so -0.0 stays distinct from 0.0),
+    or the type and message of an error."""
     try:
         result = fn()
     except ValueError as e:  # MapDefinitionError included
         return type(e), str(e)
     if hasattr(result, "to_json_dict"):
         result = result.to_json_dict()
-    elif dataclasses.is_dataclass(result):
-        result = dataclasses.asdict(result)
     return json.dumps(result)
 
 
@@ -501,6 +502,26 @@ check_budgets = st.tuples(
 
 # catalog maps, compiled piecewise/product/union maps and native maps
 every_kind = st.one_of(any_map(), random_maps())
+
+# n >= 5: at MAX_RADIUS a point's hypot can overflow, so that B * |x| is
+# inf, or NaN where B = 0
+WIDE = [builtin("example4", {"n": 5}), builtin("normgrad", {"n": 6, "k": 3})]
+growth_constants = st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3, 1e300])
+growth_budgets = st.tuples(
+    st.sampled_from([0.5, 3.0, 1e300, MAX_RADIUS, 1e-310]),  # radius
+    st.integers(1, 8),                                       # count
+    st.integers(0, 2 ** 32),                                 # seed
+)
+
+
+@st.composite
+def declared_maps(draw):
+    """A copy of a map that declares growth constants: a catalog map's
+    own, which hold, or drawn ones, which may be understated."""
+    m = copy.copy(draw(st.one_of(every_kind, st.sampled_from(WIDE))))
+    if m.growth is None or draw(st.booleans()):
+        m.growth = (draw(growth_constants), draw(growth_constants))
+    return m
 
 
 class TestCheckersOnPairs:
@@ -540,9 +561,39 @@ class TestCheckersOnPairs:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(every_kind, check_budgets)
-    def test_estimate_growth_matches_object_path(self, m, budget):
-        assert json_outcome(lambda: estimate_growth(m, *budget)) == \
-            json_outcome(lambda: reference_estimate_growth(m, *budget))
+    def test_check_growth_matches_object_path(self, m, budget):
+        assert json_outcome(lambda: check_growth(m, *budget)) == \
+            json_outcome(lambda: reference_check_growth(m, *budget))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(declared_maps(), growth_budgets)
+    def test_check_growth_keeps_the_declared_violation_verdict(self, m, budget):
+        """The verdict is the original fit's: ``fail`` exactly when its
+        ``declared_violation`` is > 0.  A pass takes every point, a fail
+        stops at the first point with a positive excess, and its
+        certificate replays on public code alone."""
+        outcome = json_outcome(lambda: check_growth(m, *budget))
+        assert outcome == json_outcome(lambda: reference_check_growth(m, *budget))
+        if not isinstance(outcome, str):
+            return  # both raised the same error
+        report = json.loads(outcome)
+        points = reference_growth_points(m, *budget)
+        a, b = m.growth
+        taken = points[:report["samples"]]
+        norms = [reference_sup_norm(m.evaluate(p)) for p in taken]
+        excess = [g - (a + b * math.hypot(*p)) for p, g in zip(taken, norms)]
+        data = sorted(zip([math.hypot(*p) for p in taken], norms))
+        violation = max(0.0, max(g - (a + b * r) for r, g in data))
+        assert (report["verdict"] == "fail") == (violation > 0)
+        if violation > 0:
+            assert report["samples"] == next(i for i, e in enumerate(excess, 1) if e > 0)
+            cert = report["certificate"]
+            x, v = tuple(cert["x"]), tuple(cert["v"])
+            assert x == taken[-1] and m.evaluate(x).contains(v)
+            assert math.hypot(*v) == cert["norm"] > cert["bound"] == a + b * math.hypot(*x)
+        else:
+            assert report["samples"] == len(points)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
