@@ -52,16 +52,23 @@ Checks draw the deterministic battery, then their random points, pairs
 or cycles, one at a time and only up to the first failure; the battery
 comes in a fixed order and the random draws from the seeded generator
 in a fixed order, so a report does not depend on how far the search
-went.  Only the pair/cycle *sampling* is approximate: a
-``pass-sampled`` verdict claims absence of counterexamples within the
-budget, never a proof.  Every ``fail`` carries a certificate that
-re-verifies by direct evaluation of the map at the points it names.
+went.  The wcm, monotone and cyclic checks decide their battery once
+per class (``structured_pairs`` has the rule and its proof): each
+battery point is evaluated once, where it is first used, and a pair
+whose (class of F(x), class of F(y), sigma) already passed is counted
+and not decided again, since it would pass too.  The stored images
+count toward ``MAX_HELD_POINTS``.  Only the pair/cycle *sampling* is
+approximate: a ``pass-sampled`` verdict claims absence of
+counterexamples within the budget, never a proof.  Every ``fail``
+carries a certificate that re-verifies by direct evaluation of the map
+at the points it names.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from operator import add, sub
@@ -161,7 +168,34 @@ def _battery(m: SetValuedMap, radius: float) -> Iterator[tuple[Vector, Vector]]:
 
 def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vector]]:
     """Deterministic battery: axis-aligned pairs at ladder magnitudes,
-    cross-axis pairs, and pairs straddling every (finite) region bound."""
+    cross-axis pairs, and pairs straddling every (finite) region bound.
+
+    The wcm, monotone and cyclic checks decide it once per class.  Images
+    equal under ``==`` (so ``-0.0`` and ``0.0`` ends alike) share a
+    class, and a pair's key is (class of F(x), class of F(y), sigma),
+    with sigma_j = sign(x_j - y_j).  A key is recorded only when its
+    pair passes, and a later pair with a recorded key passes without a
+    decision.  That is sound where the verdict depends on the key alone:
+
+    * wcm, every pair: ``_hardest_corner`` reads sigma and, through
+      comparisons alone, the box ends of both images (the midpoint of a
+      free coordinate enters no cut, only the certificate), and the ends
+      of ``==`` images compare alike, ``+-0`` included;
+    * monotone and cyclic, a pair whose sigma has one nonzero entry j:
+      then x - y = c e_j exactly (after ``_exact`` scaling ``-0.0`` and
+      ``0.0`` both give 0), and the minimal circulation of the 2-cycle
+      (y, x), v from F(x) and w from F(y), is c (min v_j - max w_j) for
+      c > 0 and c (max v_j - min w_j) for c < 0.  The ends of coordinate
+      j are those of every ``==`` image, so the sign, and the verdict,
+      follow from the key.  A pair that differs in two coordinates (the
+      cross-axis pairs) depends on magnitudes and is always decided.
+
+    A failing pair is decided, and its certificate built, from its own
+    points and images.  Each battery point is evaluated once, keyed by
+    its bits (so ``(0.0,)`` and ``(-0.0,)`` are two points), where and in
+    the order the pair decision first evaluates it.  Every pair still
+    counts in ``samples``, so reports do not change.
+    """
     return list(_battery(m, radius))
 
 
@@ -170,7 +204,8 @@ def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
 
 
 # The most points a check holds at once: all graph samples (about 270
-# bytes each on CPython 3.11), or one cycle (900 bytes a 3-D point).
+# bytes each on CPython 3.11), or one cycle (900 bytes a 3-D point); and
+# the most corners, two a box, of the battery images it stores.
 MAX_HELD_POINTS = 10 ** 6
 
 
@@ -189,24 +224,89 @@ def _check_budget(radius: float, count: int, held: int = 2, name: str = "pair") 
 
 def _sampled_check(
     condition: str,
-    items: Iterable,
-    decide: Callable,
+    verdicts: Iterable[dict | None],
     seed: int,
     radius: float,
     extra: dict | None = None,
 ) -> CheckReport:
-    """Decide items in order up to the first failure.
+    """Take the items' verdicts (a certificate, or None for a pass) in
+    order up to the first failure.
 
-    ``samples`` counts the items decided: all of them on a pass, up to
-    and including the failing one on a fail.  ``items`` may be lazy, so
-    nothing past the first failure is drawn.
+    ``samples`` counts the verdicts taken: all of them on a pass, up to
+    and including the failing one on a fail.  ``verdicts`` is lazy, so
+    nothing past the first failure is drawn or decided.
     """
     samples = 0
-    for samples, item in enumerate(items, 1):
-        cert = decide(item)
+    for samples, cert in enumerate(verdicts, 1):
         if cert is not None:
             return CheckReport(condition, "fail", samples, seed, radius, cert, extra)
     return CheckReport(condition, "pass-sampled", samples, seed, radius, None, extra)
+
+
+class _BatteryImages:
+    """The images of one check's battery points, each evaluated once, and
+    a class number per distinct image: images equal under ``==`` share
+    one.  Points are keyed by their bits, so ``(0.0,)`` and ``(-0.0,)``
+    are evaluated apart.
+
+    The store holds at most ``MAX_HELD_POINTS`` corners, two a box.  The
+    image that would pass that limit is not stored: the store empties,
+    and every later point is evaluated afresh and has no class.
+    """
+
+    def __init__(self, m: SetValuedMap):
+        self._eval = m._eval
+        self._bits = struct.Struct(f"{m.dim}d").pack
+        self.points: dict[bytes, tuple[list, int]] | None = {}
+        self._classes: dict[tuple, int] = {}
+        self.held = 0  # corners of the stored images
+
+    def image(self, p: Vector) -> tuple[list, int | None]:
+        """F(p) as ``_eval`` gives it, and its class (None once full)."""
+        if self.points is None:
+            return self._eval(p), None
+        key = self._bits(*p)
+        entry = self.points.get(key)
+        if entry is None:
+            pairs = self._eval(p)
+            if self.held + 2 * len(pairs) > MAX_HELD_POINTS:
+                self.points = None
+                self._classes.clear()
+                return pairs, None
+            self.held += 2 * len(pairs)
+            entry = self.points[key] = (
+                pairs, self._classes.setdefault(tuple(pairs), len(self._classes)))
+        return entry
+
+
+def _battery_verdicts(m: SetValuedMap, pairs: Iterable[tuple[Vector, Vector]],
+                      decide: Callable, circulation: bool) -> Iterator[dict | None]:
+    """``decide(x, y, F(x), F(y))`` for each battery pair in order, F(x)
+    evaluated before F(y), once per class as ``structured_pairs`` states.
+    With ``circulation`` (monotone and cyclic) a pair x == y passes with
+    no evaluation, as its displacement is zero, and only a pair whose
+    sigma has one nonzero entry has a class; otherwise (wcm) every pair
+    has one."""
+    images = _BatteryImages(m)
+    passed: set[tuple] = set()
+    for x, y in pairs:
+        if circulation and x == y:
+            yield None
+            continue
+        fx, cx = images.image(x)
+        fy, cy = images.image(y)
+        key = None
+        if cx is not None and cy is not None:
+            sigma = tuple([(a > b) - (a < b) for a, b in zip(x, y)])
+            if not circulation or len(sigma) - sigma.count(0) == 1:
+                key = cx, cy, sigma
+                if key in passed:
+                    yield None
+                    continue
+        cert = decide(x, y, fx, fy)
+        if cert is None and key is not None:
+            passed.add(key)
+        yield cert
 
 
 def _random_tuples(seed: int, n: int, radius: float, count: int, size: int):
@@ -301,11 +401,13 @@ def check_wcm(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckRep
     """Sample `count` random pairs in [-radius, radius]^n after the
     deterministic battery; first failure short-circuits."""
     r = _check_budget(radius, count)
-    pairs = chain(_battery(m, r), _random_tuples(seed, m.dim, r, count, 2))
-    return _sampled_check(
-        "wcm", pairs, lambda p: _hardest_corner(m._eval(p[0]), m._eval(p[1]), *p),
-        seed, radius,
-    )
+    evaluate = m._eval
+    return _sampled_check("wcm", chain(
+        _battery_verdicts(m, _battery(m, r),
+                          lambda x, y, fx, fy: _hardest_corner(fx, fy, x, y), False),
+        (_hardest_corner(evaluate(x), evaluate(y), x, y)
+         for x, y in _random_tuples(seed, m.dim, r, count, 2)),
+    ), seed, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +553,15 @@ def _float_pass(points: Sequence[Vector],
             continue
         values = []
         sizes = []
+        # a zero coordinate adds +-0 to val and 0 to size, which changes
+        # no bit: both start at 0.0, and a sum is -0.0 only when both of
+        # its addends are, so neither is ever -0.0
+        moved = [(j, c) for j, c in enumerate(d) if c]
         for lo_b, hi_b in pairs:
             val = size = 0.0
-            for c, lo, hi in zip(d, lo_b, hi_b):
+            for j, c in moved:
+                lo = lo_b[j]
+                hi = hi_b[j]
                 q = c * lo if c >= 0 or lo == hi else c * hi
                 val += q
                 size += abs(q)
@@ -480,7 +588,15 @@ def _float_pass(points: Sequence[Vector],
 
 def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
     length = len(points)
-    images = [m._eval(points[i % length]) for i in range(1, length + 1)]
+    return _circulation_gap(points, [m._eval(points[i % length]) for i in range(1, length + 1)])
+
+
+def _circulation_gap(points: Sequence[Vector],
+                     images: Sequence[Sequence[tuple[Vector, Vector]]]) -> dict | None:
+    """The cycle's certificate, or None where its minimal circulation is
+    >= 0; ``images[k]`` holds the (lo, hi) boxes of F at
+    ``points[k + 1]`` (cyclically)."""
+    length = len(points)
     first = images[0]
     # one point p at every term: the total is <sum of displacements, p> = 0
     if len(first) == 1 and first[0][0] == first[0][1] and images.count(first) == length:
@@ -506,7 +622,13 @@ def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
 def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
     """<x-y, v-w> is the circulation of the 2-cycle (y, x), whose terms
     take v from F(x) (evaluated first) and w from F(y)."""
-    cert = _cycle_gap(m, (y, x)) if x != y else None
+    return _pair_gap(x, y, m._eval(x), m._eval(y)) if x != y else None
+
+
+def _pair_gap(x: Vector, y: Vector, fx: Sequence[tuple[Vector, Vector]],
+              fy: Sequence[tuple[Vector, Vector]]) -> dict | None:
+    """``_monotone_gap`` on the images F(x) and F(y)."""
+    cert = _circulation_gap((y, x), [fx, fy])
     if cert is None:
         return None
     v, w = cert["velocities"]
@@ -518,10 +640,10 @@ def find_monotonicity_violation(
 ) -> CheckReport:
     """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
     r = _check_budget(radius, count)
-    pairs = chain(_battery(m, r), _random_tuples(seed, m.dim, r, count, 2))
-    return _sampled_check(
-        "monotone", pairs, lambda p: _monotone_gap(m, p[0], p[1]), seed, radius
-    )
+    return _sampled_check("monotone", chain(
+        _battery_verdicts(m, _battery(m, r), _pair_gap, True),
+        (_monotone_gap(m, x, y) for x, y in _random_tuples(seed, m.dim, r, count, 2)),
+    ), seed, radius)
 
 
 def find_cyclic_violation(
@@ -530,17 +652,17 @@ def find_cyclic_violation(
     """Search cycles whose minimal circulation sum is negative.
 
     The sum splits per cycle point, so each term is minimised over that
-    point's image independently (exact per cycle).
+    point's image independently (exact per cycle).  A battery pair (a, b)
+    with a != b is the 2-cycle (a, b), whose terms evaluate F(b) first.
     """
     if cycle_len < 2:
         raise ValueError("cycles need at least 2 points")
     r = _check_budget(radius, count, cycle_len, "cycle_len")
-    cycles = chain(
-        ((a, b) for a, b in _battery(m, r) if a != b),
-        _random_tuples(seed, m.dim, r, count, cycle_len),
-    )
-    return _sampled_check("cyclic", cycles, lambda c: _cycle_gap(m, c), seed,
-                          radius, {"cycle_len": cycle_len})
+    return _sampled_check("cyclic", chain(
+        _battery_verdicts(m, ((b, a) for a, b in _battery(m, r) if a != b),
+                          lambda x, y, fx, fy: _circulation_gap((y, x), [fx, fy]), True),
+        (_cycle_gap(m, c) for c in _random_tuples(seed, m.dim, r, count, cycle_len)),
+    ), seed, radius, {"cycle_len": cycle_len})
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +704,7 @@ def check_growth(m: SetValuedMap, radius: float, count: int, seed: int) -> Check
         (_axis_point(n, j, v) for j in range(n) for v in (r, -r, r / 2, 1.0, -1.0)),
         (p for p, in _random_tuples(seed, n, r, count, 1)),
     )
-    return _sampled_check("growth", points, lambda x: _growth_gap(m, x), seed, radius,
+    return _sampled_check("growth", (_growth_gap(m, x) for x in points), seed, radius,
                           {"declared": list(m.growth) if m.growth else None})
 
 
@@ -656,7 +778,7 @@ def check_closed_graph(
                 }
         return None
 
-    return _sampled_check("closed-graph", points, probe, seed, radius, {"eps": eps})
+    return _sampled_check("closed-graph", map(probe, points), seed, radius, {"eps": eps})
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import contextlib
 import io
 import math
 import sys
-from itertools import chain
 
 from helpers import _violation_value, cycle_images, reference_circulation
 from hypothesis import example, given, settings
@@ -166,12 +165,26 @@ def test_a_box_at_the_cut_is_a_candidate():
 
 
 def _decided_cycles(condition, m, count):
-    """The cycles the seed-1 check at radius 5 decides, in order."""
+    """The cycles the seed-1 check at radius 5 decides, in order, when
+    every cycle passes: of the battery's 2-cycles (y, x), the first of
+    each (F(x), F(y), sigma) class where sigma has one nonzero entry and
+    every other one; then every random cycle."""
+    battery = [(x, y) for x, y in _battery(m, 5.0) if x != y]
+    if condition == "cyclic":
+        battery = [(b, a) for a, b in battery]  # the 2-cycle (a, b) evaluates F(b) first
+    passed = set()
+    decided = []
+    for x, y in battery:
+        sigma = tuple((a > b) - (a < b) for a, b in zip(x, y))
+        if sum(map(abs, sigma)) == 1:
+            key = (tuple(m.evaluate(x)._pairs()), tuple(m.evaluate(y)._pairs()), sigma)
+            if key in passed:
+                continue
+            passed.add(key)
+        decided.append((y, x))
     if condition == "monotone":
-        pairs = chain(_battery(m, 5.0), _random_tuples(1, m.dim, 5.0, count, 2))
-        return [(y, x) for x, y in pairs if x != y]
-    return list(chain(((a, b) for a, b in _battery(m, 5.0) if a != b),
-                      _random_tuples(1, m.dim, 5.0, count, 3)))
+        return decided + [(y, x) for x, y in _random_tuples(1, m.dim, 5.0, count, 2) if x != y]
+    return decided + list(_random_tuples(1, m.dim, 5.0, count, 3))
 
 
 def _one_point(m, cycle):
