@@ -52,14 +52,15 @@ Checks draw the deterministic battery, then their random points, pairs
 or cycles, one at a time and only up to the first failure; the battery
 comes in a fixed order and the random draws from the seeded generator
 in a fixed order, so a report does not depend on how far the search
-went.  The wcm, monotone and cyclic checks decide their battery once
-per class (``structured_pairs`` has the rule and its proof): each
-battery point is evaluated once, where it is first used, and a pair
-whose (class of F(x), class of F(y), sigma) already passed is counted
-and not decided again, since it would pass too.  The stored images
-count toward ``MAX_HELD_POINTS``.  Only the pair/cycle *sampling* is
-approximate: a ``pass-sampled`` verdict claims absence of
-counterexamples within the budget, never a proof.  Every ``fail``
+went.  The wcm, monotone and cyclic checks all run in ``_pair_check``,
+and decide their battery once per class (``structured_pairs`` has the
+rule and its proof): a class is a bit-identical image, each battery
+point is evaluated once, where it is first used, and a pair whose
+(class of F(x), class of F(y), sigma) already passed is counted and not
+decided again, since it would pass too.  The stored classes count toward
+``MAX_HELD_POINTS``, a budget of coordinates.  Only the pair/cycle
+*sampling* is approximate: a ``pass-sampled`` verdict claims absence
+of counterexamples within the budget, never a proof.  Every ``fail``
 carries a certificate that re-verifies by direct evaluation of the map
 at the points it names.
 """
@@ -72,7 +73,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .selector import _clip
 from .setmap import (
@@ -85,7 +86,6 @@ from .setmap import (
     _farthest_corner,
     as_vector,
     checked_vector,
-    distance,
     norm,
     vertices,
 )
@@ -170,31 +170,32 @@ def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vecto
     """Deterministic battery: axis-aligned pairs at ladder magnitudes,
     cross-axis pairs, and pairs straddling every (finite) region bound.
 
-    The wcm, monotone and cyclic checks decide it once per class.  Images
-    equal under ``==`` (so ``-0.0`` and ``0.0`` ends alike) share a
-    class, and a pair's key is (class of F(x), class of F(y), sigma),
-    with sigma_j = sign(x_j - y_j).  A key is recorded only when its
-    pair passes, and a later pair with a recorded key passes without a
-    decision.  That is sound where the verdict depends on the key alone:
+    The wcm, monotone and cyclic checks decide it once per class.  A
+    class is a bit-identical image: images share one exactly when their
+    corners, box by box, have the same bits.  The image a class stores is
+    then each member's own image, bit for bit, so a decision or a
+    certificate made from it is the pair's own.  A pair's key is (class
+    of F(x), class of F(y), sigma), with sigma_j = sign(x_j - y_j).  A
+    key is recorded only when its pair passes, and a later pair with a
+    recorded key passes without a decision.  That is sound where the
+    verdict depends on the points only through sigma:
 
-    * wcm, every pair: ``_hardest_corner`` reads sigma and, through
-      comparisons alone, the box ends of both images (the midpoint of a
-      free coordinate enters no cut, only the certificate), and the ends
-      of ``==`` images compare alike, ``+-0`` included;
+    * wcm, every pair: the verdict of ``_hardest_corner`` reads sigma
+      and the images alone (x and y enter only a certificate);
     * monotone and cyclic, a pair whose sigma has one nonzero entry j:
       then x - y = c e_j exactly (after ``_exact`` scaling ``-0.0`` and
       ``0.0`` both give 0), and the minimal circulation of the 2-cycle
       (y, x), v from F(x) and w from F(y), is c (min v_j - max w_j) for
-      c > 0 and c (max v_j - min w_j) for c < 0.  The ends of coordinate
-      j are those of every ``==`` image, so the sign, and the verdict,
-      follow from the key.  A pair that differs in two coordinates (the
-      cross-axis pairs) depends on magnitudes and is always decided.
+      c > 0 and c (max v_j - min w_j) for c < 0, whose sign follows
+      from sigma and the images.  A pair that differs in two coordinates
+      (the cross-axis pairs) depends on magnitudes and is always decided.
 
-    A failing pair is decided, and its certificate built, from its own
-    points and images.  Each battery point is evaluated once, keyed by
-    its bits (so ``(0.0,)`` and ``(-0.0,)`` are two points), where and in
-    the order the pair decision first evaluates it.  Every pair still
-    counts in ``samples``, so reports do not change.
+    Each battery point is evaluated once, keyed by its bits (so
+    ``(0.0,)`` and ``(-0.0,)`` are two points), where and in the order
+    the pair decision first evaluates it.  A store past
+    ``MAX_HELD_POINTS`` gives a new point no class, so its pairs are
+    decided.  Every pair still counts in ``samples``, so reports do not
+    change.
     """
     return list(_battery(m, radius))
 
@@ -203,22 +204,24 @@ def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
     return tuple(rng.uniform(-radius, radius) for _ in range(n))
 
 
-# The most points a check holds at once: all graph samples (about 270
-# bytes each on CPython 3.11), or one cycle (900 bytes a 3-D point); and
-# the most corners, two a box, of the battery images it stores.
-MAX_HELD_POINTS = 10 ** 6
+# The most coordinates a check holds at once, n a point: all its graph
+# samples, one cycle, or the battery's image classes (n a corner of a
+# stored image and n a point key).  10**6 points at n = 3.
+MAX_HELD_POINTS = 3 * 10 ** 6
 
 
-def _check_budget(radius: float, count: int, held: int = 2, name: str = "pair") -> float:
+def _check_budget(radius: float, count: int, held: int = 0, name: str = "",
+                  dim: int = 1) -> float:
     """The radius as a float, for drawing float tuples; or ValueError.  The
-    check holds ``held`` points at once, as its argument ``name`` sets."""
+    check holds ``held`` points of dimension ``dim`` at once, as its
+    argument ``name`` sets."""
     if not (math.isfinite(radius) and 0 < radius <= MAX_RADIUS):
         raise ValueError(f"radius must be finite and in (0, {MAX_RADIUS!r}], got {radius!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    if held > MAX_HELD_POINTS:
-        raise ValueError(f"{name} = {held} points held at once exceeds "
-                         f"MAX_HELD_POINTS = {MAX_HELD_POINTS}")
+    if held * dim > MAX_HELD_POINTS:
+        raise ValueError(f"{name} = {held} points held at once exceeds MAX_HELD_POINTS = "
+                         f"{MAX_HELD_POINTS} coordinates ({held * dim} at dimension {dim})")
     return float(radius)
 
 
@@ -243,70 +246,84 @@ def _sampled_check(
     return CheckReport(condition, "pass-sampled", samples, seed, radius, None, extra)
 
 
-class _BatteryImages:
-    """The images of one check's battery points, each evaluated once, and
-    a class number per distinct image: images equal under ``==`` share
-    one.  Points are keyed by their bits, so ``(0.0,)`` and ``(-0.0,)``
-    are evaluated apart.
+class _ImageClasses:
+    """The battery's image classes.  A class is a bit-identical image,
+    keyed by the packed bits of its corners, and the store holds its
+    image once; a point, keyed by its bits (so ``(0.0,)`` and ``(-0.0,)``
+    are evaluated apart), holds its class number and that image.
 
-    The store holds at most ``MAX_HELD_POINTS`` corners, two a box.  The
-    image that would pass that limit is not stored: the store empties,
-    and every later point is evaluated afresh and has no class.
+    The store counts what it holds in coordinates: n for each point key
+    and n for each corner of a stored image.  A new point that would take
+    it past ``MAX_HELD_POINTS`` is evaluated afresh and has no class; the
+    points and classes stored before keep theirs.
     """
 
     def __init__(self, m: SetValuedMap):
         self._eval = m._eval
         self._bits = struct.Struct(f"{m.dim}d").pack
-        self.points: dict[bytes, tuple[list, int]] | None = {}
-        self._classes: dict[tuple, int] = {}
-        self.held = 0  # corners of the stored images
+        self.points: dict[bytes, tuple[list, int]] = {}
+        self._classes: dict[bytes, int] = {}
+        self.images: list[list[tuple[Vector, Vector]]] = []
+        self.held = 0
 
     def image(self, p: Vector) -> tuple[list, int | None]:
-        """F(p) as ``_eval`` gives it, and its class (None once full)."""
-        if self.points is None:
-            return self._eval(p), None
+        """F(p), bit for bit as ``_eval`` gives it, and its class."""
         key = self._bits(*p)
         entry = self.points.get(key)
         if entry is None:
             pairs = self._eval(p)
-            if self.held + 2 * len(pairs) > MAX_HELD_POINTS:
-                self.points = None
-                self._classes.clear()
+            bits = b"".join([self._bits(*corner) for box in pairs for corner in box])
+            c = self._classes.get(bits)
+            cost = (len(key) + (len(bits) if c is None else 0)) // 8
+            if self.held + cost > MAX_HELD_POINTS:
                 return pairs, None
-            self.held += 2 * len(pairs)
-            entry = self.points[key] = (
-                pairs, self._classes.setdefault(tuple(pairs), len(self._classes)))
+            self.held += cost
+            if c is None:
+                c = self._classes[bits] = len(self.images)
+                self.images.append(pairs)
+            entry = self.points[key] = self.images[c], c
         return entry
 
 
-def _battery_verdicts(m: SetValuedMap, pairs: Iterable[tuple[Vector, Vector]],
-                      decide: Callable, circulation: bool) -> Iterator[dict | None]:
-    """``decide(x, y, F(x), F(y))`` for each battery pair in order, F(x)
-    evaluated before F(y), once per class as ``structured_pairs`` states.
-    With ``circulation`` (monotone and cyclic) a pair x == y passes with
-    no evaluation, as its displacement is zero, and only a pair whose
-    sigma has one nonzero entry has a class; otherwise (wcm) every pair
-    has one."""
-    images = _BatteryImages(m)
-    passed: set[tuple] = set()
-    for x, y in pairs:
-        if circulation and x == y:
-            yield None
-            continue
-        fx, cx = images.image(x)
-        fy, cy = images.image(y)
-        key = None
-        if cx is not None and cy is not None:
-            sigma = tuple([(a > b) - (a < b) for a, b in zip(x, y)])
-            if not circulation or len(sigma) - sigma.count(0) == 1:
-                key = cx, cy, sigma
-                if key in passed:
-                    yield None
-                    continue
-        cert = decide(x, y, fx, fy)
-        if cert is None and key is not None:
-            passed.add(key)
-        yield cert
+def _pair_check(condition: str, m: SetValuedMap, battery: Iterable[tuple[Vector, ...]],
+                draws: Iterable[tuple[Vector, ...]], seed: int, radius: float,
+                extra: dict | None = None) -> CheckReport:
+    """The report of ``_decide`` on the battery items, then on the random
+    draws.  An item lists its points in the order they are evaluated.
+
+    The battery is decided once per class, as ``structured_pairs`` states:
+    its images come from one ``_ImageClasses`` store, and a pair whose key
+    (class of its first image, class of its second, sigma) has passed
+    passes without a decision.  Every wcm pair has a key; a circulation
+    pair has one only when sigma has one nonzero entry.  The draws are
+    evaluated with ``_eval``.  A monotone pair x == y passes before any
+    evaluation, as its displacement is zero."""
+
+    def verdicts() -> Iterator[dict | None]:
+        store = _ImageClasses(m)
+        passed: set[tuple] = set()
+        for item in battery:
+            if condition == "monotone" and item[0] == item[1]:
+                yield None
+                continue
+            (fx, cx), (fy, cy) = store.image(item[0]), store.image(item[1])
+            key = None
+            if cx is not None and cy is not None:
+                sigma = tuple([(a > b) - (a < b) for a, b in zip(*item)])
+                if condition == "wcm" or len(sigma) - sigma.count(0) == 1:
+                    key = cx, cy, sigma
+                    if key in passed:
+                        yield None
+                        continue
+            cert = _decide(condition, item, (fx, fy))
+            if cert is None and key is not None:
+                passed.add(key)
+            yield cert
+        for item in draws:
+            yield (None if condition == "monotone" and item[0] == item[1]
+                   else _decide(condition, item, [m._eval(p) for p in item]))
+
+    return _sampled_check(condition, verdicts(), seed, radius, extra)
 
 
 def _random_tuples(seed: int, n: int, radius: float, count: int, size: int):
@@ -401,13 +418,8 @@ def check_wcm(m: SetValuedMap, radius: float, count: int, seed: int) -> CheckRep
     """Sample `count` random pairs in [-radius, radius]^n after the
     deterministic battery; first failure short-circuits."""
     r = _check_budget(radius, count)
-    evaluate = m._eval
-    return _sampled_check("wcm", chain(
-        _battery_verdicts(m, _battery(m, r),
-                          lambda x, y, fx, fy: _hardest_corner(fx, fy, x, y), False),
-        (_hardest_corner(evaluate(x), evaluate(y), x, y)
-         for x, y in _random_tuples(seed, m.dim, r, count, 2)),
-    ), seed, radius)
+    return _pair_check("wcm", m, _battery(m, r), _random_tuples(seed, m.dim, r, count, 2),
+                       seed, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +598,6 @@ def _float_pass(points: Sequence[Vector],
     return terms
 
 
-def _cycle_gap(m: SetValuedMap, points: Sequence[Vector]) -> dict | None:
-    length = len(points)
-    return _circulation_gap(points, [m._eval(points[i % length]) for i in range(1, length + 1)])
-
-
 def _circulation_gap(points: Sequence[Vector],
                      images: Sequence[Sequence[tuple[Vector, Vector]]]) -> dict | None:
     """The cycle's certificate, or None where its minimal circulation is
@@ -619,20 +626,25 @@ def _circulation_gap(points: Sequence[Vector],
     return None
 
 
-def _monotone_gap(m: SetValuedMap, x: Vector, y: Vector) -> dict | None:
-    """<x-y, v-w> is the circulation of the 2-cycle (y, x), whose terms
-    take v from F(x) (evaluated first) and w from F(y)."""
-    return _pair_gap(x, y, m._eval(x), m._eval(y)) if x != y else None
+def _decide(condition: str, item: Sequence[Vector],
+            images: Sequence[Sequence[tuple[Vector, Vector]]]) -> dict | None:
+    """The certificate of one item, or None where it passes; ``images[k]``
+    holds the (lo, hi) boxes of F at ``item[k]``.
 
-
-def _pair_gap(x: Vector, y: Vector, fx: Sequence[tuple[Vector, Vector]],
-              fy: Sequence[tuple[Vector, Vector]]) -> dict | None:
-    """``_monotone_gap`` on the images F(x) and F(y)."""
-    cert = _circulation_gap((y, x), [fx, fy])
-    if cert is None:
-        return None
-    v, w = cert["velocities"]
-    return {"x": list(x), "y": list(y), "v": v, "w": w, "value": cert["value"]}
+    A wcm item is the pair (x, y).  A circulation item lists its cycle
+    from the second point on, in the order the cycle's terms evaluate
+    F, so the 2-cycle (a, b) is the item (b, a).  <x-y, v-w> is the
+    circulation of the 2-cycle (y, x), whose terms take v from F(x) and
+    w from F(y): the monotone pair (x, y) is that item, and its
+    certificate names x, y, v, w and the value.
+    """
+    if condition == "wcm":
+        return _hardest_corner(*images, *item)
+    cert = _circulation_gap((item[-1], *item[:-1]), images)
+    if cert is None or condition == "cyclic":
+        return cert
+    (y, x, _), (v, w) = cert["cycle"], cert["velocities"]
+    return {"x": x, "y": y, "v": v, "w": w, "value": cert["value"]}
 
 
 def find_monotonicity_violation(
@@ -640,10 +652,8 @@ def find_monotonicity_violation(
 ) -> CheckReport:
     """Search for <x-y, v-w> < 0; exact per pair via per-box minimisation."""
     r = _check_budget(radius, count)
-    return _sampled_check("monotone", chain(
-        _battery_verdicts(m, _battery(m, r), _pair_gap, True),
-        (_monotone_gap(m, x, y) for x, y in _random_tuples(seed, m.dim, r, count, 2)),
-    ), seed, radius)
+    return _pair_check("monotone", m, _battery(m, r), _random_tuples(seed, m.dim, r, count, 2),
+                       seed, radius)
 
 
 def find_cyclic_violation(
@@ -657,12 +667,11 @@ def find_cyclic_violation(
     """
     if cycle_len < 2:
         raise ValueError("cycles need at least 2 points")
-    r = _check_budget(radius, count, cycle_len, "cycle_len")
-    return _sampled_check("cyclic", chain(
-        _battery_verdicts(m, ((b, a) for a, b in _battery(m, r) if a != b),
-                          lambda x, y, fx, fy: _circulation_gap((y, x), [fx, fy]), True),
-        (_cycle_gap(m, c) for c in _random_tuples(seed, m.dim, r, count, cycle_len)),
-    ), seed, radius, {"cycle_len": cycle_len})
+    r = _check_budget(radius, count, cycle_len, "cycle_len", m.dim)
+    return _pair_check(
+        "cyclic", m, ((b, a) for a, b in _battery(m, r) if a != b),
+        ((*c[1:], c[0]) for c in _random_tuples(seed, m.dim, r, count, cycle_len)),
+        seed, radius, {"cycle_len": cycle_len})
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +742,7 @@ def check_closed_graph(
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    r = _check_budget(radius, count, count, "count")
+    r = _check_budget(radius, count, count, "count", m.dim)
     _check_vertex_dim(m.dim)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
@@ -754,7 +763,7 @@ def check_closed_graph(
                 directions.append(tuple(c / length for c in d))
 
     def probe(x: Vector) -> dict | None:
-        base = m.evaluate(x)
+        base = m.evaluate(x)._pairs()
         for d in directions:
             worst: list[float] = []
             worst_vertex: Vector | None = None
@@ -762,7 +771,7 @@ def check_closed_graph(
                 shifted = tuple(c + delta * dc for c, dc in zip(x, d))
                 far = 0.0
                 for u in vertices(m.evaluate(shifted)):
-                    gap = distance(base, u)
+                    gap = _distance(base, u)
                     if gap > far:
                         far = gap
                         if delta == _GRAPH_DELTAS[-1]:

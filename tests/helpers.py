@@ -708,7 +708,7 @@ def reference_closed_graph(m, radius, count, seed, eps):
     full distance to F(x)."""
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
-    _check_budget(radius, count, count, "count")
+    _check_budget(radius, count, count, "count", m.dim)
     deltas = (1e-5, 1e-7)
     rng = random.Random(seed)
     points = [(0.0,) * m.dim]

@@ -1,12 +1,13 @@
 """The battery decided once per class.
 
-``analyzer._battery_verdicts`` evaluates each battery point once and
-skips a pair whose (class of F(x), class of F(y), sigma) class already
-passed: every wcm pair, and the monotone and cyclic pairs whose sigma
-has one nonzero entry.  The oracle is the per-pair path of ``helpers``:
-reports, and the whole verdict stream, must match it byte for byte.
-The count guards check how much work the record saves and that its
-store keeps to ``MAX_HELD_POINTS``.
+``analyzer._pair_check`` evaluates each battery point once and skips a
+pair whose (class of F(x), class of F(y), sigma) already passed: every
+wcm pair, and the monotone and cyclic pairs whose sigma has one nonzero
+entry.  A class is a bit-identical image.  The oracle is the per-pair
+path of ``helpers``: reports, and the whole verdict stream, must match
+it byte for byte.  The count guards check how much work the record
+saves, how many images its store keeps, and that the store keeps to
+``MAX_HELD_POINTS`` coordinates.
 """
 
 import json
@@ -197,6 +198,18 @@ def test_every_pair_of_a_failing_class_is_decided(monkeypatch, condition, doc):
     assert sum(cert != "null" for cert in stream) > 1
 
 
+@pytest.mark.parametrize("condition", sorted(CHECKS))
+@pytest.mark.parametrize("doc", [pytest.param(ISLAND, id="island"), pytest.param(STEP, id="step"),
+                                 pytest.param(NEGATED, id="negated")])
+def test_pairs_with_no_class_are_decided(monkeypatch, condition, doc):
+    # room for a 3-point cycle, and in the store for one point at most:
+    # the other points have no class, and no key stands for their pairs
+    m = parse_map(doc)
+    monkeypatch.setattr(analyzer, "MAX_HELD_POINTS", 3 * m.dim)
+    stream = _stream(monkeypatch, condition, m, (5.0, 5, 1))
+    assert stream == _reference_stream(condition, m, (5.0, 5, 1))
+
+
 # ---------------------------------------------------------------------------
 # Count guards
 # ---------------------------------------------------------------------------
@@ -251,29 +264,53 @@ def test_signed_zero_points_are_evaluated_apart(monkeypatch):
     assert sorted(zeros) == sorted([_bits((0.0,)), _bits((-0.0,))])
 
 
+def _watched_stores(monkeypatch, events):
+    """The checks' image stores.  Each asserts that it keeps to the limit
+    and appends to ``events`` the class of every image it gives."""
+    stores = []
+
+    class Watched(analyzer._ImageClasses):
+        def __init__(self, m):
+            super().__init__(m)
+            stores.append(self)
+
+        def image(self, p):
+            entry = super().image(p)
+            assert self.held <= analyzer.MAX_HELD_POINTS
+            events.append(entry[1])
+            return entry
+
+    monkeypatch.setattr(analyzer, "_ImageClasses", Watched)
+    return stores
+
+
+def test_example4_store_keeps_one_image_a_class(monkeypatch):
+    # the images on each half-axis are one class, as is the origin's
+    stores = _watched_stores(monkeypatch, [])
+    assert not check_wcm(builtin("example4", {"n": 8}), 5.0, 10, 7).failed
+    store, = stores
+    assert (len(store.images), len(store.points)) == (17, 161)
+    # n = 8 coordinates a point key and a corner, two corners a box
+    assert store.held == 8 * (161 + sum(2 * len(image) for image in store.images))
+
+
 @pytest.mark.parametrize("condition", sorted(CHECKS))
 def test_a_full_store_keeps_the_report_and_the_limit(monkeypatch, condition):
     m = builtin("normgrad", {"n": 2})
     check = CHECKS[condition][0]
     expected = _bytes(check(m, 5.0, 20, 3))
-    stores = []
-
-    class Watched(analyzer._BatteryImages):
-        def __init__(self, m):
-            super().__init__(m)
-            self.stored = 0
-            stores.append(self)
-
-        def image(self, p):
-            entry = super().image(p)
-            if self.points is not None:
-                self.stored = len(self.points)
-                assert self.held <= analyzer.MAX_HELD_POINTS
-            return entry
-
-    monkeypatch.setattr(analyzer, "_BatteryImages", Watched)
-    # one box a point, four at the origin: the store fills on the second axis
-    monkeypatch.setattr(analyzer, "MAX_HELD_POINTS", 60)
+    events = []  # each image's class, and "decide" for each decision
+    _watched_stores(monkeypatch, events)
+    decide = analyzer._decide
+    monkeypatch.setattr(analyzer, "_decide",
+                        lambda *args: events.append("decide") or decide(*args))
+    # 2 coordinates a point key, 4 an image of one box and 16 the origin's
+    # four: the store fills on the second axis
+    monkeypatch.setattr(analyzer, "MAX_HELD_POINTS", 70)
     assert _bytes(check(m, 5.0, 20, 3)) == expected
-    store, = stores
-    assert store.points is None and store.stored > 1
+    last = max(i for i, e in enumerate(events) if e != "decide")
+    after = events[events.index(None):last + 1]  # the battery past the first point with no class
+    images = len(after) - after.count("decide")
+    # classes stored before still come back, and some of their pairs are skipped
+    assert any(e not in (None, "decide") for e in after)
+    assert after.count("decide") < images // 2 - 1

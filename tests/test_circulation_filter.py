@@ -1,6 +1,6 @@
 """The three steps of the circulation sign decision.
 
-``analyzer._cycle_gap`` passes a cycle whose images are all one point
+``analyzer._decide`` passes a cycle whose images are all one point
 before any arithmetic; ``analyzer._float_pass`` may pass a cycle only
 when its minimal circulation is exactly positive, and otherwise keeps,
 per term, the boxes that may attain the term's minimum; the exact sum
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from test_sampled_checks import bits, box_unions
 
 from diffinc import analyzer
-from diffinc.analyzer import _battery, _cycle_gap, _float_pass, _random_tuples
+from diffinc.analyzer import _battery, _decide, _float_pass, _random_tuples
 from diffinc.cli import main, resolve_map
 from diffinc.setmap import MAX_RADIUS, Box, CompactSet
 
@@ -98,17 +98,6 @@ def _constant(v, length):
     return [CompactSet.of_points((v,))] * length
 
 
-class _Images:
-    """A stand-in map whose ``_eval`` returns the given images in the
-    order ``_cycle_gap`` evaluates them: F(points[1]), ..., F(points[0])."""
-
-    def __init__(self, images):
-        self._next = iter([image._pairs() for image in images]).__next__
-
-    def _eval(self, x):
-        return self._next()
-
-
 @settings(max_examples=1000, deadline=None)
 @given(cycles())
 # a float total of 2.8e-17 with no error term; the exact total is 0
@@ -144,7 +133,8 @@ def test_a_clearly_positive_cycle_is_accepted():
           [CompactSet.of_intervals((-0.0, 1.0), (0.0, 2.0)), CompactSet.of_points((0.5,))]))
 def test_the_decision_matches_the_reference_to_the_bit(case):
     points, images = case
-    cert = _cycle_gap(_Images(images), points)
+    # the cycle's item lists it from points[1], as its terms evaluate F
+    cert = _decide("cyclic", (*points[1:], points[0]), [image._pairs() for image in images])
     total, chosen = reference_circulation(points, images)
     assert (cert is not None) == (total < 0)
     if cert is not None:

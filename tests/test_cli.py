@@ -534,6 +534,11 @@ class TestHeldPointsLimit:
                      "count = 30000000", id="argv1-count = 30000000"),
         pytest.param(("cyclic", "--map", "normgrad3", "--cycle-len", "30000000"),
                      "cycle_len = 30000000", id="argv2-cycle_len = 30000000"),
+        # the limit counts coordinates: 10**6 points of dimension 100 are
+        # 10**8 of them, several GB
+        pytest.param(("cyclic", "--map", "normgrad", "--dim", "100", "--cycle-len", "1000000",
+                      "--samples", "1"),
+                     "cycle_len = 1000000 points held at once exceeds", id="cycle_len-dim-100"),
     ])
     def test_exits_1_before_drawing(self, capsys, argv, held):
         start = time.perf_counter()

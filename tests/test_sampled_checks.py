@@ -352,7 +352,8 @@ def test_example4_dimension_20_pair_certificate():
     # A whole check on example4(20) is slow, not refused: at a battery
     # point with 19 zero coordinates the image holds 2^20 boxes.
     m = builtin("example4", {"n": 20})
-    cert = analyzer._monotone_gap(m, (-1.0,) * 20, (-2.0,) * 20)
+    x, y = (-1.0,) * 20, (-2.0,) * 20
+    cert = analyzer._decide("monotone", (x, y), [m._eval(x), m._eval(y)])
     x, y = tuple(cert["x"]), tuple(cert["y"])
     v, w = tuple(cert["v"]), tuple(cert["w"])
     assert (v, w) == ((-1.0,) * 20, (-0.5,) * 20)
@@ -411,8 +412,8 @@ def test_non_finite_eps_is_rejected(eps):
 
 class TestHeldPointsLimit:
     """A check that holds all its samples, or a whole cycle, at once takes
-    at most MAX_HELD_POINTS of them; lazily drawn pairs and growth points
-    are not bounded."""
+    at most MAX_HELD_POINTS coordinates of them, n a point; lazily drawn
+    pairs and growth points are not bounded."""
 
     @pytest.fixture(autouse=True)
     def small_limit(self, monkeypatch):
@@ -427,7 +428,9 @@ class TestHeldPointsLimit:
                                              "MAX_HELD_POINTS = 10"):
             check(11)
 
-    def test_cycle_held_at_once(self):
+    def test_cycle_held_at_once(self, monkeypatch):
+        # ten points of dimension 2
+        monkeypatch.setattr(analyzer, "MAX_HELD_POINTS", 20)
         m = builtin("normgrad", {"n": 2})
         assert not find_cyclic_violation(m, 5.0, 10, 5, 1).failed
         with pytest.raises(ValueError, match="cycle_len = 11 points held at once"):
