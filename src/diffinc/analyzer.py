@@ -77,6 +77,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .selector import _clip
 from .setmap import (
+    MAX_HELD_POINTS,
     MAX_RADIUS,
     CompactSet,
     SetValuedMap,
@@ -202,12 +203,6 @@ def structured_pairs(m: SetValuedMap, radius: float) -> list[tuple[Vector, Vecto
 
 def _random_point(rng: random.Random, n: int, radius: float) -> Vector:
     return tuple(rng.uniform(-radius, radius) for _ in range(n))
-
-
-# The most coordinates a check holds at once, n a point: all its graph
-# samples, one cycle, or the battery's image classes (n a corner of a
-# stored image and n a point key).  10**6 points at n = 3.
-MAX_HELD_POINTS = 3 * 10 ** 6
 
 
 def _check_budget(radius: float, count: int, held: int = 0, name: str = "",
@@ -552,12 +547,17 @@ def _float_pass(points: Sequence[Vector],
     boxes = 0
     spread = []  # (term, every t~_b, every P_b) of the terms with several boxes
     for term, (here, prev, pairs) in enumerate(zip((*points[1:], points[0]), points, images)):
-        d = tuple(map(sub, here, prev))
+        # a zero coordinate adds +-0 to val, size and mag, which changes
+        # no bit: each starts at 0.0, and a sum is -0.0 only when both of
+        # its addends are, so none is ever -0.0
+        moved = [(j, c) for j, c in enumerate(map(sub, here, prev)) if c]
         boxes += len(pairs)
         if len(pairs) == 1:
             (lo_b, hi_b), = pairs
             val = 0.0
-            for c, lo, hi in zip(d, lo_b, hi_b):
+            for j, c in moved:
+                lo = lo_b[j]
+                hi = hi_b[j]
                 q = c * lo if c >= 0 or lo == hi else c * hi
                 val += q
                 mag += abs(q)
@@ -565,10 +565,6 @@ def _float_pass(points: Sequence[Vector],
             continue
         values = []
         sizes = []
-        # a zero coordinate adds +-0 to val and 0 to size, which changes
-        # no bit: both start at 0.0, and a sum is -0.0 only when both of
-        # its addends are, so neither is ever -0.0
-        moved = [(j, c) for j, c in enumerate(d) if c]
         for lo_b, hi_b in pairs:
             val = size = 0.0
             for j, c in moved:

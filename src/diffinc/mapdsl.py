@@ -42,12 +42,12 @@ converts (4300 digits by default) is a ``ParseError`` too.
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 import sys
 from typing import Callable
 
+from .cells import axis_cells, axis_probes, first_uncovered, region_point
 from .setmap import (
     MAX_RADIUS,
     _REGION_OPS,
@@ -353,55 +353,38 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
     return m
 
 
-def _validation_points(m: PiecewiseMap) -> list[tuple[float, ...]]:
-    bounds = m.region_boundaries()
-    per_var: list[list[float]] = []
-    big = sys.float_info.max
-    for j in range(m.dim):
-        vals = bounds.get(j, ())  # finite and sorted
-        # bounds first so a totality hole is witnessed at the boundary itself
-        cands = list(vals)
-        cands.extend(a / 2 + b / 2 for a, b in zip(vals, vals[1:]))
-        for v in vals:
-            # the nearest doubles, where v -+ 1.0 rounds back to v; at
-            # -+DBL_MAX no double lies beyond, and v itself comes back
-            cands.extend((min(v - 1.0, math.nextafter(v, -big)),
-                          max(v + 1.0, math.nextafter(v, big))))
-        cands.extend((0.0, -1.0, 1.0))
-        per_var.append(list(dict.fromkeys(cands)))  # first of equal values
-    total = math.prod(len(vals) for vals in per_var)
-    if m.dim == 1 or total <= 512:
-        points: list[tuple[float, ...]] = [()]
-        for vals in per_var:
-            points = [p + (v,) for p in points for v in vals]
-    else:
-        rng = random.Random(20210 + m.dim)
-        points = [tuple(rng.choice(vals) for vals in per_var) for _ in range(256)]
-    radius = min(max([1.0] + [abs(v) + 1.0 for vals in per_var for v in vals]), MAX_RADIUS)
-    rng = random.Random(4002 + m.dim)
-    for _ in range(32):
-        points.append(tuple(rng.uniform(-radius, radius) for _ in range(m.dim)))
-    return points
-
-
 def validate_map(m: PiecewiseMap) -> None:
     """Check totality and image well-formedness of a piecewise map.
 
-    Which pieces match is constant on each cell of the grid that the
-    finite region bounds cut: per coordinate, each bound, each gap
-    between neighbouring bounds and the rays beyond them.  Every cell
-    holding a double gets a candidate, so coverage is exact in one
-    dimension and whenever the full grid has at most 512 points; a
-    larger grid is sampled at 256 seeded grid points.  Image
-    well-formedness (finite corners, ``lo <= hi``) is checked at these
-    probes and 32 seeded random points, and again at every evaluation.
-    Each ``pieces`` node is checked as it is built; catalog maps are
-    total by construction.
+    Coverage is decided exactly in every dimension, without evaluating
+    the map: the finite region bounds cut each coordinate into cells
+    (each bound, each gap between neighbouring bounds and the rays
+    beyond them), and ``cells.first_uncovered`` sweeps their products.
+    The first cell that no piece matches is reported at its finite
+    representative point, however large the bounds.  Image
+    well-formedness (finite corners, ``lo <= hi``) is then probed once
+    per piece, at the representative point of its own region, and at 32
+    seeded random points; every evaluation checks it again.  Each
+    ``pieces`` node is checked as it is built; catalog maps are total by
+    construction.
 
     Raises MapDefinitionError carrying a witness point on failure.
     """
-    for p in _validation_points(m):  # float tuples of the map's dimension
-        m._eval(p)  # raises with the witness on empty image / lo > hi
+    bounds = m.region_boundaries()
+    probes = [axis_probes(bounds.get(j, ())) for j in range(m.dim)]
+    axes = [axis_cells(bounds.get(j, ()), vals) for j, vals in enumerate(probes)]
+    regions = [p.conditions for p in m.pieces]
+    hole = first_uncovered(regions, axes)
+    if hole is not None:
+        m._eval(hole)  # no piece matches there: raises with the witness
+        raise AssertionError(f"{m} has an image at {hole}, which no region holds")
+    points = [p for p in (region_point(r, axes) for r in regions) if p is not None]
+    radius = min(max([1.0] + [abs(v) + 1.0 for vals in probes for v in vals]), MAX_RADIUS)
+    rng = random.Random(4002 + m.dim)
+    for _ in range(32):
+        points.append(tuple(rng.uniform(-radius, radius) for _ in range(m.dim)))
+    for p in points:  # float tuples of the map's dimension
+        m._eval(p)  # raises with the point on lo > hi or a corner that is not finite
 
 
 _NESTING_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]')  # a string or a bracket

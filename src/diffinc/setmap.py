@@ -52,6 +52,12 @@ MAX_VERTEX_DIM = 16
 
 MAX_RADIUS = sys.float_info.max / 2  # uniform(-r, r) and point differences stay finite
 
+# The most coordinates held at once: one image (2n a box) and, in the
+# analyzer, a check's graph samples or one cycle (n a point) or the
+# battery's image classes (n a corner of a stored image and n a point
+# key).  10**6 points at n = 3.
+MAX_HELD_POINTS = 3 * 10 ** 6
+
 _INF = math.inf
 _NINF = -math.inf
 _TINY = sys.float_info.min  # the smallest normal float
@@ -59,6 +65,10 @@ _TINY = sys.float_info.min  # the smallest normal float
 
 class MapDefinitionError(ValueError):
     """A map is structurally invalid (empty image, lo > hi, bad dims)."""
+
+
+class ImageTooLarge(ValueError):
+    """An image whose boxes would hold more than MAX_HELD_POINTS coordinates."""
 
 
 def as_vector(x: Sequence[float]) -> Vector:
@@ -750,6 +760,8 @@ class ProductMap(_Composite):
         d = self.left.dim
         a = self.left._eval(x[:d])
         b = self.right._eval(x[d:])
+        if len(a) * len(b) * 2 * self.dim > MAX_HELD_POINTS:
+            _too_large(self, x, len(a) * len(b))
         return [(la + lb, ha + hb) for la, ha in a for lb, hb in b]
 
 
@@ -769,7 +781,18 @@ class UnionMap(_Composite):
         super().__init__(left.dim, left, right, label)
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
-        return self.left._eval(x) + self.right._eval(x)
+        a = self.left._eval(x)
+        b = self.right._eval(x)
+        if (len(a) + len(b)) * 2 * self.dim > MAX_HELD_POINTS:
+            _too_large(self, x, len(a) + len(b))
+        return a + b
+
+
+def _too_large(m: SetValuedMap, x: Vector, boxes: int) -> None:
+    raise ImageTooLarge(
+        f"{m} would hold {boxes} boxes at {x}: {boxes * 2 * m.dim} coordinates "
+        f"exceed MAX_HELD_POINTS = {MAX_HELD_POINTS}"
+    )
 
 
 class NativeMap(SetValuedMap):

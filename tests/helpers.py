@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import add, sub
 
 from diffinc.analyzer import (
     CheckReport,
@@ -367,6 +368,60 @@ def reference_circulation(points, images):
     return total, chosen
 
 
+def reference_float_pass(points, images):
+    """``analyzer._float_pass`` as it was before it skipped the zero
+    coordinates of a one-box term: every coordinate of such a term is
+    multiplied and summed."""
+    total = mag = 0.0
+    boxes = 0
+    spread = []  # (term, every t~_b, every P_b) of the terms with several boxes
+    for term, (here, prev, pairs) in enumerate(zip((*points[1:], points[0]), points, images)):
+        d = tuple(map(sub, here, prev))
+        boxes += len(pairs)
+        if len(pairs) == 1:
+            (lo_b, hi_b), = pairs
+            val = 0.0
+            for c, lo, hi in zip(d, lo_b, hi_b):
+                q = c * lo if c >= 0 or lo == hi else c * hi
+                val += q
+                mag += abs(q)
+            total += val
+            continue
+        values = []
+        sizes = []
+        # a zero coordinate adds +-0 to val and 0 to size, which changes
+        # no bit: both start at 0.0, and a sum is -0.0 only when both of
+        # its addends are, so neither is ever -0.0
+        moved = [(j, c) for j, c in enumerate(d) if c]
+        for lo_b, hi_b in pairs:
+            val = size = 0.0
+            for j, c in moved:
+                lo = lo_b[j]
+                hi = hi_b[j]
+                q = c * lo if c >= 0 or lo == hi else c * hi
+                val += q
+                size += abs(q)
+            values.append(val)
+            sizes.append(size)
+            mag += size
+        total += min(values)
+        spread.append((term, values, sizes))
+    n = len(points[0])
+    bound = 4 * (n + len(points)) * 2.0 ** -53 * mag + 4 * n * boxes * 5e-324
+    if bound < total < math.inf:
+        return None
+    terms = list(images)
+    if mag < math.inf:
+        k = 4 * (n + 1) * 2.0 ** -53
+        w = 4 * n * 5e-324
+        for term, values, sizes in spread:
+            errors = [k * size + w for size in sizes]
+            cut = min(map(add, values, errors))
+            terms[term] = [box for box, val, err in zip(images[term], values, errors)
+                           if val - err <= cut]
+    return terms
+
+
 def cycle_images(m, points):
     """The images of ``points`` in the order the circulation's terms use
     them: ``F(points[1]), ..., F(points[-1]), F(points[0])``."""
@@ -693,6 +748,27 @@ def reference_region_boundaries(m):
 # ---------------------------------------------------------------------------
 # Closed graph: the original object path
 # ---------------------------------------------------------------------------
+
+
+def reference_probe_grid(m):
+    """Every point of the grid the validator once evaluated on a small
+    piecewise map, in its order (the first coordinate slowest): per
+    coordinate each finite bound, the midpoints of neighbouring bounds,
+    the values 1 below and above each bound (the nearest doubles where
+    that rounds back), then 0.0, -1.0 and 1.0, the first of equal
+    values."""
+    big = sys.float_info.max
+    per_var = []
+    for j in range(m.dim):
+        vals = m.region_boundaries().get(j, ())
+        cands = list(vals)
+        cands.extend(a / 2 + b / 2 for a, b in zip(vals, vals[1:]))
+        for v in vals:
+            cands.extend((min(v - 1.0, math.nextafter(v, -big)),
+                          max(v + 1.0, math.nextafter(v, big))))
+        cands.extend((0.0, -1.0, 1.0))
+        per_var.append(list(dict.fromkeys(cands)))
+    return itertools.product(*per_var)
 
 
 def reference_vertices(s):

@@ -15,7 +15,12 @@ import io
 import math
 import sys
 
-from helpers import _violation_value, cycle_images, reference_circulation
+from helpers import (
+    _violation_value,
+    cycle_images,
+    reference_circulation,
+    reference_float_pass,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_sampled_checks import bits, box_unions
@@ -140,6 +145,40 @@ def test_the_decision_matches_the_reference_to_the_bit(case):
     if cert is not None:
         assert bits([cert["value"]]) == bits([_violation_value(total)])
         assert [bits(v) for v in cert["velocities"]] == [bits(v) for v in chosen]
+
+
+@st.composite
+def sparse_cycles(draw):
+    """Cycles in 2 to 8 dimensions whose consecutive points differ in at
+    most two coordinates, often by flipping a zero's sign, so that most
+    displacement coordinates are +-0; most images are one box."""
+    dim = draw(st.integers(2, 8))
+    length = draw(st.integers(2, 4))
+    points = [tuple(draw(coords) for _ in range(dim))]
+    for _ in range(length - 1):
+        p = list(points[-1])
+        for j in draw(st.lists(st.integers(0, dim - 1), max_size=2)):
+            p[j] = draw(coords | st.just(-p[j]))
+        points.append(tuple(p))
+    images = []
+    for _ in range(length):
+        image = draw(box_unions(dim))
+        images.append(image if draw(st.integers(0, 3)) == 0 else CompactSet(image.boxes[:1]))
+    return tuple(points), images
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sparse_cycles())
+def test_skipping_zero_coordinates_changes_no_bit(case):
+    points, images = case
+    pairs = [image._pairs() for image in images]
+    got = _float_pass(points, pairs)
+    want = reference_float_pass(points, pairs)
+    if want is None:
+        assert got is None
+    else:
+        assert [[bits(lo + hi) for lo, hi in term] for term in got] == \
+            [[bits(lo + hi) for lo, hi in term] for term in want]
 
 
 def test_a_box_at_the_cut_is_a_candidate():

@@ -60,6 +60,7 @@ class TestSolve:
         )
         assert code == 1 and out == ""
         assert "unrecognized arguments: --format json" in err
+        assert "Traceback" not in err
         assert not out_file.exists()
 
     def test_pinned_example1(self, capsys):
@@ -313,6 +314,12 @@ class TestUsageErrors:
         code, _, err = run(capsys, "list-examples", "--frobnicate")
         assert code == 1
 
+    def test_unknown_subcommand(self, capsys):
+        code, out, err = run(capsys, "frobnicate")
+        assert code == 1 and out == ""
+        assert "invalid choice" in err
+        assert "Traceback" not in err
+
     def test_removed_slack_option(self, capsys):
         code, out, err = run(capsys, "solve", "--map", "example1", "--x0", "0.1", "--v0", "1",
                              "--T", "1", "--N", "8", "--policy", "lex-min", "--slack", "0.5")
@@ -420,7 +427,8 @@ class TestUsageErrors:
     def test_radius_above_max_radius(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
-        assert "radius must be finite and in (0, 8.988465674311579e+307]" in err
+        assert err.startswith("error: radius must be finite and in (0, 8.988465674311579e+307]")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("eps", ["inf", "nan"])
     def test_non_finite_graph_eps(self, capsys, eps):
@@ -497,6 +505,7 @@ class TestConvergeBudget:
                              "--samples-per-interval", "100000000")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --samples-per-interval 100000000" in err
+        assert "Traceback" not in err
         start = time.perf_counter()
         code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "0",
                              "--T", "1", "--N0", str(MAX_STEPS // 8 + 1), "--levels", "2")
@@ -556,6 +565,67 @@ class TestHeldPointsLimit:
                            "--samples", "30000000", "--no-timestamp")
         assert time.perf_counter() - start < 0.5
         assert code == 3 and json.loads(out)["samples"] == 1
+
+
+def _balanced_product(k):
+    """A map-file node: the balanced product of k copies of the 1-D map
+    whose one piece, with an empty region, has the image {0} u {1}; its
+    image holds 2^k boxes everywhere."""
+    if k == 1:
+        return {"dim": 1, "pieces": [{"region": [], "image": [[["0", "0"]], [["1", "1"]]]}]}
+    return {"dim": k, "product": [_balanced_product(k // 2), _balanced_product(k - k // 2)]}
+
+
+# Runs argv in a child process under a 1 GiB address-space limit, which
+# turns a budget that does not hold into a MemoryError rather than a
+# machine out of memory, and prints the child's exit code, stderr and
+# peak RSS in KB.  The peak is read in this small process because a
+# process starts with the peak of the one it was forked from.
+_MEASURE = """
+import json, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+proc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([proc.returncode, proc.stderr.decode(), peak]))
+"""
+
+
+class TestImageBudget:
+    """An image is refused before it is built when its boxes would hold
+    more than MAX_HELD_POINTS coordinates."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--x0", ",".join(["0"] * 40), "--T", "1", "--N", "4"), "MAX_HELD_POINTS"),
+        (("check", "wcm"), "MAX_HELD_POINTS"),
+        (("check", "monotone"), "MAX_HELD_POINTS"),
+        (("check", "cyclic"), "MAX_HELD_POINTS"),
+        (("check", "growth"), "MAX_HELD_POINTS"),
+        # refused at 40 dimensions before any evaluation
+        (("check", "graph"), f"vertices limited to dimension {MAX_VERTEX_DIM}"),
+    ])
+    def test_forty_factors_exit_1_in_little_memory(self, tmp_path, argv, message):
+        # the image holds 2^40 boxes; the 20-factor half would hold 2^20
+        path = tmp_path / "product40.json"
+        path.write_text(json.dumps(_balanced_product(40)))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEASURE, sys.executable, "-W", "ignore", "-m", "diffinc.cli",
+             *argv, "--map", str(path), "--no-timestamp"],
+            capture_output=True, env=env, timeout=300, check=True)
+        code, text, peak_kb = json.loads(proc.stdout)
+        assert code == 1, text
+        assert text.startswith("error: ") and message in text and "Traceback" not in text
+        # building the 2^20 boxes of a 20-factor half exceeds the 1 GiB limit
+        assert peak_kb < 100 * 1024
+
+    def test_example4_at_17_dimensions_is_refused(self, capsys):
+        # at (-5, 0, ..., 0) one image would hold 2^17 boxes of 17 dimensions
+        code, out, err = run(capsys, "check", "monotone", "--map", "example4", "--dim", "17")
+        assert code == 1 and out == ""
+        assert err == ("error: map 'example4(17)' would hold 131072 boxes at "
+                       f"{(-5.0,) + (0.0,) * 16}: 4456448 coordinates exceed "
+                       f"MAX_HELD_POINTS = {MAX_HELD_POINTS}\n")
 
 
 class TestGraphDimensionLimit:

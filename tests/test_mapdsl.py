@@ -2,10 +2,12 @@
 
 import ast
 import hashlib
+import itertools
 import json
 import math
 import operator
 import random
+import struct
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_expr, reference_eval, tree_eval
+from helpers import random_expr, reference_eval, reference_probe_grid, tree_eval
 
 from diffinc import mapdsl
 from diffinc.mapdsl import (
@@ -383,9 +385,64 @@ one_dim_pieces = st.lists(
     min_size=1, max_size=4)
 
 
+# the one point (5, 7), which the hole map leaves uncovered
+POINT_57 = {"region": [{"var": 1, "op": "eq", "bound": 5}, {"var": 2, "op": "eq", "bound": 7}],
+            "image": [[["0", "0"], ["0", "0"]]]}
+
+
+def hole_map(extra=()):
+    """The 2-D map whose only hole is (5, 7): four pieces cover x1 < 5,
+    x1 > 5, x2 < 7 and x2 > 7, and 30 more push the grid that the
+    region bounds cut past 512 points; ``extra`` pieces follow."""
+    zero = [["0", "0"], ["0", "0"]]
+    pieces = [{"region": [{"var": v, "op": op, "bound": b}], "image": [zero]}
+              for v, b in ((1, 5), (2, 7)) for op in ("lt", "gt")]
+    pieces += [{"region": [{"var": i % 2 + 1, "op": "ge", "bound": 1000 + i}], "image": [zero]}
+               for i in range(30)]
+    return {"dim": 2, "pieces": pieces + list(extra)}
+
+
+def point_bits(p):
+    return tuple(struct.pack("<d", c) for c in p)
+
+
+SWEEP_BOUNDS = [-DBL_MAX, -1e20, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0,
+                math.nextafter(1.0, 2.0), 1e20, DBL_MAX]
+# each bound's ends: (op of the part below, op of the part above); "lt",
+# "gt" leaves the bound itself uncovered
+ENDS = [("le", "gt"), ("lt", "ge"), ("le", "ge"), ("lt", "gt")]
+
+
+@st.composite
+def covering_pieces(draw):
+    """2-D and 3-D regions: the product of an interval partition of each
+    coordinate, with open and closed ends, less up to two of its pieces,
+    plus up to two pieces of random conditions, +-inf bounds among them.
+    Each piece is a list of (var, op, bound)."""
+    dim = draw(st.integers(2, 3))
+    parts = []
+    for j in range(dim):
+        bounds = sorted(set(draw(st.lists(st.sampled_from(SWEEP_BOUNDS) | st.floats(-1e3, 1e3),
+                                          max_size=3 if dim == 2 else 2))))
+        intervals, below = [], []
+        for b in bounds:
+            lower, upper = draw(st.sampled_from(ENDS))
+            intervals.append(below + [(j, lower, b)])
+            below = [(j, upper, b)]
+        parts.append(intervals + [below])
+    pieces = [sum(cell, []) for cell in itertools.product(*parts)]
+    for i in sorted(draw(st.sets(st.integers(0, len(pieces) - 1), max_size=2)), reverse=True):
+        del pieces[i]
+    condition = st.tuples(st.integers(0, dim - 1), st.sampled_from(sorted(OPS)),
+                          st.sampled_from(SWEEP_BOUNDS + [math.inf, -math.inf]))
+    pieces += draw(st.lists(st.lists(condition, max_size=2), max_size=2))
+    return dim, pieces or [[]]
+
+
 class TestCoverage:
-    """Totality is decided exactly in one dimension and on a full grid,
-    whatever the magnitude of the bounds."""
+    """Totality is decided exactly in every dimension, whatever the
+    magnitude of the bounds, and reported at the first uncovered cell in
+    the order of the old probe grid."""
 
     @pytest.mark.parametrize("bound", [1e308, 9e307, DBL_MAX, -DBL_MAX])
     def test_total_map_with_huge_bounds_is_accepted(self, bound):
@@ -439,6 +496,78 @@ class TestCoverage:
         (w,) = witness(err)
         assert math.isfinite(w)
         assert not any(matches(conds, w) for conds in pieces)
+
+    @settings(max_examples=300, deadline=None)
+    @given(covering_pieces())
+    def test_sweep_matches_every_cell_and_the_probe_order(self, case):
+        dim, pieces = case
+
+        def covered(x):
+            return any(all(OPS[op](x[v], b) for v, op, b in conds) for conds in pieces)
+
+        m = PiecewiseMap(dim, [
+            Piece(tuple(Condition(v, op, b) for v, op, b in conds),
+                  (((Expr.const(0.0), Expr.const(1.0)),) * dim,))
+            for conds in pieces
+        ])
+        cells = [cell_points([(op, b) for conds in pieces for v, op, b in conds if v == j])
+                 for j in range(dim)]
+        hole = any(not covered(x) for x in itertools.product(*cells))
+        first = next((p for p in reference_probe_grid(m) if not covered(p)), None)
+        assert (first is not None) == hole
+        if first is None:
+            validate_map(m)
+            return
+        with pytest.raises(MapDefinitionError) as err:
+            validate_map(m)
+        assert point_bits(witness(err)) == point_bits(first)
+
+    def test_hole_in_a_grid_above_512_points_is_found(self):
+        # 16 bounds on each coordinate cut a grid of 1444 points, which
+        # the validator once sampled at 256 of them and passed
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(json.dumps(hole_map()))
+        assert witness(err) == (5.0, 7.0)
+        assert parse_map(json.dumps(hole_map([POINT_57]))).evaluate((5.0, 7.0)).boxes
+
+    def test_bad_image_of_one_piece_is_found_at_its_region(self):
+        one_dim = json.dumps({"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": "lt", "bound": 3}], "image": [[["x", "x"]]]},
+            {"region": [{"var": 1, "op": "ge", "bound": 3}], "image": [[["x", "0"]]]}]})
+        with pytest.raises(MapDefinitionError, match=r"produced lo 3\.0 > hi 0\.0 at \(3\.0,\)"):
+            parse_map(one_dim)
+        # one point of a grid above 512 points, which no random probe hits
+        spot = {**POINT_57, "image": [[["x1", "0"], ["0", "0"]]]}
+        with pytest.raises(MapDefinitionError,
+                           match=r"produced lo 5\.0 > hi 0\.0 at \(5\.0, 7\.0\)"):
+            parse_map(json.dumps(hole_map([spot])))
+
+    def test_a_hole_is_reported_before_a_bad_image(self):
+        # the bad image at 0 comes first among the probe points, the
+        # hole (0, 1) next
+        src = json.dumps({"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": "le", "bound": 0}], "image": [[["1", "0"]]]},
+            {"region": [{"var": 1, "op": "ge", "bound": 1}], "image": [[["x", "x"]]]}]})
+        with pytest.raises(MapDefinitionError) as err:
+            parse_map(src)
+        assert witness(err) == (0.5,)
+
+    @pytest.mark.parametrize("hole", [False, True])
+    def test_validation_evaluates_each_piece_once_and_32_random_points(self, hole):
+        # the validator once evaluated 256 points of this grid and 32
+        # random ones; this counts evaluations, not time
+        pieces = parse_map(json.dumps(hole_map([POINT_57]))).pieces
+        m = PiecewiseMap(2, pieces[:-1] if hole else pieces)
+        calls = []
+        inner = m._eval
+        m._eval = lambda x: calls.append(x) or inner(x)
+        if hole:
+            with pytest.raises(MapDefinitionError):
+                validate_map(m)
+            assert calls == [(5.0, 7.0)]
+        else:
+            validate_map(m)
+            assert len(calls) == len(pieces) + 32
 
 
 class TestRoundtrip:

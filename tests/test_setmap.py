@@ -9,11 +9,13 @@ from helpers import reference_region_boundaries
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_compiled_eval import maps
 
+from diffinc import setmap
 from diffinc.analyzer import check_wcm_pair, residual
 from diffinc.selector import initial_velocity
 from diffinc.setmap import (
     Box,
     CompactSet,
+    ImageTooLarge,
     MapDefinitionError,
     PiecewiseMap,
     builtin,
@@ -292,6 +294,30 @@ class TestUnion:
     def test_dim_mismatch(self):
         with pytest.raises(MapDefinitionError):
             union(builtin("example1"), builtin("example3"))
+
+
+class TestImageBudget:
+    """An image of b boxes holds 2 n b coordinates; a product or union
+    whose image would hold more than MAX_HELD_POINTS of them raises
+    before it is built."""
+
+    @pytest.mark.parametrize("make, boxes", [(product, 4), (union, 4)])
+    def test_the_limit_is_inclusive(self, monkeypatch, make, boxes):
+        # example1 has two boxes at 0, so each composite has four there
+        m = make(builtin("example1"), builtin("example1"))
+        coords = boxes * 2 * m.dim
+        monkeypatch.setattr(setmap, "MAX_HELD_POINTS", coords)
+        assert len(m.evaluate((0.0,) * m.dim).boxes) == boxes
+        monkeypatch.setattr(setmap, "MAX_HELD_POINTS", coords - 1)
+        with pytest.raises(ImageTooLarge) as err:
+            m.evaluate((0.0,) * m.dim)
+        assert str(err.value) == (f"{m} would hold {boxes} boxes at {(0.0,) * m.dim}: "
+                                  f"{coords} coordinates exceed MAX_HELD_POINTS = {coords - 1}")
+        assert isinstance(err.value, ValueError)
+
+    def test_one_constant_bounds_images_and_checks(self):
+        from diffinc import analyzer
+        assert analyzer.MAX_HELD_POINTS is setmap.MAX_HELD_POINTS
 
 
 class TestBuiltins:
