@@ -17,7 +17,11 @@ an array of ``dim`` two-element arrays of expression strings
 ``[lo, hi]``; region comparators are ``lt``, ``le``, ``ge``, ``gt``,
 ``eq`` with 1-based variable indices.  An optional ``growth": [A, B]``
 declares the linear-growth constants used for mesh sizing; both must be
-finite and >= 0.
+finite and >= 0.  A key outside a node's known set (map nodes: ``dim``,
+``growth`` and the kind; pieces: ``region``, ``image``; conditions:
+``var``, ``op``, ``bound``; builtin nodes: ``name``, ``params``) is a
+``MapDefinitionError`` naming the node's path and the key, so a
+misspelt ``region`` or ``growth`` is never read as absent.
 
 Expression grammar (precedence low to high)::
 
@@ -238,6 +242,20 @@ def _require(cond: bool, message: str) -> None:
         raise MapDefinitionError(message)
 
 
+_KINDS = frozenset(("pieces", "product", "union", "builtin"))
+_MAP_KEYS = _KINDS | {"dim", "growth"}
+_PIECE_KEYS = frozenset(("region", "image"))
+_CONDITION_KEYS = frozenset(("var", "op", "bound"))
+_BUILTIN_KEYS = frozenset(("name", "params"))
+
+
+def _known(obj: dict, keys: frozenset[str], path: str) -> None:
+    """MapDefinitionError naming the first key of ``obj`` outside ``keys``."""
+    if not keys.issuperset(obj):
+        unknown = next(k for k in obj if k not in keys)
+        raise MapDefinitionError(f"{path}: unknown key {unknown!r}")
+
+
 def _number(v: object) -> float | None:
     """A JSON number as a float; None for anything else (a boolean too),
     for NaN and for an integer beyond the double range."""
@@ -260,7 +278,8 @@ def _at(path: str, make: Callable, *args: object):
 def _map_from_obj(obj: object, path: str) -> SetValuedMap:
     _require(isinstance(obj, dict), f"{path}: map node must be a JSON object")
     assert isinstance(obj, dict)
-    keys = {"pieces", "product", "union", "builtin"} & obj.keys()
+    _known(obj, _MAP_KEYS, path)
+    keys = obj.keys() & _KINDS
     _require(
         len(keys) == 1,
         f"{path}: need exactly one of pieces/product/union/builtin, got {sorted(keys)}",
@@ -292,8 +311,9 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
         _require(m.dim == dim, f"{path}: {kind} dim {m.dim} != {dim}")
     else:
         node = obj["builtin"]
-        _require(isinstance(node, dict) and isinstance(node.get("name"), str),
-                 f"{path}: 'builtin' must hold a name")
+        _require(isinstance(node, dict), f"{path}: 'builtin' must hold a name")
+        _known(node, _BUILTIN_KEYS, f"{path}.builtin")
+        _require(isinstance(node.get("name"), str), f"{path}: 'builtin' must hold a name")
         params = node.get("params")
         _require(params is None or isinstance(params, dict),
                  f"{path}: builtin 'params' must be an object")
@@ -313,11 +333,13 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
     for pi, pobj in enumerate(pieces_obj):
         ppath = f"{path}.pieces[{pi}]"
         _require(isinstance(pobj, dict), f"{ppath}: piece must be an object")
+        _known(pobj, _PIECE_KEYS, ppath)
         region = pobj.get("region", [])
         _require(isinstance(region, list), f"{ppath}: 'region' must be an array")
         conditions = []
-        for cobj in region:
+        for ci, cobj in enumerate(region):
             _require(isinstance(cobj, dict), f"{ppath}: condition must be an object")
+            _known(cobj, _CONDITION_KEYS, f"{ppath}.region[{ci}]")
             var = cobj.get("var")
             _require(type(var) is int and 1 <= var <= dim,
                      f"{ppath}: condition 'var' must be in 1..{dim}")

@@ -68,7 +68,11 @@ class MapDefinitionError(ValueError):
 
 
 class ImageTooLarge(ValueError):
-    """An image whose boxes would hold more than MAX_HELD_POINTS coordinates."""
+    """An image whose boxes would hold more than MAX_HELD_POINTS coordinates.
+
+    The message names the product or union that refuses, with its own
+    dimension and the point in its own coordinates: a subtree may be
+    shared, so it cannot know where it sits in the whole map."""
 
 
 def as_vector(x: Sequence[float]) -> Vector:
@@ -790,8 +794,8 @@ class UnionMap(_Composite):
 
 def _too_large(m: SetValuedMap, x: Vector, boxes: int) -> None:
     raise ImageTooLarge(
-        f"{m} would hold {boxes} boxes at {x}: {boxes * 2 * m.dim} coordinates "
-        f"exceed MAX_HELD_POINTS = {MAX_HELD_POINTS}"
+        f"{m} of dimension {m.dim} would hold {boxes} boxes at its point {x}: "
+        f"{boxes * 2 * m.dim} coordinates exceed MAX_HELD_POINTS = {MAX_HELD_POINTS}"
     )
 
 

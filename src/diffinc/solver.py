@@ -378,10 +378,12 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _csv_header(n: int) -> list[str]:
+    return ["t"] + [f"x_{j + 1}" for j in range(n)] + [f"v_{j + 1}" for j in range(n)]
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    n = traj.dim
-    header = ["t"] + [f"x_{j + 1}" for j in range(n)] + [f"v_{j + 1}" for j in range(n)]
-    lines = [",".join(header)]
+    lines = [",".join(_csv_header(traj.dim))]
     for i, (t, node) in enumerate(zip(traj.times, traj.nodes)):
         v = traj.velocities[min(i, traj.steps - 1)]  # last row repeats v^{N-1}
         lines.append(",".join(_fmt(c) for c in (t, *node, *v)))
@@ -389,16 +391,17 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    """The trajectory of a ``trajectory_to_csv`` text: a header and at
-    least two rows of finite cells (ValueError otherwise, naming the row
-    and column of a ``nan`` or ``inf`` cell)."""
+    """The trajectory of a ``trajectory_to_csv`` text: the header
+    ``t,x_1..x_n,v_1..v_n`` and at least two rows of finite cells
+    (ValueError otherwise, naming the row and column of a ``nan`` or
+    ``inf`` cell).  Lines may end in CRLF."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
-    header = lines[0].split(",") if lines else []
-    if len(header) < 3 or header[0] != "t" or len(header) % 2 == 0:
-        raise ValueError("not a trajectory CSV (header must be t,x_1..,v_1..)")
+    header = lines[0].rstrip("\r").split(",") if lines else []
+    n = (len(header) - 1) // 2
+    if n < 1 or header != _csv_header(n):
+        raise ValueError("not a trajectory CSV (header must be t,x_1..x_n,v_1..v_n)")
     if len(lines) < 3:
         raise ValueError(f"a trajectory CSV needs at least two rows, got {len(lines) - 1}")
-    n = (len(header) - 1) // 2
     times: list[float] = []
     nodes: list[list[float]] = []
     velocities: list[list[float]] = []

@@ -1,11 +1,15 @@
 """Shared test utilities: independent oracles and random generators."""
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from operator import add, sub
+from pathlib import Path
 
 from diffinc.analyzer import (
     CheckReport,
@@ -970,3 +974,35 @@ def reference_check_trajectory_monotone(traj):
             nodes_monotone=node_mono,
         ))
     return tuple(out)
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the constants NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON number {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+# Runs argv in a child process under a 1 GiB address-space limit, which
+# turns a budget that does not hold into a MemoryError rather than a
+# machine out of memory, and prints the child's exit code, stderr and
+# peak RSS in KB.  The peak is read in this small process because a
+# process starts with the peak of the one it was forked from.
+_MEASURE = """
+import json, resource, subprocess, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+proc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([proc.returncode, proc.stderr.decode(), peak]))
+"""
+
+
+def measured_cli(*argv):
+    """Exit code, stderr and peak RSS in KB of ``diffinc *argv``, run
+    from this checkout's sources in a child process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEASURE, sys.executable, "-W", "ignore", "-m", "diffinc.cli", *argv],
+        capture_output=True, env=env, timeout=300, check=True)
+    return tuple(json.loads(proc.stdout))

@@ -17,6 +17,7 @@ from helpers import (
     _cycle_gap,
     _eager_pairs,
     _monotone_gap,
+    measured_cli,
     reference_check_wcm,
     reference_cyclic,
     reference_monotone,
@@ -292,6 +293,13 @@ def test_example4_store_keeps_one_image_a_class(monkeypatch):
     assert (len(store.images), len(store.points)) == (17, 161)
     # n = 8 coordinates a point key and a corner, two corners a box
     assert store.held == 8 * (161 + sum(2 * len(image) for image in store.images))
+    # the whole CLI run at n = 10; a store that kept each battery point's
+    # own image peaked at about 81 MB there
+    code, err, peak_kb = measured_cli("check", "wcm", "--map", "example4", "--dim", "10",
+                                      "--radius", "5", "--samples", "10", "--seed", "7",
+                                      "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert peak_kb <= 40 * 1024
 
 
 @pytest.mark.parametrize("condition", sorted(CHECKS))

@@ -20,6 +20,7 @@ from helpers import (
     cycle_images,
     reference_circulation,
     reference_float_pass,
+    strict_json,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -262,8 +263,11 @@ def test_the_exact_sum_walks_only_candidate_boxes(monkeypatch):
     # example4(12) has a 2**12-box image at the origin: the cycles that go
     # exact hold 8,192 boxes, of which the float pass keeps half
     counts = _counting_min_vertex(monkeypatch)
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = main(["check", "monotone", "--map", "example4", "--dim", "12",
                      "--no-timestamp"])
     assert code == 3
     assert counts["boxes"] == 4096
+    value = strict_json(out.getvalue())["certificate"]["value"]
+    assert math.isfinite(value) and value < 0

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import measured_cli, strict_json
 
 from diffinc.analyzer import MAX_HELD_POINTS
 from diffinc.cli import main, resolve_map
@@ -189,11 +190,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--radius",
                            "1e-310", "--samples", "20", "--seed", "1", "--no-timestamp")
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"non-finite number {name} in the growth report")
-
-        assert json.loads(out, parse_constant=reject)["verdict"] == "pass-sampled"
+        assert strict_json(out)["verdict"] == "pass-sampled"
 
     @pytest.mark.parametrize("condition", ["monotone", "cyclic"])
     def test_violation_below_double_range_is_minus_infinity(self, capsys, tmp_path,
@@ -244,11 +241,7 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "wcm", "--map", str(path), "--samples", "10",
                            "--seed", "1", "--no-timestamp")
         assert code == 3
-
-        def reject(name):
-            raise ValueError(f"non-finite JSON number {name}")
-
-        assert json.loads(out, parse_constant=reject)["certificate"]["v"] == [1.7e308, 2.0]
+        assert strict_json(out)["certificate"]["v"] == [1.7e308, 2.0]
 
     def test_graph_check_runs(self, capsys):
         code, out, _ = run(
@@ -392,10 +385,20 @@ class TestUsageErrors:
 
     def test_invalid_map_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"dim": 1, "pieces": [{"region": [{"var": 1, "op": "gt", "bound": 0}], "image": [[["0", "1"]]]}]}')
-        code, _, err = run(capsys, "solve", "--map", str(bad), "--x0", "0", "--T", "1")
-        assert code == 1
-        assert "empty image" in err
+        for doc, message in [
+            ('{"dim": 1, "pieces": [{"region": [{"var": 1, "op": "gt", "bound": 0}], '
+             '"image": [[["0", "1"]]]}]}', "empty image"),
+            # a misspelt region matched every point, and a misspelt growth was dropped
+            ('{"dim": 1, "pieces": [{"regoin": [{"var": 1, "op": "le", "bound": 0}], '
+             '"image": [[["0", "0"]]]}, {"region": [], "image": [[["1", "1"]]]}]}',
+             "error: $.pieces[0]: unknown key 'regoin'"),
+            ('{"dim": 1, "grwoth": [1, 0], "builtin": {"name": "example1"}}',
+             "error: $: unknown key 'grwoth'"),
+        ]:
+            bad.write_text(doc)
+            code, _, err = run(capsys, "solve", "--map", str(bad), "--x0", "0", "--T", "1")
+            assert code == 1
+            assert message in err
 
     def test_infinite_growth_in_map_file_exits_1(self, capsys, tmp_path):
         # before, the file parsed and solve failed on "T*M = nan"
@@ -466,6 +469,12 @@ class TestUsageErrors:
         codes.add(run(capsys, "check", "monotone", "--map", "example1",
                       "--samples", "300", "--seed", "7", "--no-timestamp")[0])
         assert codes <= {0, 1, 2, 3}
+        # each check passes or fails with a report in strict JSON
+        for condition in ("wcm", "monotone", "cyclic", "growth", "graph"):
+            code, out, _ = run(capsys, "check", condition, "--map", "example3",
+                               "--samples", "50", "--seed", "1", "--no-timestamp")
+            assert code in (0, 3)
+            assert strict_json(out)["verdict"] in ("pass-sampled", "fail")
 
 
 class TestBuiltinParameters:
@@ -576,20 +585,6 @@ def _balanced_product(k):
     return {"dim": k, "product": [_balanced_product(k // 2), _balanced_product(k - k // 2)]}
 
 
-# Runs argv in a child process under a 1 GiB address-space limit, which
-# turns a budget that does not hold into a MemoryError rather than a
-# machine out of memory, and prints the child's exit code, stderr and
-# peak RSS in KB.  The peak is read in this small process because a
-# process starts with the peak of the one it was forked from.
-_MEASURE = """
-import json, resource, subprocess, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-proc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print(json.dumps([proc.returncode, proc.stderr.decode(), peak]))
-"""
-
-
 class TestImageBudget:
     """An image is refused before it is built when its boxes would hold
     more than MAX_HELD_POINTS coordinates."""
@@ -607,15 +602,11 @@ class TestImageBudget:
         # the image holds 2^40 boxes; the 20-factor half would hold 2^20
         path = tmp_path / "product40.json"
         path.write_text(json.dumps(_balanced_product(40)))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", _MEASURE, sys.executable, "-W", "ignore", "-m", "diffinc.cli",
-             *argv, "--map", str(path), "--no-timestamp"],
-            capture_output=True, env=env, timeout=300, check=True)
-        code, text, peak_kb = json.loads(proc.stdout)
+        code, text, peak_kb = measured_cli(*argv, "--map", str(path), "--no-timestamp")
         assert code == 1, text
         assert text.startswith("error: ") and message in text and "Traceback" not in text
+        if message == "MAX_HELD_POINTS":  # the refusing half names its own dimension
+            assert "map 'product' of dimension 20 would hold 1048576 boxes at its point (" in text
         # building the 2^20 boxes of a 20-factor half exceeds the 1 GiB limit
         assert peak_kb < 100 * 1024
 
@@ -623,8 +614,8 @@ class TestImageBudget:
         # at (-5, 0, ..., 0) one image would hold 2^17 boxes of 17 dimensions
         code, out, err = run(capsys, "check", "monotone", "--map", "example4", "--dim", "17")
         assert code == 1 and out == ""
-        assert err == ("error: map 'example4(17)' would hold 131072 boxes at "
-                       f"{(-5.0,) + (0.0,) * 16}: 4456448 coordinates exceed "
+        assert err == ("error: map 'example4(17)' of dimension 17 would hold 131072 boxes "
+                       f"at its point {(-5.0,) + (0.0,) * 16}: 4456448 coordinates exceed "
                        f"MAX_HELD_POINTS = {MAX_HELD_POINTS}\n")
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from diffinc.analyzer import residual
+from diffinc.analyzer import check_trajectory_monotone, residual
 from diffinc.cli import main, resolve_map
 from diffinc.solver import trajectory_from_csv
 
@@ -168,7 +168,7 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(n for n, (_, writes_csv) in CASES.items() if writes_csv))
 def test_csv_replays_the_summary_residuals(name, tmp_path, monkeypatch):
     """The CSV a solve writes, read back, has the residuals its summary
-    reports, bit for bit."""
+    reports, bit for bit: a node residual of zero, and monotone."""
     monkeypatch.chdir(tmp_path)
     argv, _ = CASES[name]
     out = io.StringIO()
@@ -181,6 +181,9 @@ def test_csv_replays_the_summary_residuals(name, tmp_path, monkeypatch):
     got = residual(traj, m)
     want = (summary["node_residual"], summary["interval_residual"])
     assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in want]
+    # every velocity lies in its node's image, and the solve is monotone
+    assert want[0] == 0.0
+    assert all(r.ok for r in check_trajectory_monotone(traj))
 
 
 if __name__ == "__main__":

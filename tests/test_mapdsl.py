@@ -140,6 +140,58 @@ EXAMPLE1_SRC = """
 """
 
 
+def _pieces_node(dim):
+    """A pieces node shaped like the benchmark's generated ones: a
+    catch-all piece, then pieces between bounds on the first coordinate."""
+    x = "x1" if dim > 1 else "x"
+    box = [[f"cbrt({x})", f"cbrt({x})+abs({x})"]] + [["0", "1"]] * (dim - 1)
+    return {"dim": dim, "pieces": [
+        {"region": [], "image": [[["-4", "4"]] * dim]},
+        {"region": [{"var": 1, "op": "le", "bound": -0.5}], "image": [box]},
+        {"region": [{"var": 1, "op": "ge", "bound": -0.5}, {"var": 1, "op": "le", "bound": 1.25}],
+         "image": [box]},
+        {"region": [{"var": 1, "op": "ge", "bound": 1.25}], "image": [box]}]}
+
+
+# a document with every key the reader knows
+EVERY_KEY = {"dim": 2, "growth": [5, 0], "union": [
+    {"dim": 2, "product": [_pieces_node(1),
+                           {"dim": 1, "builtin": {"name": "example4", "params": {"n": 1}}}]},
+    {"dim": 2, "builtin": {"name": "normgrad", "params": {"n": 2}}}]}
+
+# one document of each structure the mapfile benchmark generates, and EVERY_KEY
+STRUCTURES = {
+    "pieces": _pieces_node(2),
+    "product": {"dim": 3, "product": [_pieces_node(1), _pieces_node(2)]},
+    "union": {"dim": 2, "union": [_pieces_node(2), _pieces_node(2)]},
+    "nested": {"dim": 3, "union": [{"dim": 3, "product": [_pieces_node(1), _pieces_node(2)]},
+                                   {"dim": 3, "product": [_pieces_node(1), _pieces_node(2)]}]},
+    "every-key": EVERY_KEY,
+}
+
+
+def _misspelt(path, key):
+    """EVERY_KEY with the first two letters of ``key`` swapped in the
+    node at ``path``, and the error that names them."""
+    doc = json.loads(json.dumps(EVERY_KEY))
+    node = doc
+    for step in path:
+        node = node[step]
+    bad = key[1] + key[0] + key[2:]
+    node[bad] = node.pop(key)
+    where = "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
+    return doc, f"{where}: unknown key {bad!r}"
+
+
+_PIECE = ("union", 0, "product", 0, "pieces", 1)
+_BUILTIN = ("union", 0, "product", 1)
+MISSPELT = [((), "dim"), ((), "growth"), ((), "union"), (("union", 0), "product"),
+            (("union", 0, "product", 0), "pieces"), (_BUILTIN, "builtin"),
+            (_PIECE, "region"), (_PIECE, "image"), ((*_PIECE, "region", 0), "var"),
+            ((*_PIECE, "region", 0), "op"), ((*_PIECE, "region", 0), "bound"),
+            ((*_BUILTIN, "builtin"), "name"), ((*_BUILTIN, "builtin"), "params")]
+
+
 class TestParseMap:
     def test_example1_boundary_union(self):
         m = parse_map(EXAMPLE1_SRC)
@@ -209,6 +261,13 @@ class TestParseMap:
     def test_growth_key_is_honoured(self):
         src = '{"dim": 1, "growth": [2, 0.5], "pieces": [{"region": [], "image": [[["x", "x"]]]}]}'
         assert parse_map(src).growth == (2.0, 0.5)
+
+    @pytest.mark.parametrize("name", STRUCTURES)
+    def test_known_keys_parse_in_every_structure(self, name):
+        doc = STRUCTURES[name]
+        m = parse_map(json.dumps(doc))
+        assert m.dim == doc["dim"]
+        assert parse_map(roundtrip(m)).evaluate((0.5,) * m.dim) == m.evaluate((0.5,) * m.dim)
 
     @pytest.mark.parametrize("node, message", [
         ({"dim": 1, "pieces": [{"region": 5, "image": [[["0", "1"]]]}]},
@@ -287,6 +346,8 @@ class TestParseMap:
         ({"dim": 2, "pieces": [{"region": [], "image": [[["0", "1"]]]}]},
          "$.pieces[0].image[0]: box must list 2 coordinate ranges"),
         ({"dim": 1, "pieces": []}, "$: 'pieces' must be a nonempty array"),
+        # a misspelt region matched every point, and a misspelt growth was dropped
+        *(_misspelt(path, key) for path, key in MISSPELT),
     ])
     def test_bad_values_are_map_definition_errors(self, node, message):
         with pytest.raises(MapDefinitionError) as err:
@@ -305,8 +366,11 @@ class TestParseMap:
             parse_map(arrays)
 
     def test_brackets_inside_strings_do_not_nest(self):
-        pieces = [{"region": [], "image": [[["0", "1"]]], "note": "[" * 300}]
-        assert parse_map(json.dumps({"dim": 1, "pieces": pieces})).dim == 1
+        # enough brackets that the nesting walk runs; it passes them, and
+        # the reader then names the key that holds them
+        pieces = [{"region": [], "image": [[["0", "1"]]], "note": "[" * (MAX_MAP_DEPTH + 1)}]
+        with pytest.raises(MapDefinitionError, match=r"^\$\.pieces\[0\]: unknown key 'note'$"):
+            parse_map(json.dumps({"dim": 1, "pieces": pieces}))
 
     def test_depth_limit_is_inclusive(self):
         def nest(k):  # a union tree whose document nests 2k + 2 levels
@@ -650,6 +714,7 @@ class TestRoundtrip:
         text = roundtrip(builtin(name, {"n": n} if n else None))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             self.CATALOG_DIGESTS[name, n]
+        assert roundtrip(parse_map(text)) == text
 
     @pytest.mark.parametrize("path", sorted(MAPS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_files_are_their_own_roundtrip(self, path):

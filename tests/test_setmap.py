@@ -311,8 +311,9 @@ class TestImageBudget:
         monkeypatch.setattr(setmap, "MAX_HELD_POINTS", coords - 1)
         with pytest.raises(ImageTooLarge) as err:
             m.evaluate((0.0,) * m.dim)
-        assert str(err.value) == (f"{m} would hold {boxes} boxes at {(0.0,) * m.dim}: "
-                                  f"{coords} coordinates exceed MAX_HELD_POINTS = {coords - 1}")
+        assert str(err.value) == (f"{m} of dimension {m.dim} would hold {boxes} boxes at its "
+                                  f"point {(0.0,) * m.dim}: {coords} coordinates exceed "
+                                  f"MAX_HELD_POINTS = {coords - 1}")
         assert isinstance(err.value, ValueError)
 
     def test_one_constant_bounds_images_and_checks(self):

@@ -412,10 +412,10 @@ class TestCsv:
     def test_roundtrip_bit_identical(self):
         traj = euler_polygon(builtin("example2_G"), (0.3,), 1.0, 25, v0=(1.3,))
         text = trajectory_to_csv(traj)
-        again = trajectory_from_csv(text)
-        assert again.times == traj.times
-        assert again.nodes == traj.nodes
-        assert again.velocities == traj.velocities
+        for again in (trajectory_from_csv(text), trajectory_from_csv(text.replace("\n", "\r\n"))):
+            assert again.times == traj.times
+            assert again.nodes == traj.nodes
+            assert again.velocities == traj.velocities
 
     def test_header_and_final_row(self):
         traj = euler_polygon(builtin("example4", {"n": 2}), (-1.0, -0.5), 1.0, 4,
@@ -438,6 +438,10 @@ class TestCsv:
         ("t\n0\n1\n", "not a trajectory CSV"),
         ("t,x_1,v_1\n", "needs at least two rows, got 0"),
         ("t,x_1,v_1\n0,1,1\n", "needs at least two rows, got 1"),
+        # headers whose columns were once read by position alone
+        ("t,v_1,x_1\n0,1,0\n1,1,1\n", "header must be t,x_1..x_n,v_1..v_n"),
+        ("t,x_2,x_1,v_1,v_2\n0,0,0,1,1\n1,1,1,1,1\n", "header must be t,x_1..x_n,v_1..v_n"),
+        ("t,y_1,w_1\n0,0,1\n1,1,1\n", "header must be t,x_1..x_n,v_1..v_n"),
     ])
     def test_too_few_rows_are_value_errors(self, text, message):
         with pytest.raises(ValueError, match=message):
