@@ -82,7 +82,6 @@ from .setmap import (
     CompactSet,
     SetValuedMap,
     Vector,
-    _check_vertex_dim,
     _distance,
     _farthest_corner,
     as_vector,
@@ -733,13 +732,12 @@ def check_closed_graph(
     to F(x) stays above eps at both of the smallest perturbation
     scales, i.e. the image jumps away and the jump does not shrink.
     Open-region piece encodings are the typical culprit.  The points on
-    the axes at the (finite) region bounds are probed first.  A map too
-    large for ``vertices()`` is refused before it is evaluated.
+    the axes at the (finite) region bounds are probed first.  A
+    direction is cleared at its first scale within eps.
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     r = _check_budget(radius, count, count, "count", m.dim)
-    _check_vertex_dim(m.dim)
     rng = random.Random(seed)
     points: list[Vector] = [(0.0,) * m.dim]
     for j, bounds in sorted(m.region_boundaries().items()):
@@ -747,10 +745,7 @@ def check_closed_graph(
             points.append(_axis_point(m.dim, j, b))
     points.extend(_random_point(rng, m.dim, r) for _ in range(count))
 
-    directions: list[Vector] = []
-    for j in range(m.dim):
-        directions.append(_axis_point(m.dim, j, 1.0))
-        directions.append(_axis_point(m.dim, j, -1.0))
+    directions: list[Vector] = []  # after the 2n axis directions
     if m.dim > 1:
         for _ in range(2):
             d = tuple(rng.gauss(0.0, 1.0) for _ in range(m.dim))
@@ -760,26 +755,27 @@ def check_closed_graph(
 
     def probe(x: Vector) -> dict | None:
         base = m.evaluate(x)._pairs()
-        for d in directions:
-            worst: list[float] = []
-            worst_vertex: Vector | None = None
+        # made as they are used: held, the axis directions are 2n^2 coordinates
+        axes = (_axis_point(m.dim, j, s) for j in range(m.dim) for s in (1.0, -1.0))
+        for d in chain(axes, directions):
+            distances: list[float] = []
             for delta in _GRAPH_DELTAS:
                 shifted = tuple(c + delta * dc for c, dc in zip(x, d))
-                far = 0.0
+                far, vertex = 0.0, None
                 for u in vertices(m.evaluate(shifted)):
                     gap = _distance(base, u)
                     if gap > far:
-                        far = gap
-                        if delta == _GRAPH_DELTAS[-1]:
-                            worst_vertex = u
-                worst.append(far)
-            if min(worst) > eps:
+                        far, vertex = gap, u
+                if far <= eps:
+                    break
+                distances.append(far)
+            else:
                 return {
                     "x": list(x),
                     "direction": list(d),
                     "deltas": list(_GRAPH_DELTAS),
-                    "distances": worst,
-                    "vertex": list(worst_vertex) if worst_vertex else None,
+                    "distances": distances,
+                    "vertex": list(vertex),
                 }
         return None
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import analyzer, mapdsl, solver
 from .selector import SelectionPolicy, WcmInfeasible
-from .setmap import BUILTINS, MAX_VERTEX_DIM, SetValuedMap, builtin
+from .setmap import BUILTINS, SetValuedMap, builtin
 
 
 class UsageError(Exception):
@@ -103,8 +103,6 @@ def _add_solve_options(p: argparse.ArgumentParser) -> None:
                    default="project")
     p.add_argument("--v0", default=None,
                    help="initial velocity override, comma-separated")
-    p.add_argument("--no-mesh-check", action="store_true",
-                   help="run even when n violates h*M < 1")
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -118,6 +116,8 @@ def _add_solve_arguments(p: argparse.ArgumentParser) -> None:
     _add_solve_options(p)
     p.add_argument("--N", type=int, default=None,
                    help="mesh steps (default: smallest n with h*M < 1)")
+    p.add_argument("--no-mesh-check", action="store_true",
+                   help="run even when n violates h*M < 1")
     _add_output_options(p)
 
 
@@ -130,9 +130,7 @@ def _add_converge_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _add_check_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("condition", choices=["wcm", "monotone", "cyclic", "growth", "graph"],
-                   help="the condition; graph enumerates box corners, so it "
-                        f"takes maps of dimension <= {MAX_VERTEX_DIM}")
+    p.add_argument("condition", choices=["wcm", "monotone", "cyclic", "growth", "graph"])
     _add_map_options(p)
     p.add_argument("--radius", type=float, default=5.0)
     p.add_argument("--samples", type=int, default=None,

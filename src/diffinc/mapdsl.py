@@ -49,6 +49,7 @@ import json
 import random
 import re
 import sys
+from itertools import chain
 from typing import Callable
 
 from .cells import axis_cells, axis_probes, first_uncovered, region_point
@@ -400,12 +401,11 @@ def validate_map(m: PiecewiseMap) -> None:
     if hole is not None:
         m._eval(hole)  # no piece matches there: raises with the witness
         raise AssertionError(f"{m} has an image at {hole}, which no region holds")
-    points = [p for p in (region_point(r, axes) for r in regions) if p is not None]
+    points = (p for p in (region_point(r, axes) for r in regions) if p is not None)
     radius = min(max([1.0] + [abs(v) + 1.0 for vals in probes for v in vals]), MAX_RADIUS)
     rng = random.Random(4002 + m.dim)
-    for _ in range(32):
-        points.append(tuple(rng.uniform(-radius, radius) for _ in range(m.dim)))
-    for p in points:  # float tuples of the map's dimension
+    drawn = (tuple(rng.uniform(-radius, radius) for _ in range(m.dim)) for _ in range(32))
+    for p in chain(points, drawn):  # float tuples of the map's dimension, one held at a time
         m._eval(p)  # raises with the point on lo > hi or a corner that is not finite
 
 

@@ -44,18 +44,17 @@ import operator
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import product as _product
 from typing import Callable, Sequence
 
 Vector = tuple[float, ...]
 
-MAX_VERTEX_DIM = 16
-
 MAX_RADIUS = sys.float_info.max / 2  # uniform(-r, r) and point differences stay finite
 
-# The most coordinates held at once: one image (2n a box) and, in the
-# analyzer, a check's graph samples or one cycle (n a point) or the
-# battery's image classes (n a corner of a stored image and n a point
-# key).  10**6 points at n = 3.
+# The most coordinates held at once: one image (2n a box) or corner list
+# (n a corner) and, in the analyzer, a check's graph samples or one cycle
+# (n a point) or the battery's image classes (n a corner of a stored
+# image and n a point key).  10**6 points at n = 3.
 MAX_HELD_POINTS = 3 * 10 ** 6
 
 _INF = math.inf
@@ -473,8 +472,7 @@ class Box:
         return all(a <= c <= b for a, b, c in zip(self.lo, self.hi, v))
 
     def corners(self) -> list[Vector]:
-        _check_vertex_dim(self.dim)
-        return _corners(self.lo, self.hi)
+        return _corners([(self.lo, self.hi)])
 
 
 @dataclass(frozen=True, init=False)
@@ -577,27 +575,25 @@ def vertices(s: CompactSet) -> list[Vector]:
     ``Box.corners()`` order.
 
     Every linear functional attains its extremum over the set on this
-    list.  Guarded to dimension 16 to avoid the 2^n corner blow-up; the
-    analyzer's monotone and cyclic checks find the first minimising
-    corner in this order per box instead (see ``analyzer``).
+    list.  A box with k coordinates of ``lo != hi`` has 2^k corners of n
+    coordinates, counted against ``MAX_HELD_POINTS`` before any is built
+    (ValueError above it); the analyzer's monotone and cyclic checks find
+    the first minimising corner in this order per box (see ``analyzer``).
     """
-    _check_vertex_dim(s.dim)
-    return [u for b in s.boxes for u in _corners(b.lo, b.hi)]
+    return _corners(s._pairs())
 
 
-def _check_vertex_dim(dim: int) -> None:
-    """ValueError unless boxes of dimension ``dim`` may list their corners."""
-    if dim > MAX_VERTEX_DIM:
-        raise ValueError(f"vertices limited to dimension {MAX_VERTEX_DIM}")
-
-
-def _corners(lo: Vector, hi: Vector) -> list[Vector]:
-    """The corners of [lo, hi], lo first, the last coordinate fastest."""
-    out: list[Vector] = [()]
-    for a, b in zip(lo, hi):
-        choices = (a,) if a == b else (a, b)
-        out = [c + (v,) for c in out for v in choices]
-    return out
+def _corners(pairs: Sequence[tuple[Vector, Vector]]) -> list[Vector]:
+    """The corners of each (lo, hi) box, lo first and the last coordinate
+    fastest; ValueError when they would hold more than MAX_HELD_POINTS."""
+    choices = [[(a,) if a == b else (a, b) for a, b in zip(lo, hi)] for lo, hi in pairs]
+    held = sum(len(box) << (sum(map(len, box)) - len(box)) for box in choices)
+    if held > MAX_HELD_POINTS:  # str() of an int past 4300 digits raises
+        count = held if held.bit_length() <= 64 else f"at least 2^{held.bit_length() - 1}"
+        raise ValueError(f"the corner list of {len(pairs)} box(es) of dimension "
+                         f"{len(pairs[0][0])} would hold {count} coordinates, more than "
+                         f"MAX_HELD_POINTS = {MAX_HELD_POINTS}")
+    return [u for box in choices for u in _product(*box)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ where (Gronwall majorant ``r' = A + B + 1 + B*r``)::
     L = |x0| * exp(B*T) + (A + B + 1) * E,   E = (exp(B*T) - 1) / B  (T at B = 0)
     M = A + B + 1 + B * L = (A + B + 1 + B * |x0|) * exp(B*T)
 
-The mesh condition ``h * M < 1`` is enforced by default whenever growth
-constants are declared.  Bounds that overflow are ``+inf``, which no
-finite N meets; with the check off (``--no-mesh-check``) the solve warns.
+The mesh condition ``h * M < 1``, on M and T*M rounded to doubles (see
+``min_steps``), is enforced by default whenever growth constants are
+declared.  Bounds that overflow are ``+inf``, which no finite N meets;
+with the check off (``--no-mesh-check``) the solve warns.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ def gronwall_bounds(a: float, b: float, x0_norm: float, horizon: float) -> Growt
 
 
 def min_steps(bounds: GrowthBounds) -> int:
-    """Smallest N with (T/N) * M < 1, i.e. floor(T*M) + 1.
+    """floor(T*M) + 1: the smallest N with (T/N) * M < 1 for M and T*M
+    rounded to doubles, and one short where the exact T*M lies just above
+    an integer that the rounded one falls short of (ROADMAP.md item 14).
 
     Raises ValueError when T*M overflows to infinity, since then no
     finite N meets the condition."""
@@ -393,8 +396,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 def trajectory_from_csv(text: str) -> Trajectory:
     """The trajectory of a ``trajectory_to_csv`` text: the header
     ``t,x_1..x_n,v_1..v_n`` and at least two rows of finite cells
-    (ValueError otherwise, naming the row and column of a ``nan`` or
-    ``inf`` cell).  Lines may end in CRLF."""
+    (ValueError otherwise, naming the row, and the column of a bad
+    cell).  Lines may end in CRLF."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     header = lines[0].rstrip("\r").split(",") if lines else []
     n = (len(header) - 1) // 2
@@ -406,12 +409,17 @@ def trajectory_from_csv(text: str) -> Trajectory:
     nodes: list[list[float]] = []
     velocities: list[list[float]] = []
     for row, ln in enumerate(lines[1:], 1):
-        cells = [float(c) for c in ln.split(",")]
-        if len(cells) != 1 + 2 * n:
-            raise ValueError(f"row has {len(cells)} cells, expected {1 + 2 * n}")
-        if not all(map(math.isfinite, cells)):
-            name, cell = next((h, c) for h, c in zip(header, cells) if not math.isfinite(c))
-            raise ValueError(f"row {row}, column {name}: {cell!r} is not finite")
+        texts = ln.rstrip("\r").split(",")
+        if len(texts) != 1 + 2 * n:
+            raise ValueError(f"row {row} has {len(texts)} cells, expected {1 + 2 * n}")
+        cells = []
+        for name, cell in zip(header, texts):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                raise ValueError(f"row {row}, column {name}: {cell!r} is not a number") from None
+            if not math.isfinite(cells[-1]):
+                raise ValueError(f"row {row}, column {name}: {cells[-1]!r} is not finite")
         times.append(cells[0])
         nodes.append(cells[1 : 1 + n])
         velocities.append(cells[1 + n :])

@@ -782,10 +782,21 @@ def reference_vertices(s):
             for c in itertools.product(*[(a,) if a == h else (a, h) for a, h in zip(b.lo, b.hi)])]
 
 
+# F(x) = {1e4*x} and F(x) = {1e8*x}: at x = 0 a shift by 1e-5 moves the
+# image 0.1 and 1e3, past the default eps of 1e-2, and a shift by 1e-7
+# moves it 1e-3 and 10, so the first map passes and the second fails
+LINEAR_MAPS = {
+    f"linear_{name}": json.dumps({"dim": 1, "pieces": [
+        {"region": [], "image": [[[f"{c}*x", f"{c}*x"]]]}]})
+    for name, c in (("1e4", 10000), ("1e8", 100000000))
+}
+
+
 def reference_closed_graph(m, radius, count, seed, eps):
     """The original two-scale graph check: public ``evaluate`` at x and
     at each shifted point, every corner of the shifted image and its
-    full distance to F(x)."""
+    full distance to F(x).  A direction is cleared at its first scale
+    within eps."""
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     _check_budget(radius, count, count, "count", m.dim)
@@ -823,6 +834,8 @@ def reference_closed_graph(m, radius, count, seed, eps):
                         if delta == deltas[-1]:
                             worst_vertex = u
                 worst.append(far)
+                if far <= eps:  # the direction is cleared; no later scale is evaluated
+                    break
             if min(worst) > eps:
                 return {
                     "x": list(x),

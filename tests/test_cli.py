@@ -16,7 +16,6 @@ from helpers import measured_cli, strict_json
 
 from diffinc.analyzer import MAX_HELD_POINTS
 from diffinc.cli import main, resolve_map
-from diffinc.setmap import MAX_VERTEX_DIM, UnionMap
 from diffinc.solver import MAX_STEPS, trajectory_from_csv
 
 
@@ -121,6 +120,13 @@ class TestConverge:
         assert code == 0
         deltas = json.loads(out)["deltas"]
         assert len(deltas) == 2 and all(d > 0 for d in deltas)
+
+    def test_no_mesh_check_is_a_solve_option_only(self, capsys):
+        # converge always starts at the mesh minimum, so the flag had no effect
+        code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "0", "--T", "1",
+                             "--N0", "2", "--levels", "2", "--no-mesh-check")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --no-mesh-check" in err
 
 
 class TestCheck:
@@ -595,8 +601,8 @@ class TestImageBudget:
         (("check", "monotone"), "MAX_HELD_POINTS"),
         (("check", "cyclic"), "MAX_HELD_POINTS"),
         (("check", "growth"), "MAX_HELD_POINTS"),
-        # refused at 40 dimensions before any evaluation
-        (("check", "graph"), f"vertices limited to dimension {MAX_VERTEX_DIM}"),
+        # the image at the origin, the first point probed
+        (("check", "graph"), "MAX_HELD_POINTS"),
     ])
     def test_forty_factors_exit_1_in_little_memory(self, tmp_path, argv, message):
         # the image holds 2^40 boxes; the 20-factor half would hold 2^20
@@ -605,8 +611,8 @@ class TestImageBudget:
         code, text, peak_kb = measured_cli(*argv, "--map", str(path), "--no-timestamp")
         assert code == 1, text
         assert text.startswith("error: ") and message in text and "Traceback" not in text
-        if message == "MAX_HELD_POINTS":  # the refusing half names its own dimension
-            assert "map 'product' of dimension 20 would hold 1048576 boxes at its point (" in text
+        # the refusing half names its own dimension
+        assert "map 'product' of dimension 20 would hold 1048576 boxes at its point (" in text
         # building the 2^20 boxes of a 20-factor half exceeds the 1 GiB limit
         assert peak_kb < 100 * 1024
 
@@ -619,26 +625,50 @@ class TestImageBudget:
                        f"MAX_HELD_POINTS = {MAX_HELD_POINTS}\n")
 
 
-class TestGraphDimensionLimit:
-    def test_help_states_the_limit(self, capsys):
+class TestGraphCornerBudget:
+    """``check graph`` lists the corners of its shifted images against
+    MAX_HELD_POINTS, the budget of every other list of coordinates; no
+    dimension limits it."""
+
+    def test_help_names_no_dimension_limit(self, capsys):
         with pytest.raises(SystemExit):
             main(["check", "--help"])
-        assert f"dimension <= {MAX_VERTEX_DIM}" in " ".join(capsys.readouterr().out.split())
+        assert "dimension <=" not in " ".join(capsys.readouterr().out.split())
 
-    def test_above_the_limit_exits_1(self, capsys):
+    def test_point_images_of_20_dimensions_are_probed(self, capsys):
+        # each image of normgrad is a set of points, one corner each; the
+        # k = 4 unit vectors at the origin miss e_3
+        code, out, err = run(capsys, "check", "graph", "--map", "normgrad", "--dim", "20",
+                             "--samples", "1", "--no-timestamp")
+        assert code == 3 and err == ""
+        report = json.loads(out)
+        e3 = [0.0] * 20
+        e3[2] = 1.0
+        assert report["samples"] == 1 and report["certificate"]["x"] == [0.0] * 20
+        assert report["certificate"]["direction"] == report["certificate"]["vertex"] == e3
+
+    def test_example4_at_17_dimensions_is_refused_at_the_origin(self, capsys):
+        # the first image evaluated, F(0), would hold 2^17 boxes in one factor
         code, out, err = run(capsys, "check", "graph", "--map", "example4", "--dim", "17",
                              "--samples", "1")
         assert code == 1 and out == ""
-        assert f"vertices limited to dimension {MAX_VERTEX_DIM}" in err
+        assert err == ("error: map 'product' of dimension 17 would hold 131072 boxes "
+                       f"at its point {(0.0,) * 17}: 4456448 coordinates exceed "
+                       f"MAX_HELD_POINTS = {MAX_HELD_POINTS}\n")
 
-    def test_refused_before_the_map_is_evaluated(self, capsys, monkeypatch):
-        # example4 is a union; at 17 dimensions one image holds 2^18 boxes
-        calls = []
-        monkeypatch.setattr(UnionMap, "_eval", lambda m, x: calls.append(x))
-        code, out, err = run(capsys, "check", "graph", "--map", "example4", "--dim", "17",
-                             "--samples", "1")
-        assert code == 1 and calls == []
-        assert f"vertices limited to dimension {MAX_VERTEX_DIM}" in err
+    def test_two_hundred_boxes_exit_1_in_little_memory(self, tmp_path):
+        # 200 boxes [i, i+1] x [0, 1]^15 have 2^16 corners each, 16
+        # coordinates a corner: 209715200 coordinates, listed once at
+        # least 3 GB
+        boxes = [[[str(i), str(i + 1)]] + [["0", "1"]] * 15 for i in range(200)]
+        path = tmp_path / "boxes200.json"
+        path.write_text(json.dumps({"dim": 16, "pieces": [{"region": [], "image": boxes}]}))
+        code, text, peak_kb = measured_cli("check", "graph", "--map", str(path),
+                                           "--samples", "1", "--no-timestamp")
+        assert code == 1 and "Traceback" not in text
+        assert text == ("error: the corner list of 200 box(es) of dimension 16 would hold "
+                        f"209715200 coordinates, more than MAX_HELD_POINTS = {MAX_HELD_POINTS}\n")
+        assert peak_kb < 100 * 1024
 
 
 class TestMapResolution:

@@ -146,9 +146,9 @@ def commands(draw):
         argv += ["--x0", vector(), "--T", pick(["1", "0.5", "1e-4"], ["0", "-1", "nan", "50"])]
         argv += option("--policy", ["project", "lex-min", "lex-max"], 0.3, ["bogus"])
         argv += option("--v0", [vector()], 0.3)
-        argv += ["--no-mesh-check"] if rnd.random() < 0.2 else []
     if command == "solve":
         argv += option("--N", ["1", "8", "20"], 0.5, ["0", "-3"])
+        argv += ["--no-mesh-check"] if rnd.random() < 0.2 else []
     if command == "converge":
         argv += ["--N0", pick(["1", "4"], ["0", "1250001"])]
         argv += option("--levels", ["2", "3"], 0.5, ["1", "30", "10000000000"])

@@ -4,12 +4,13 @@ Each case runs ``cli.main`` with ``--no-timestamp`` and pins the exit
 code, the sha256 of stdout and, where the run writes one, the sha256 of
 the trajectory CSV.  The cases cover each policy on four catalog maps,
 a refinement study, the wcm, monotone, cyclic, growth and closed-graph
-checks (the last on piecewise, product and union images and on one
-failing native map; monotone and cyclic on passing runs whose battery
-holds exact-zero circulations and on failing runs with certificates),
-a map file and an infeasible solve, so a
-change to the arithmetic of map evaluation, selection or the checks
-shows up here as a changed digest.  Each trajectory CSV, read back,
+checks (the last on piecewise, product and union images, on one
+failing native map and on two linear map files: a shift's first scale
+moves one of them past eps and its second scale clears it; monotone
+and cyclic on passing runs whose battery holds exact-zero circulations
+and on failing runs with certificates), a map file and an infeasible
+solve, so a change to the arithmetic of map evaluation, selection or
+the checks shows up here as a changed digest.  Each trajectory CSV, read back,
 must give ``residual`` the residuals of its summary, bit for bit.
 After an intended change of
 results, print the new table with
@@ -25,6 +26,7 @@ import struct
 from pathlib import Path
 
 import pytest
+from helpers import LINEAR_MAPS
 
 from diffinc.analyzer import check_trajectory_monotone, residual
 from diffinc.cli import main, resolve_map
@@ -97,6 +99,12 @@ CASES = {
          "5"],
         False,
     ),
+    # map files written by ``run_case``; see ``helpers.LINEAR_MAPS``
+    **{
+        f"check-graph-{name}": (["check", "graph", "--map", f"{name}.json", "--seed", "1"],
+                                False)
+        for name in LINEAR_MAPS
+    },
     "check-growth-example3": (
         ["check", "growth", "--map", "example3", "--samples", "170", "--seed",
          "5"],
@@ -121,6 +129,8 @@ GOLDEN = {
     'check-graph-example1': (0, '8ebbc757cf0e232a3a270563db97776891302b5996f615a1f95cd67d1c4b4aa2', None),
     'check-graph-example2_G': (0, '59b70e033310b49910559467356b1a7acd2587cbd8e1196bd836178934b435c3', None),
     'check-graph-example4_3': (0, 'fa18907f60d0fbcf0ac38263006ba09c99488e3ed75f9546632cecaa1837585c', None),
+    'check-graph-linear_1e4': (0, '26aba83e7a07a6580a7472e8c313b93c63a4316f21fe29dc8ac706df2361fe86', None),
+    'check-graph-linear_1e8': (3, 'fde126d426abc0b2536b5432ddb49005cf5957a951b924b0ece85bde647e660d', None),
     'check-graph-normgrad3': (3, '8adeb3baca67aa896fd640a0af0d8ffd4cd65764400fd8d759688d17323bb8da', None),
     'check-growth-example3': (0, '802a8ea0a5231b5b53180e248be4795b7643c17ee56332d45635a3ef397a1222', None),
     'check-monotone-example2_F': (3, 'b777e4d32bfc5f985b5fdb386f1635fdddbe7ececc83794de06535b91325e057', None),
@@ -145,6 +155,8 @@ GOLDEN = {
 
 
 def run_case(argv, writes_csv):
+    for name, text in LINEAR_MAPS.items():
+        Path(f"{name}.json").write_text(text, encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([*argv, "--no-timestamp"])

@@ -9,6 +9,7 @@ import operator
 import random
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -632,6 +633,20 @@ class TestCoverage:
         else:
             validate_map(m)
             assert len(calls) == len(pieces) + 32
+
+    def test_validation_holds_one_random_point_at_a_time(self):
+        # a point of n doubles is about 32n bytes (8 a reference, 24 a
+        # float); the 32 random points held at once were 33 of them
+        n = 20000
+        m = parse_map(json.dumps({"dim": n, "pieces": [
+            {"region": [], "image": [[["0", "1"]] * n]}]}))
+        tracemalloc.start()
+        try:
+            validate_map(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 32 * n
 
 
 class TestRoundtrip:

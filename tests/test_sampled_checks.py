@@ -342,7 +342,7 @@ def test_passing_x_box_stops_at_the_first_surviving_y_box(monkeypatch):
 
 
 def test_checks_run_past_the_vertex_dimension_limit():
-    # vertices() refuses dimension > 16; per-box minimisation has no limit
+    # per-box minimisation lists no corners: a full 20-D box has 2^20 of them
     m = builtin("normgrad", {"n": 20})
     assert not find_monotonicity_violation(m, 5.0, 50, 7).failed
     assert not find_cyclic_violation(m, 5.0, 3, 50, 7).failed

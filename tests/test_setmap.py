@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from helpers import reference_region_boundaries
+from helpers import reference_region_boundaries, reference_vertices
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_compiled_eval import maps
 
@@ -77,11 +77,52 @@ class TestBox:
         assert b.lo == b.hi == (5.0,)
 
     def test_vertices_guard(self):
-        b = Box((0.0,) * 17, (1.0,) * 17)
-        with pytest.raises(ValueError):
-            vertices(CompactSet((b,)))
-        with pytest.raises(ValueError, match="vertices limited to dimension 16"):
-            b.corners()  # one guard, one message
+        # a full box of 18 dimensions has 2^18 corners of 18 coordinates:
+        # 4718592 coordinates, past MAX_HELD_POINTS
+        b = Box((0.0,) * 18, (1.0,) * 18)
+        message = ("the corner list of 1 box(es) of dimension 18 would hold 4718592 "
+                   f"coordinates, more than MAX_HELD_POINTS = {setmap.MAX_HELD_POINTS}")
+        for corners in (lambda: vertices(CompactSet((b,))), b.corners):
+            with pytest.raises(ValueError) as info:  # one guard, one message
+                corners()
+            assert str(info.value) == message
+        # a point of any dimension has one corner
+        wide = Box.point((0.5,) * 10 ** 5)
+        assert wide.corners() == vertices(CompactSet((wide,))) == [(0.5,) * 10 ** 5]
+        # a count past 64 bits is named by its power of two
+        with pytest.raises(ValueError, match=r"would hold at least 2\^20014 coordinates"):
+            Box((0.0,) * 20000, (1.0,) * 20000).corners()
+
+
+_corner_values = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0])
+
+
+@st.composite
+def corner_sets(draw):
+    """A set of 1-4 boxes of one dimension 1-4, over a few values; -0.0
+    and 0.0 compare equal, so a box spanning them has one choice there."""
+    n = draw(st.integers(1, 4))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        ends = [sorted(draw(st.tuples(_corner_values, _corner_values))) for _ in range(n)]
+        boxes.append(Box([a for a, _ in ends], [b for _, b in ends]))
+    return CompactSet(boxes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corner_sets(), st.integers(0, 400))
+def test_corner_list_is_refused_exactly_above_the_budget(s, budget):
+    held = sum(b.dim * 2 ** sum(lo != hi for lo, hi in zip(b.lo, b.hi)) for b in s.boxes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setmap, "MAX_HELD_POINTS", budget)
+        if held > budget:
+            with pytest.raises(ValueError, match=f"would hold {held} coordinates, more "
+                                                 f"than MAX_HELD_POINTS = {budget}$"):
+                vertices(s)
+        else:
+            # bit for bit, so the sign of a zero counts
+            assert repr(vertices(s)) == repr(reference_vertices(s))
+            assert repr([u for b in s.boxes for u in b.corners()]) == repr(vertices(s))
 
 
 class TestSupNorm:

@@ -459,6 +459,22 @@ class TestCsv:
         with pytest.raises(ValueError, match=message):
             trajectory_from_csv(text)
 
+    # every other bad row or cell is named by its row, and a cell by its
+    # column too, in the form of the non-finite message
+    @pytest.mark.parametrize("text, message", [
+        ("t,x_1,v_1\n0,0,1\n1,,1\n", "row 2, column x_1: '' is not a number"),
+        ("t,x_1,v_1\n0,0,1\n1,1,one\n", "row 2, column v_1: 'one' is not a number"),
+        ("t,x_1,v_1\r\n0,0,1\r\n1,1,x\r\n", "row 2, column v_1: 'x' is not a number"),
+        # the first bad cell in column order, whichever its kind
+        ("t,x_1,v_1\n0,nan,a\n1,1,1\n", "row 1, column x_1: nan is not finite"),
+        ("t,x_1,v_1\n0,0,1\n1,1\n", "row 2 has 2 cells, expected 3"),
+        ("t,x_1,v_1\n0,0,1,1\n1,1,1\n", "row 1 has 4 cells, expected 3"),
+    ])
+    def test_bad_rows_and_cells_name_their_place(self, text, message):
+        with pytest.raises(ValueError) as info:
+            trajectory_from_csv(text)
+        assert str(info.value) == message
+
     def test_two_rows_make_one_step(self):
         traj = trajectory_from_csv("t,x_1,v_1\n0,1,2\n0.5,2,2\n")
         assert traj.steps == 1 and traj.mesh_size == 0.5

@@ -23,6 +23,7 @@ import warnings
 
 import pytest
 from helpers import (
+    LINEAR_MAPS,
     reference_check_growth,
     reference_check_wcm,
     reference_clip,
@@ -39,7 +40,7 @@ from helpers import (
     reference_sup_norm,
     reference_wcm_pair_feasible,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_compiled_eval import maps
 from test_sampled_checks import random_maps
@@ -55,6 +56,7 @@ from diffinc.analyzer import (
     find_monotonicity_violation,
     residual,
 )
+from diffinc.mapdsl import parse_map
 from diffinc.selector import (
     SelectionPolicy,
     SignPattern,
@@ -67,7 +69,9 @@ from diffinc.setmap import (
     MAX_RADIUS,
     Box,
     CompactSet,
+    Condition,
     Expr,
+    MapDefinitionError,
     Piece,
     PiecewiseMap,
     _distance,
@@ -599,9 +603,34 @@ class TestCheckersOnPairs:
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.one_of(every_kind, st.integers(1, 3).flatmap(maps)), check_budgets,
            st.sampled_from([1e-2, 0.5, 1e-300]))
+    # the command line's defaults at seed 1
+    @example(parse_map(LINEAR_MAPS["linear_1e4"]), (5.0, 128, 1), 1e-2)
+    @example(parse_map(LINEAR_MAPS["linear_1e8"]), (5.0, 128, 1), 1e-2)
     def test_closed_graph_matches_object_path(self, m, budget, eps):
         assert json_outcome(lambda: check_closed_graph(m, *budget, eps)) == \
             json_outcome(lambda: reference_closed_graph(m, *budget, eps))
+
+    def test_closed_graph_fails_only_where_every_scale_exceeds_eps(self):
+        # {1e4*x} moves 0.1 at the first scale and 1e-3 at the second
+        passing = check_closed_graph(parse_map(LINEAR_MAPS["linear_1e4"]), 5.0, 128, 1, 1e-2)
+        assert (passing.verdict, passing.samples) == ("pass-sampled", 129)
+        failing = check_closed_graph(parse_map(LINEAR_MAPS["linear_1e8"]), 5.0, 128, 1, 1e-2)
+        assert (failing.verdict, failing.samples) == ("fail", 1)
+        assert failing.certificate["distances"] == [1000.0000000000001, 10.0]
+
+    def test_closed_graph_skips_the_scales_after_a_clearing_one(self):
+        # the image has lo > hi on (0, 1e-6), which only the second scale
+        # reaches; the first scale clears every direction at every point
+        m = PiecewiseMap(1, (
+            Piece((), (((Expr.const(0.0), Expr.const(0.0)),),)),
+            Piece((Condition(0, "gt", 0.0), Condition(0, "lt", 1e-6)),
+                  (((Expr.const(1.0), Expr.const(0.0)),),)),
+        ))
+        with pytest.raises(MapDefinitionError):
+            m.evaluate((1e-7,))
+        report = check_closed_graph(m, 5.0, 8, 1, 1e-2)
+        # the origin, the bounds 0 and 1e-6, then the 8 random points
+        assert (report.verdict, report.samples) == ("pass-sampled", 11)
 
     def test_int_radius_draws_float_points(self):
         # antisign fails at the battery pair (-radius, 0.25), as it did
