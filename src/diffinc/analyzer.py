@@ -734,6 +734,12 @@ def check_closed_graph(
     Open-region piece encodings are the typical culprit.  The points on
     the axes at the (finite) region bounds are probed first.  A
     direction is cleared at its first scale within eps.
+
+    Each point costs O(n^2) even where every image is one point: 2n + 2
+    directions (2n at n = 1), each evaluating an n-dimensional image
+    and measuring its vertices against F(x).  On a constant-zero map,
+    ``count = 1`` (two points) took 0.51 s at n = 500 and 1.9 s at
+    n = 1000 on a 2-core x86-64 VM.
     """
     if not math.isfinite(eps) or eps <= 0:
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")

@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Subcommands: ``solve`` (one polygon, CSV trajectory + JSON summary),
-``converge`` (mesh-refinement study, JSON report), ``check`` (condition
-checks, JSON report) and ``list-examples``.  ``main`` builds the
-parser of the named subcommand only; a command line that names none
-(no arguments, ``--help``, an unknown command) gets the parser of all
-four, with the same usage, help and error text either way.
+Subcommands: ``solve`` (one polygon, JSON summary), ``converge``
+(mesh-refinement study), ``check`` (condition checks) and
+``list-examples`` (the builtin catalog).  ``main`` builds the parser of
+the named subcommand only; a command line that names none (no
+arguments, ``--help``, an unknown command) gets the parser of all four,
+with the same usage, help and error text either way.
+
+Output: on exit 0, 2 or 3 a command prints one JSON document on stdout,
+the same bytes on every run; on exit 1 it prints nothing there and the
+error goes to stderr.  ``solve --output`` writes the trajectory CSV,
+the only file a command writes, and only when the solve succeeds.
 
 Exit codes: 0 success / pass, 1 usage or map errors, 2 infeasible
 selection (certificate printed), 3 a check found a counterexample.
@@ -18,7 +23,6 @@ import json
 import os
 import re
 import sys
-import time
 from typing import Sequence
 
 from . import analyzer, mapdsl, solver
@@ -75,16 +79,9 @@ def _policy(args: argparse.Namespace) -> SelectionPolicy:
     return SelectionPolicy(args.policy.replace("-", "_"))
 
 
-def _emit(payload: dict, args: argparse.Namespace, output: str | None) -> None:
-    """Print the JSON report, timestamped unless --no-timestamp, and
-    write it to ``output`` too when that is given."""
-    if not args.no_timestamp:
-        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+def _emit(payload: dict | list) -> None:
+    """Print ``payload`` as the command's one JSON document."""
+    print(json.dumps(payload, indent=2))
 
 
 def _add_map_options(p: argparse.ArgumentParser) -> None:
@@ -105,12 +102,6 @@ def _add_solve_options(p: argparse.ArgumentParser) -> None:
                    help="initial velocity override, comma-separated")
 
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="write the report/trajectory here")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp field (byte-reproducible output)")
-
-
 def _add_solve_arguments(p: argparse.ArgumentParser) -> None:
     _add_map_options(p)
     _add_solve_options(p)
@@ -118,7 +109,8 @@ def _add_solve_arguments(p: argparse.ArgumentParser) -> None:
                    help="mesh steps (default: smallest n with h*M < 1)")
     p.add_argument("--no-mesh-check", action="store_true",
                    help="run even when n violates h*M < 1")
-    _add_output_options(p)
+    p.add_argument("--output", default=None,
+                   help="write the trajectory CSV here (only when the solve succeeds)")
 
 
 def _add_converge_arguments(p: argparse.ArgumentParser) -> None:
@@ -126,7 +118,6 @@ def _add_converge_arguments(p: argparse.ArgumentParser) -> None:
     _add_solve_options(p)
     p.add_argument("--N0", type=int, required=True, help="coarsest mesh steps")
     p.add_argument("--levels", type=int, default=4)
-    _add_output_options(p)
 
 
 def _add_check_arguments(p: argparse.ArgumentParser) -> None:
@@ -139,11 +130,6 @@ def _add_check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cycle-len", type=int, default=3)
     p.add_argument("--eps", type=float, default=1e-2,
                    help="closed-graph distance threshold")
-    _add_output_options(p)
-
-
-def _add_list_examples_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -155,9 +141,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         m, x0, args.T, args.N, policy, v0,
         enforce_mesh=not args.no_mesh_check,
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(solver.trajectory_to_csv(traj))
     node_res, interval_res = analyzer.residual(traj, m)
     summary = {
         "map": m.label,
@@ -173,7 +156,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "interval_residual": interval_res,
         "output": args.output,
     }
-    _emit(summary, args, None)  # --output holds the trajectory
+    if args.output:  # last, so that a solve that fails leaves no file
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(solver.trajectory_to_csv(traj))
+    _emit(summary)
     return 0
 
 
@@ -182,7 +168,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     x0 = _parse_vector(args.x0, "--x0")
     v0 = _parse_vector(args.v0, "--v0") if args.v0 else None
     report = solver.converge(m, x0, args.T, args.N0, args.levels, _policy(args), v0)
-    _emit(report.to_json_dict(), args, args.output)
+    _emit(report.to_json_dict())
     return 0
 
 
@@ -209,25 +195,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = analyzer.check_growth(m, args.radius, samples, args.seed)
     payload = report.to_json_dict()
     payload["map"] = m.label
-    _emit(payload, args, args.output)
+    _emit(payload)
     return 3 if report.failed else 0
 
 
 def cmd_list_examples(args: argparse.Namespace) -> int:
-    rows = [
+    _emit([
         {"name": b.name, "dim": b.dim,
          "params": {p: f"{meaning} (default {default})"
                     for p, default, meaning in b.params},
          "about": b.about}
         for b in BUILTINS.values()
-    ]
-    if args.json:
-        print(json.dumps(rows, indent=2))
-        return 0
-    for row in rows:
-        params = ", ".join(f"{k}: {v}" for k, v in row["params"].items()) or "-"
-        print(f"{row['name']:<12} dim {row['dim']:<3} params: {params}")
-        print(f"{'':<12} {row['about']}")
+    ])
     return 0
 
 
@@ -236,8 +215,7 @@ _COMMANDS = (
     ("solve", "build one Euler polygon", _add_solve_arguments, cmd_solve),
     ("converge", "mesh-refinement study", _add_converge_arguments, cmd_converge),
     ("check", "verify or refute a condition on a map", _add_check_arguments, cmd_check),
-    ("list-examples", "catalog of builtin maps", _add_list_examples_arguments,
-     cmd_list_examples),
+    ("list-examples", "catalog of builtin maps", lambda p: None, cmd_list_examples),
 )
 
 
@@ -267,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = args.run(args)
         except WcmInfeasible as e:
             print(f"infeasible: {e}", file=sys.stderr)
-            print(json.dumps({"infeasible": e.to_json_dict()}, indent=2))
+            _emit({"infeasible": e.to_json_dict()})
             code = 2
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code

@@ -296,8 +296,7 @@ def test_example4_store_keeps_one_image_a_class(monkeypatch):
     # the whole CLI run at n = 10; a store that kept each battery point's
     # own image peaked at about 81 MB there
     code, err, peak_kb = measured_cli("check", "wcm", "--map", "example4", "--dim", "10",
-                                      "--radius", "5", "--samples", "10", "--seed", "7",
-                                      "--no-timestamp")
+                                      "--radius", "5", "--samples", "10", "--seed", "7")
     assert (code, err) == (0, "")
     assert peak_kb <= 40 * 1024
 

@@ -245,7 +245,7 @@ def test_exact_sum_runs_for_the_non_positive_cycles_alone(monkeypatch):
         counts["calls"] = 0
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["check", condition, "--map", name, "--samples",
-                         str(count), "--seed", "1", "--no-timestamp"])
+                         str(count), "--seed", "1"])
         assert code == 0
         m = resolve_map(name)
         # one _min_vertex call per term of each cycle that goes exact: a
@@ -265,8 +265,7 @@ def test_the_exact_sum_walks_only_candidate_boxes(monkeypatch):
     counts = _counting_min_vertex(monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["check", "monotone", "--map", "example4", "--dim", "12",
-                     "--no-timestamp"])
+        code = main(["check", "monotone", "--map", "example4", "--dim", "12"])
     assert code == 3
     assert counts["boxes"] == 4096
     value = strict_json(out.getvalue())["certificate"]["value"]

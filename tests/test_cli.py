@@ -31,7 +31,7 @@ class TestSolve:
         code, out, _ = run(
             capsys, "solve", "--map", "example4", "--dim", "2",
             "--x0", "-1,-0.5", "--v0", "-1,-1", "--T", "1", "--N", "16",
-            "--output", str(out_file), "--no-timestamp",
+            "--output", str(out_file),
         )
         assert code == 0
         summary = json.loads(out)
@@ -56,7 +56,7 @@ class TestSolve:
         code, out, err = run(
             capsys, "solve", "--map", "example4", "--dim", "1", "--x0", "-1",
             "--v0", "-1", "--T", "1", "--N", "8", "--format", "json",
-            "--output", str(out_file), "--no-timestamp",
+            "--output", str(out_file),
         )
         assert code == 1 and out == ""
         assert "unrecognized arguments: --format json" in err
@@ -66,7 +66,7 @@ class TestSolve:
     def test_pinned_example1(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--map", "example1", "--x0", "0", "--v0", "1",
-            "--T", "1", "--N", "10", "--no-timestamp",
+            "--T", "1", "--N", "10",
         )
         assert code == 0
         assert json.loads(out)["terminal"][0] == pytest.approx(1.0, abs=1e-12)
@@ -74,7 +74,7 @@ class TestSolve:
     def test_infeasible_exit_2_with_certificate(self, capsys):
         code, out, err = run(
             capsys, "solve", "--map", "antisign", "--x0", "1", "--v0", "-1",
-            "--T", "2", "--N", "64", "--no-timestamp",
+            "--T", "2", "--N", "64",
         )
         assert code == 2
         cert = json.loads(out)["infeasible"]
@@ -89,24 +89,40 @@ class TestSolve:
         assert code == 1
         assert "h*M" in err
 
+    def test_failed_solve_leaves_no_csv(self, capsys, tmp_path):
+        # the polygon is built; residual's interior sample then meets an empty image
+        path = tmp_path / "bad_image.json"
+        path.write_text(json.dumps({"dim": 1, "pieces": [{"region": [], "image": [
+            [["2*sign(x-0.123456)*sign(0.123457-x)", "1"]]]}]}))
+        out_file = tmp_path / "traj.csv"
+        with pytest.warns(UserWarning, match="declares no growth constants"):
+            code, out, err = run(capsys, "solve", "--map", str(path), "--x0", "0", "--v0", "1",
+                                 "--T", "1.234565", "--N", "2", "--output", str(out_file))
+        assert code == 1 and out == ""
+        assert err == "error: map 'piecewise' produced lo 2.0 > hi 1.0 at (0.1234565,)\n"
+        assert not out_file.exists()
+
 
 class TestConverge:
     def test_report_written(self, capsys, tmp_path):
-        out_file = tmp_path / "report.json"
-        code, out, _ = run(
-            capsys, "converge", "--map", "example4", "--dim", "1",
-            "--x0", "-1", "--v0", "-1", "--T", "1", "--N0", "16",
-            "--levels", "3", "--output", str(out_file), "--no-timestamp",
-        )
+        # stdout is the report; --output names solve's trajectory only
+        argv = ["converge", "--map", "example4", "--dim", "1", "--x0", "-1", "--v0", "-1",
+                "--T", "1", "--N0", "16", "--levels", "3"]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        doc = json.loads(out_file.read_text(encoding="utf-8"))
+        doc = json.loads(out)
         assert doc["deltas"] == [0.0, 0.0]
         assert [lvl["steps"] for lvl in doc["levels"]] == [16, 32, 64]
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, *argv, "--output", str(out_file))
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --output" in err
+        assert not out_file.exists()
 
     def test_infeasible_exit_2_with_level(self, capsys):
         code, out, _ = run(
             capsys, "converge", "--map", "antisign", "--x0", "1", "--v0", "-1",
-            "--T", "2", "--N0", "8", "--levels", "3", "--no-timestamp",
+            "--T", "2", "--N0", "8", "--levels", "3",
         )
         assert code == 2
         assert json.loads(out)["infeasible"]["level"] == 0
@@ -115,7 +131,6 @@ class TestConverge:
         code, out, _ = run(
             capsys, "converge", "--map", "example2F", "--x0", "1", "--v0", "1",
             "--policy", "lex-max", "--T", "1", "--N0", "125", "--levels", "3",
-            "--no-timestamp",
         )
         assert code == 0
         deltas = json.loads(out)["deltas"]
@@ -133,7 +148,7 @@ class TestCheck:
     def test_wcm_pass_exit_0(self, capsys):
         code, out, _ = run(
             capsys, "check", "wcm", "--map", "example3", "--radius", "10",
-            "--samples", "300", "--seed", "7", "--no-timestamp",
+            "--samples", "300", "--seed", "7",
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "pass-sampled"
@@ -141,7 +156,7 @@ class TestCheck:
     def test_monotone_fail_exit_3(self, capsys):
         code, out, _ = run(
             capsys, "check", "monotone", "--map", "example2F", "--radius", "5",
-            "--samples", "500", "--seed", "7", "--no-timestamp",
+            "--samples", "500", "--seed", "7",
         )
         assert code == 3
         doc = json.loads(out)
@@ -150,14 +165,14 @@ class TestCheck:
     def test_wcm_normgrad_fail(self, capsys):
         code, out, _ = run(
             capsys, "check", "wcm", "--map", "normgrad2", "--radius", "5",
-            "--samples", "2000", "--seed", "42", "--no-timestamp",
+            "--samples", "2000", "--seed", "42",
         )
         assert code == 3
 
     def test_growth_pass_reports_the_declared_constants(self, capsys):
         code, out, _ = run(
             capsys, "check", "growth", "--map", "example1", "--radius", "10",
-            "--samples", "100", "--seed", "7", "--no-timestamp",
+            "--samples", "100", "--seed", "7",
         )
         assert code == 0
         doc = json.loads(out)
@@ -168,8 +183,7 @@ class TestCheck:
     def test_growth_fail_reports_a_certificate(self, capsys, tmp_path):
         path = tmp_path / "low_growth.json"
         path.write_text('{"dim": 1, "growth": [0.1, 0], "builtin": {"name": "example1"}}')
-        code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--samples", "5",
-                           "--no-timestamp")
+        code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--samples", "5")
         assert code == 3
         doc = json.loads(out)
         assert (doc["verdict"], doc["samples"], doc["declared"]) == ("fail", 1, [0.1, 0.0])
@@ -181,7 +195,7 @@ class TestCheck:
         # g - A - B*r rounded to 4.4e-16 here although g <= A + B*r
         code, out, _ = run(
             capsys, "check", "growth", "--map", "example2G", "--radius", "3.37",
-            "--samples", "100", "--seed", "810910", "--no-timestamp",
+            "--samples", "100", "--seed", "810910",
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "pass-sampled"
@@ -194,7 +208,7 @@ class TestCheck:
             {"region": [{"var": 1, "op": "le", "bound": 0}], "image": [[["0", "0"]]]},
             {"region": [{"var": 1, "op": "gt", "bound": 0}], "image": [[["1", "1"]]]}]}))
         code, out, _ = run(capsys, "check", "growth", "--map", str(path), "--radius",
-                           "1e-310", "--samples", "20", "--seed", "1", "--no-timestamp")
+                           "1e-310", "--samples", "20", "--seed", "1")
         assert code == 0
         assert strict_json(out)["verdict"] == "pass-sampled"
 
@@ -205,7 +219,7 @@ class TestCheck:
         path.write_text(json.dumps({"dim": 1, "pieces": [{"region": [], "image": [
             [["-1e300*sign(x)", "-1e300*sign(x)"]]]}]}))
         code, out, _ = run(capsys, "check", condition, "--map", str(path),
-                           "--radius", "1e300", "--no-timestamp")
+                           "--radius", "1e300")
         assert code == 3
         assert '"value": -Infinity' in out
         doc = json.loads(out)
@@ -232,7 +246,7 @@ class TestCheck:
             {"region": [{"var": 1, "op": "le", "bound": math.inf}], "image": [[["x", "x"]]]},
             {"region": [{"var": 1, "op": "ge", "bound": 0}], "image": [[["x", "x"]]]}]}))
         code, out, err = run(capsys, "check", condition, "--map", str(path),
-                             "--samples", "50", "--no-timestamp")
+                             "--samples", "50")
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "pass-sampled"
 
@@ -245,33 +259,37 @@ class TestCheck:
             {"region": [{"var": 2, "op": "le", "bound": 0}],
              "image": [[["1.7e308", "1.7e308"], ["2", "2"]]]}]}))
         code, out, _ = run(capsys, "check", "wcm", "--map", str(path), "--samples", "10",
-                           "--seed", "1", "--no-timestamp")
+                           "--seed", "1")
         assert code == 3
         assert strict_json(out)["certificate"]["v"] == [1.7e308, 2.0]
 
     def test_graph_check_runs(self, capsys):
         code, out, _ = run(
             capsys, "check", "graph", "--map", "example1", "--samples", "30",
-            "--seed", "7", "--no-timestamp",
+            "--seed", "7",
         )
         assert code == 0
 
-    def test_byte_identical_reports(self, capsys, tmp_path):
-        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+    def test_byte_identical_reports(self, capsys):
         argv = ["check", "wcm", "--map", "example1", "--radius", "5",
-                "--samples", "200", "--seed", "11", "--no-timestamp"]
-        assert main(argv + ["--output", str(f1)]) == 0
-        assert main(argv + ["--output", str(f2)]) == 0
-        capsys.readouterr()
-        assert f1.read_bytes() == f2.read_bytes()
+                "--samples", "200", "--seed", "11"]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == 0 and first[1] != ""
+        assert first == second
 
-    def test_timestamp_present_by_default(self, capsys):
-        code, out, _ = run(
-            capsys, "check", "wcm", "--map", "example1", "--samples", "50",
-            "--seed", "1",
-        )
-        assert code == 0
-        assert "timestamp" in json.loads(out)
+    def test_no_report_has_a_timestamp(self, capsys):
+        for argv in (
+            ["solve", "--map", "example1", "--x0", "0", "--T", "1", "--N", "4"],
+            ["solve", "--map", "antisign", "--x0", "1", "--v0", "-1", "--T", "2", "--N", "64"],
+            ["converge", "--map", "example1", "--x0", "0", "--T", "1", "--N0", "4",
+             "--levels", "2"],
+            ["check", "wcm", "--map", "example1", "--samples", "50", "--seed", "1"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code in (0, 2) and "timestamp" not in out
+            code, out, err = run(capsys, *argv, "--no-timestamp")
+            assert code == 1 and out == ""
+            assert "unrecognized arguments: --no-timestamp" in err
 
 
 class TestListExamples:
@@ -282,10 +300,13 @@ class TestListExamples:
             assert name in out
 
     def test_json_listing(self, capsys):
-        code, out, _ = run(capsys, "list-examples", "--json")
+        code, out, _ = run(capsys, "list-examples")
         assert code == 0
         rows = json.loads(out)
         assert {r["name"] for r in rows} >= {"example1", "normgrad"}
+        code, out, err = run(capsys, "list-examples", "--json")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --json" in err
 
 
 class TestClosedStdout:
@@ -299,7 +320,7 @@ class TestClosedStdout:
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "diffinc.cli", "check", "growth", "--map",
-             "example1", "--samples", "50", "--seed", "1", "--no-timestamp"],
+             "example1", "--samples", "50", "--seed", "1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         proc.stdout.close()  # before the child has started, so before it writes
         err = proc.stderr.read()
@@ -375,7 +396,7 @@ class TestUsageErrors:
         "converge --map normgrad2 --x0 1.7e308,1.7e308 --T 1 --N0 4 --levels 2",
     ])
     def test_speed_bound_without_state_growth_ignores_the_state(self, capsys, argv):
-        code, out, err = run(capsys, *argv.split(), "--no-timestamp")
+        code, out, err = run(capsys, *argv.split())
         assert code == 0 and "Traceback" not in err
         if argv.startswith("solve"):
             report = json.loads(out)
@@ -385,7 +406,7 @@ class TestUsageErrors:
     def test_overflowing_bounds_warn_without_the_mesh_check(self, capsys):
         with pytest.warns(UserWarning, match="no finite mesh"):
             code, out, err = run(capsys, "solve", "--map", "example2_F", "--x0", "1e308",
-                                 "--T", "1", "--N", "4", "--no-mesh-check", "--no-timestamp")
+                                 "--T", "1", "--N", "4", "--no-mesh-check")
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["terminal"] == [1e308]
 
@@ -471,14 +492,14 @@ class TestUsageErrors:
         codes.add(run(capsys, "list-examples")[0])
         codes.add(run(capsys, "solve", "--map", "nosuch", "--x0", "0", "--T", "1")[0])
         codes.add(run(capsys, "solve", "--map", "antisign", "--x0", "1", "--v0", "-1",
-                      "--T", "2", "--N", "32", "--no-timestamp")[0])
+                      "--T", "2", "--N", "32")[0])
         codes.add(run(capsys, "check", "monotone", "--map", "example1",
-                      "--samples", "300", "--seed", "7", "--no-timestamp")[0])
+                      "--samples", "300", "--seed", "7")[0])
         assert codes <= {0, 1, 2, 3}
         # each check passes or fails with a report in strict JSON
         for condition in ("wcm", "monotone", "cyclic", "growth", "graph"):
             code, out, _ = run(capsys, "check", condition, "--map", "example3",
-                               "--samples", "50", "--seed", "1", "--no-timestamp")
+                               "--samples", "50", "--seed", "1")
             assert code in (0, 3)
             assert strict_json(out)["verdict"] in ("pass-sampled", "fail")
 
@@ -507,7 +528,7 @@ class TestBuiltinParameters:
     def test_example4_in_high_dimension(self, capsys):
         ones = ",".join(["1"] * 1200)
         code, out, _ = run(capsys, "solve", "--map", "example4", "--dim", "1200",
-                           "--x0", ones, "--T", "1e-4", "--no-timestamp")
+                           "--x0", ones, "--T", "1e-4")
         assert code == 0
         assert json.loads(out)["node_residual"] == 0.0
 
@@ -566,7 +587,7 @@ class TestHeldPointsLimit:
     ])
     def test_exits_1_before_drawing(self, capsys, argv, held):
         start = time.perf_counter()
-        code, out, err = run(capsys, "check", *argv, "--no-timestamp")
+        code, out, err = run(capsys, "check", *argv)
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
         assert held in err and f"MAX_HELD_POINTS = {MAX_HELD_POINTS}" in err
@@ -577,7 +598,7 @@ class TestHeldPointsLimit:
         path.write_text('{"dim": 1, "growth": [0.1, 0], "builtin": {"name": "example1"}}')
         start = time.perf_counter()
         code, out, _ = run(capsys, "check", "growth", "--map", str(path),
-                           "--samples", "30000000", "--no-timestamp")
+                           "--samples", "30000000")
         assert time.perf_counter() - start < 0.5
         assert code == 3 and json.loads(out)["samples"] == 1
 
@@ -608,7 +629,7 @@ class TestImageBudget:
         # the image holds 2^40 boxes; the 20-factor half would hold 2^20
         path = tmp_path / "product40.json"
         path.write_text(json.dumps(_balanced_product(40)))
-        code, text, peak_kb = measured_cli(*argv, "--map", str(path), "--no-timestamp")
+        code, text, peak_kb = measured_cli(*argv, "--map", str(path))
         assert code == 1, text
         assert text.startswith("error: ") and message in text and "Traceback" not in text
         # the refusing half names its own dimension
@@ -639,7 +660,7 @@ class TestGraphCornerBudget:
         # each image of normgrad is a set of points, one corner each; the
         # k = 4 unit vectors at the origin miss e_3
         code, out, err = run(capsys, "check", "graph", "--map", "normgrad", "--dim", "20",
-                             "--samples", "1", "--no-timestamp")
+                             "--samples", "1")
         assert code == 3 and err == ""
         report = json.loads(out)
         e3 = [0.0] * 20
@@ -664,7 +685,7 @@ class TestGraphCornerBudget:
         path = tmp_path / "boxes200.json"
         path.write_text(json.dumps({"dim": 16, "pieces": [{"region": [], "image": boxes}]}))
         code, text, peak_kb = measured_cli("check", "graph", "--map", str(path),
-                                           "--samples", "1", "--no-timestamp")
+                                           "--samples", "1")
         assert code == 1 and "Traceback" not in text
         assert text == ("error: the corner list of 200 box(es) of dimension 16 would hold "
                         f"209715200 coordinates, more than MAX_HELD_POINTS = {MAX_HELD_POINTS}\n")
@@ -690,7 +711,7 @@ class TestMapResolution:
         # no --N: the mesh is sized from the growth constants in the file
         code, out, _ = run(
             capsys, "solve", "--map", str(src), "--x0", "0.5,0.5",
-            "--T", "0.25", "--no-timestamp",
+            "--T", "0.25",
         )
         assert code == 0
         doc = json.loads(out)

@@ -92,8 +92,8 @@ def test_a_command_adds_only_its_own_arguments(added, capsys):
     assert cli.main(["check", "wcm", "--map", "example1", "--samples", "5"]) == 0
     assert added["subcommands"] == ["check"]
     assert sorted(set(added["arguments"])) == ["diffinc", "diffinc check"]
-    # -h, the condition, 3 map, 5 sampling and 2 output options
-    assert added["arguments"].count("diffinc check") == 12
+    # -h, the condition, 3 map and 5 sampling options
+    assert added["arguments"].count("diffinc check") == 10
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]])

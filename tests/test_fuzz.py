@@ -2,7 +2,9 @@
 
 ``parse_map`` on random and mutated map documents raises nothing but
 ``ParseError`` and ``MapDefinitionError``; ``cli.main`` on command lines
-drawn from its real subcommands and flags returns an exit code in 0-3.
+drawn from its real subcommands and flags returns an exit code in 0-3,
+prints one JSON document unless that code is 1 and nothing if it is,
+and writes a file only for a ``solve --output`` that exits 0.
 Sizes stay small: a ``check`` on ``example4`` costs 2^n boxes per point
 with zero coordinates, so dimensions above 3 appear only where they end
 before a check runs.
@@ -12,6 +14,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -135,7 +138,7 @@ def commands(draw):
     command = pick(["solve", "converge", "check", "list-examples"], ["", "bogus"], 0.03)
     argv = [command] if command else []
     if command == "list-examples":
-        return argv + pick([[], ["--json"]], [["--frobnicate"]])
+        return argv + pick([[]], [["--frobnicate"], ["--json"]])
     if command == "check":
         argv.append(pick(["wcm", "monotone", "cyclic", "growth", "graph"], ["bogus"], 0.03))
     if command in ("solve", "converge", "check"):
@@ -159,9 +162,12 @@ def commands(draw):
         argv += option("--seed", ["0", "7", "-1"])
         argv += option("--cycle-len", ["2", "3"], 0.3, ["0"])
         argv += option("--eps", ["0.01"], 0.2, ["0", "nan"])
-    if command in ("solve", "converge", "check"):
+    if command == "solve":
         argv += option("--output", ["{tmp}/out"], 0.3, ["{tmp}"])
-        argv += ["--no-timestamp"] if rnd.random() < 0.5 else []
+    if command in ("solve", "converge", "check"):
+        # removed options, each an unrecognized argument now
+        removed = [["--no-timestamp"]] + [["--output", "{tmp}/out"]] * (command != "solve")
+        argv += pick([[]], removed, 0.1)
     return argv
 
 
@@ -173,11 +179,23 @@ def commands(draw):
 @example(["converge", "--map", "example1", "--x0", "0", "--T", "1", "--N0", "1250001",
           "--levels", "2"])
 @example(["solve", "--map", "example3", "--x0", "0,0", "--T", "1000", "--N", "4"])
+# printed its report, then failed to write a copy into the directory
+@example(["check", "wcm", "--map", "example1", "--samples", "5", "--seed", "1",
+          "--output", "{tmp}"])
+@example(["solve", "--map", "example1", "--x0", "0", "--T", "1", "--N", "4", "--output", "{tmp}"])
 def test_cli_returns_only_contract_exit_codes(argv):
+    out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{tmp}", tmp) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # --no-mesh-check warns by design
             code = main(argv)
+        written = os.listdir(tmp)
+        csv = os.path.join(tmp, "out")
     assert code in (0, 1, 2, 3)
+    assert (out.getvalue() == "") == (code == 1)
+    if code != 1:
+        json.loads(out.getvalue())  # one document: trailing data fails
+    solved = argv[:1] == ["solve"] and code == 0 and csv in argv
+    assert written == (["out"] if solved else [])

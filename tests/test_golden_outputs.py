@@ -1,8 +1,8 @@
 """Pinned output bytes of the CLI.
 
-Each case runs ``cli.main`` with ``--no-timestamp`` and pins the exit
-code, the sha256 of stdout and, where the run writes one, the sha256 of
-the trajectory CSV.  The cases cover each policy on four catalog maps,
+Each case runs ``cli.main`` and pins the exit code, the sha256 of
+stdout and, where the run writes one, the sha256 of the trajectory CSV.
+The cases cover each policy on four catalog maps,
 a refinement study, the wcm, monotone, cyclic, growth and closed-graph
 checks (the last on piecewise, product and union images, on one
 failing native map and on two linear map files: a shift's first scale
@@ -159,7 +159,7 @@ def run_case(argv, writes_csv):
         Path(f"{name}.json").write_text(text, encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*argv, "--no-timestamp"])
+        code = main(argv)
     csv_digest = None
     if writes_csv:
         csv_digest = hashlib.sha256(Path("traj.csv").read_bytes()).hexdigest()
@@ -185,7 +185,7 @@ def test_csv_replays_the_summary_residuals(name, tmp_path, monkeypatch):
     argv, _ = CASES[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main([*argv, "--no-timestamp"]) == 0
+        assert main(argv) == 0
     summary = json.loads(out.getvalue())
     m = resolve_map(argv[argv.index("--map") + 1],
                     int(argv[argv.index("--dim") + 1]) if "--dim" in argv else None)

@@ -332,6 +332,28 @@ class TestConverge:
         assert rep.trajectories[0].terminal[0] == pytest.approx(1.0, abs=1e-12)
         assert all(mono == ("increasing",) for mono in rep.monotone)
 
+    @pytest.mark.parametrize("name, params, x0", [
+        ("example1", {}, (0.0,)),
+        ("example2_F", {}, (1.0,)),
+        ("example3", {}, (-1.0, 0.5)),
+        ("example4", {"n": 2}, (-1.0, -0.5)),
+        ("example2_G", {}, (0.5,)),
+    ])
+    def test_deltas_match_interpolated_reference(self, name, params, x0):
+        # each level pair compares nodes by index; interpolating the fine
+        # level at the coarse times gives the same doubles
+        m = builtin(name, params)
+        for policy in ("project", "lex_min", "lex_max"):
+            for horizon in (1.0, 0.7414703308148386, 0.3):
+                rep = converge(m, x0, horizon, 7, 4, SelectionPolicy(policy))
+                reference = []
+                for coarse, fine in zip(rep.trajectories, rep.trajectories[1:]):
+                    assert fine.times[::2] == coarse.times
+                    reference.append(max(
+                        math.hypot(*(a - b for a, b in zip(node, fine.interpolate(t))))
+                        for t, node in zip(coarse.times, coarse.nodes)))
+                assert rep.deltas == tuple(reference), (name, policy, horizon)
+
     def test_infeasibility_carries_level(self):
         with pytest.raises(WcmInfeasible) as err:
             converge(builtin("antisign"), (1.0,), 2.0, 8, 3, v0=(-1.0,))
