@@ -856,19 +856,18 @@ def residual(traj, m: SetValuedMap) -> tuple[float, float]:
     samples RESIDUAL_SAMPLES states strictly inside each interval;
     expected O(h) away from image discontinuities.
 
-    Every node image and every interior image is evaluated afresh from
-    the map, independently of the solve that built the trajectory, so a
-    selection bug shows as a nonzero node residual.  A ``Trajectory`` is
-    checked where it is built, so only its dimension is checked against
-    the map's; the images come from the map's trusted ``_eval``.
-    Membership is exact: a distance is 0.0 exactly when the velocity
-    lies in the image, because a float difference is 0 only between
-    equal values and never changes sign, so each coordinate gap
-    ``max(lo - v, v - hi, 0.0)`` is 0.0 exactly when ``lo <= v <= hi``.
-    A nonzero distance is ``math.hypot`` of rounded gaps, accurate to a
-    few ulps, and the interior sample states carry the rounding of
-    ``x + dt * v``.  Two shortcuts leave both maxima unchanged, bit for
-    bit; every image is still evaluated and corner-checked:
+    The images are evaluated from the map, independently of the solve
+    that built the trajectory, so a selection bug shows as a nonzero
+    node residual.  A ``Trajectory`` is checked where it is built, so
+    only its dimension is checked against the map's; the images come
+    from the map's trusted ``_eval``.  Membership is exact: a distance
+    is 0.0 exactly when the velocity lies in the image, because a float
+    difference is 0 only between equal values and never changes sign,
+    so each coordinate gap ``max(lo - v, v - hi, 0.0)`` is 0.0 exactly
+    when ``lo <= v <= hi``.  A nonzero distance is ``math.hypot`` of
+    rounded gaps, accurate to a few ulps, and the interior sample states
+    carry the rounding of ``x + dt * v``.  Four shortcuts leave both
+    maxima unchanged, bit for bit:
 
     * each distance stops at the first box within the running maximum
       (``_distance``'s ``stop``);
@@ -876,25 +875,47 @@ def residual(traj, m: SetValuedMap) -> tuple[float, float]:
       (``==``) to the previous sample's has the distance that sample
       already folded into the running maximum (equal corners give
       equal gaps up to the sign of a zero, which ``hypot`` drops); its
-      distance is not computed again.
+      distance is not computed again;
+    * a step whose node and velocity are the previous step's objects
+      (a ``Trajectory`` shares them between steps that repeat bit for
+      bit), as on a polygon that sits at a fixed point, has that step's
+      node image, since ``_eval`` is a pure function of its point, and
+      so its node distance; neither is computed again;
+    * such a step's interior samples ``x + dt * v`` are the previous
+      step's too when its span equals the previous span or v is all
+      zeros, and then they are not evaluated again.  Otherwise the
+      spans of a uniform mesh differ by ulps, and so may the samples.
 
-    A maximum is raised only by a strictly larger distance, so it keeps
-    its earlier value on a tie, as ``max`` would.
+    So every distinct node and every distinct run of interior samples
+    is evaluated and corner-checked.  A maximum is raised only by a
+    strictly larger distance, so it keeps its earlier value on a tie,
+    as ``max`` would.
     """
     if traj.dim != m.dim:
         raise ValueError(f"trajectory has dimension {traj.dim}, {m} has {m.dim}")
     evaluate = m._eval
+    nodes = traj.nodes
+    velocities = traj.velocities
     node_res = 0.0
-    for x, v in zip(traj.nodes, traj.velocities):
+    px = pv = None
+    for x, v in zip(nodes, velocities):
+        if x is px and v is pv:
+            continue
+        px, pv = x, v
         d = _distance(evaluate(x), v, node_res)
         if d > node_res:
             node_res = d
     interval_res = 0.0
     parts = RESIDUAL_SAMPLES + 1
     times = traj.times
-    for i, (x, v) in enumerate(zip(traj.nodes, traj.velocities)):
-        t0 = times[i]
-        span = times[i + 1] - t0
+    last = 0.0  # the previous step's span; every span is > 0
+    px = pv = None
+    for i, (x, v) in enumerate(zip(nodes, velocities)):
+        span = times[i + 1] - times[i]
+        again = x is px and v is pv and (span == last or not any(v))
+        px, pv, last = x, v, span
+        if again:
+            continue
         seen = None
         for k in range(1, parts):
             dt = span * k / parts

@@ -39,8 +39,8 @@ validation, not expression parsing).  Expressions nest at most
 binary operator adds one, so an operator chain counts as deep as it is
 long; deeper input is a ``ParseError`` at the offset where the limit
 is crossed.  Likewise a document nests at most ``MAX_MAP_DEPTH`` JSON
-arrays and objects, and an integer literal longer than ``int()``
-converts (4300 digits by default) is a ``ParseError`` too.
+arrays and objects, and an integer literal or a variable index longer
+than ``int()`` converts (4300 digits by default) is a ``ParseError`` too.
 """
 
 from __future__ import annotations
@@ -192,7 +192,13 @@ class _ExprParser:
                 return Expr.var(0), 1
             m = re.fullmatch(r"x(\d+)", text)
             if m:
-                index = int(m.group(1))
+                try:
+                    index = int(m.group(1))
+                except ValueError:  # the int() digit limit
+                    raise ParseError(
+                        f"variable index longer than {sys.get_int_max_str_digits()} digits",
+                        _byte_offset(self.src, pos),
+                    ) from None
                 if index < 1:
                     raise ParseError(
                         "variable indices are 1-based",

@@ -7,6 +7,16 @@ previous displacement.  The rule is exact, with no tolerance, so each
 coordinate of the polygon and of its derivative is monotone, and every
 velocity lies in the image at its node (node residual exactly 0).
 
+A step depends on nothing but the previous node and velocity, so a
+polygon whose step reproduces its input bit for bit, as at a point
+with 0 in F(x), has reached a fixed point: ``euler_polygon`` appends
+the remaining steps without computing them.  A ``Trajectory`` gives
+the steps that repeat bit for bit one shared tuple, so
+``analyzer.residual`` measures each run of repeated steps once and
+``trajectory_to_csv`` formats a repeated row's node and velocity once,
+both telling a repeat by identity.  This rests on the maps being pure
+(see ``setmap``), and the bytes are those of stepping.
+
 A-priori bounds: if ``sup_norm(F(x)) <= A + B*|x|`` then every solution
 of the inflated inclusion satisfies ``|x(t)| <= L`` and speed ``<= M``
 where (Gronwall majorant ``r' = A + B + 1 + B*r``)::
@@ -23,11 +33,13 @@ with the check off (``--no-mesh-check``) the solve warns.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from . import analyzer
 from .selector import (
@@ -103,6 +115,46 @@ def min_steps(bounds: GrowthBounds) -> int:
     return int(math.floor(tm)) + 1
 
 
+_PACKERS: dict[int, object] = {}  # dimension -> struct.Struct(f"{n}d").pack
+
+
+def _identical(a: Vector, b: Vector) -> bool:
+    """Whether two float tuples hold the same doubles bit for bit: one
+    object, or equal under ``==`` with zeros of the same sign
+    (``-0.0 == 0.0``, yet ``x + h*v`` and the CSV tell them apart).  A
+    NaN matches only itself as the same object."""
+    if a is b:
+        return True
+    if a != b:
+        return False
+    if 0.0 not in a:
+        return True
+    pack = _PACKERS.get(len(a))
+    if pack is None:
+        pack = _PACKERS[len(a)] = struct.Struct(f"{len(a)}d").pack
+    return pack(*a) == pack(*b)
+
+
+def _vectors(points: Sequence[Sequence[float]],
+             nodes: Sequence[Vector] | None = None) -> Iterator[Vector]:
+    """``as_vector`` of each point, where a point that repeats the one
+    before bit for bit (``_identical``) gets that point's tuple; a
+    velocity (``nodes`` given) only where its node did too, since only
+    a whole repeated step is of use.  So the steps of a fixed point
+    share their tuples, whether they come from the solver or from a
+    CSV, and ``analyzer.residual`` and ``trajectory_to_csv`` tell a
+    repeated step by identity."""
+    last = vec = None
+    for i, p in enumerate(points):
+        if p is not last:
+            last = p
+            q = as_vector(p)
+            if not ((nodes is None or nodes[i] is nodes[i - 1]) and q == vec
+                    and _identical(q, vec)):
+                vec = q
+        yield vec
+
+
 @dataclass(frozen=True, init=False)
 class Trajectory:
     """Euler polygon: N+1 nodes, N >= 1 per-interval velocities.
@@ -111,9 +163,11 @@ class Trajectory:
     coarse grid bit-exactly.  Velocities are held constant on
     ``[t_i, t_{i+1})``; the final interval is closed.
 
-    Its ``__init__`` converts each field once and raises ValueError
-    unless the counts match the mesh, the times increase strictly from 0
-    and every node and velocity shares one dimension >= 1.
+    Its ``__init__`` converts each field once, gives a step that repeats
+    the one before bit for bit that step's node and velocity tuples
+    (``_vectors``), and raises ValueError unless the counts match the
+    mesh, the times increase strictly from 0 and every node and velocity
+    shares one dimension >= 1.
     """
 
     times: tuple[float, ...]
@@ -123,13 +177,13 @@ class Trajectory:
     def __init__(self, times: Sequence[float], nodes: Sequence[Sequence[float]],
                  velocities: Sequence[Sequence[float]]) -> None:
         times = as_vector(times)
-        nodes = tuple(map(as_vector, nodes))
-        velocities = tuple(map(as_vector, velocities))
+        nodes = tuple(_vectors(nodes))
+        if len(nodes) != len(times) or len(velocities) != len(times) - 1:
+            raise ValueError("node/velocity counts do not match the mesh")
+        velocities = tuple(_vectors(velocities, nodes))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "velocities", velocities)
-        if len(nodes) != len(times) or len(velocities) != len(times) - 1:
-            raise ValueError("node/velocity counts do not match the mesh")
         if not velocities:
             raise ValueError("a trajectory needs at least one step")
         if times[0] != 0.0 or any(not a < b for a, b in zip(times, times[1:])):
@@ -182,7 +236,13 @@ def _check_horizon(horizon: float) -> None:
 
 
 def _mesh_times(horizon: float, n: int) -> tuple[float, ...]:
-    return tuple((i / n) * horizon for i in range(n + 1))
+    """``(i / n) * horizon`` for i = 0..n; ValueError naming T and N
+    unless they increase strictly, as a ``Trajectory`` needs."""
+    times = tuple((i / n) * horizon for i in range(n + 1))
+    if not all(map(operator.lt, times, islice(times, 1, None))):
+        raise ValueError(f"mesh times (i/N)*T do not increase strictly at T = {horizon!r}"
+                         f" and N = {n}: the steps are below the spacing of doubles")
+    return times
 
 
 def euler_polygon(
@@ -202,11 +262,20 @@ def euler_polygon(
     and proceeds); without declared growth the mesh condition cannot be
     checked and a warning is issued.
 
+    Each step is a pure function of the previous node and velocity (the
+    map's ``_eval`` and the selector core are), so once a step gives
+    back its own input, bit for bit (``_identical``), as at an
+    equilibrium where 0 lies in F(x) or where ``h*v`` is absorbed by
+    the node, the remaining nodes and velocities repeat it and are
+    appended without stepping.
+
     Raises WcmInfeasible, annotated with step, time and state, when no
     image point satisfies the sign constraint at some node, ValueError
-    naming the argument when x0, horizon or v0 is not finite, and
+    naming the argument when x0, horizon or v0 is not finite,
     ValueError before anything is allocated when n, given or derived
-    from the growth constants, exceeds MAX_STEPS.
+    from the growth constants, exceeds MAX_STEPS, and ValueError naming
+    T and N, before the map is evaluated, when the mesh times
+    ``(i/N)*T`` do not increase strictly.
     """
     x0 = checked_vector(finite_vector(x0, "x0"), m.dim, "x0", "map")
     _check_horizon(horizon)
@@ -251,16 +320,24 @@ def euler_polygon(
     evaluate = m._eval
     variant = policy.variant
     for i in range(1, n):
-        x = tuple([xc + h * vc for xc, vc in zip(x, v)])
-        nodes.append(x)
+        y = tuple([xc + h * vc for xc, vc in zip(x, v)])
+        nodes.append(y)
         signs = tuple([(c > 0) - (c < 0) for c in v])
-        image = evaluate(x)
+        image = evaluate(y)
         region, _ = _clip(image, v, signs)
         if not region:
             raise WcmInfeasible(v, SignPattern(signs), _image(image),
-                                state=x, step=i, time=times[i])
-        v = _pick(region, v, variant)
-        velocities.append(v)
+                                state=y, step=i, time=times[i])
+        w = _pick(region, v, variant)
+        velocities.append(w)
+        # ``==`` first, so a moving step costs no call
+        if y == x and w == v and _identical(y, x) and _identical(w, v):
+            # a fixed point of the step: each later step has this input
+            # (x, v), bit for bit, so it repeats this one
+            nodes += [y] * (n - 1 - i)
+            velocities += [w] * (n - 1 - i)
+            break
+        x, v = y, w
     nodes.append(tuple(xc + h * vc for xc, vc in zip(x, v)))
     return Trajectory(times, nodes, velocities)
 
@@ -328,8 +405,10 @@ def converge(
     solves (selections are not nested across levels).  WcmInfeasible is
     re-raised annotated with the level at which it occurred.  n0 must be
     >= 1 whatever the map declares; x0, horizon and v0 must be finite;
-    and the finest N times ``analyzer.RESIDUAL_SAMPLES`` may be at most
-    MAX_STEPS (ValueError otherwise, before the first solve).
+    the finest N times ``analyzer.RESIDUAL_SAMPLES`` may be at most
+    MAX_STEPS; and the finest mesh times must increase strictly, which
+    the coarser meshes, whose times are among them, then do too
+    (ValueError otherwise, before the first solve).
     """
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
@@ -350,6 +429,7 @@ def converge(
     if ns[-1] * analyzer.RESIDUAL_SAMPLES > MAX_STEPS:
         raise ValueError(f"N = {ns[-1]} steps at the finest level times RESIDUAL_SAMPLES"
                          f" = {analyzer.RESIDUAL_SAMPLES} exceeds MAX_STEPS = {MAX_STEPS}")
+    _mesh_times(horizon, ns[-1])
 
     trajectories: list[Trajectory] = []
     for lvl, n in enumerate(ns):
@@ -388,10 +468,19 @@ def _csv_header(n: int) -> list[str]:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
+    """Header and one row ``t, node, velocity`` per node; a row whose
+    node and velocity are the previous row's objects, as ``Trajectory``
+    shares them between steps that repeat bit for bit, reuses that
+    row's formatted cells."""
     lines = [",".join(_csv_header(traj.dim))]
-    for i, (t, node) in enumerate(zip(traj.times, traj.nodes)):
-        v = traj.velocities[min(i, traj.steps - 1)]  # last row repeats v^{N-1}
-        lines.append(",".join(_fmt(c) for c in (t, *node, *v)))
+    velocities = chain(traj.velocities, traj.velocities[-1:])  # last row repeats v^{N-1}
+    node = v = None
+    cells = ""
+    for t, x, u in zip(traj.times, traj.nodes, velocities):
+        if x is not node or u is not v:
+            node, v = x, u
+            cells = ",".join(map(_fmt, chain(x, u)))
+        lines.append(f"{_fmt(t)},{cells}")
     return "\n".join(lines) + "\n"
 
 

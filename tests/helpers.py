@@ -655,6 +655,19 @@ def reference_residual(traj, m):
     return node_res, interval_res
 
 
+def reference_csv(traj):
+    """The trajectory CSV as ``trajectory_to_csv`` first wrote it: every
+    row's cells formatted afresh, the final row repeating the last
+    velocity."""
+    dim = len(traj.nodes[0])
+    header = ["t"] + [f"x_{j + 1}" for j in range(dim)] + [f"v_{j + 1}" for j in range(dim)]
+    lines = [",".join(header)]
+    for i, (t, node) in enumerate(zip(traj.times, traj.nodes)):
+        v = traj.velocities[min(i, len(traj.velocities) - 1)]
+        lines.append(",".join(format(c, ".17g") for c in (t, *node, *v)))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Hardest-corner decision and example4: the original implementations
 # ---------------------------------------------------------------------------

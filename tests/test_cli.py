@@ -63,6 +63,23 @@ class TestSolve:
         assert "Traceback" not in err
         assert not out_file.exists()
 
+    def test_mesh_times_that_cannot_increase_exit_1(self, capsys):
+        code, out, err = run(capsys, "solve", "--map", "example2_F", "--x0", "1",
+                             "--T", "5e-324", "--N", "200000", "--no-mesh-check")
+        assert code == 1 and out == ""
+        assert err == ("error: mesh times (i/N)*T do not increase strictly at T = 5e-324"
+                       " and N = 200000: the steps are below the spacing of doubles\n")
+
+    def test_overlong_variable_index_in_a_map_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "long-index.json"
+        path.write_text(json.dumps({"dim": 1, "pieces": [
+            {"region": [], "image": [[["0", "x" + "1" * 5000]]]}]}), encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--map", str(path), "--x0", "0",
+                             "--T", "1", "--N", "4")
+        assert code == 1 and out == ""
+        assert err == (f"error: variable index longer than {sys.get_int_max_str_digits()}"
+                       " digits at byte 0\n")
+
     def test_pinned_example1(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--map", "example1", "--x0", "0", "--v0", "1",
@@ -118,6 +135,12 @@ class TestConverge:
         assert code == 1 and out == ""
         assert "unrecognized arguments: --output" in err
         assert not out_file.exists()
+
+    def test_mesh_times_that_cannot_increase_exit_1(self, capsys):
+        code, out, err = run(capsys, "converge", "--map", "example1", "--x0", "1",
+                             "--T", "1e-323", "--N0", "2", "--levels", "3")
+        assert code == 1 and out == ""
+        assert "at T = 1e-323 and N = 8:" in err and "Traceback" not in err
 
     def test_infeasible_exit_2_with_level(self, capsys):
         code, out, _ = run(

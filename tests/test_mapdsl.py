@@ -85,6 +85,15 @@ class TestParseExpr:
         with pytest.raises(ParseError):
             parse_expr("x0")
 
+    def test_overlong_variable_index_is_a_parse_error(self):
+        # longer than the 4300 digits int() converts by default; the
+        # em space before the name takes three bytes
+        with pytest.raises(ParseError) as err:
+            parse_expr("1 +\u2003x" + "1" * 5000)
+        assert str(err.value) == (f"variable index longer than {sys.get_int_max_str_digits()}"
+                                  " digits at byte 6")
+        assert err.value.offset == 6
+
     @pytest.mark.parametrize("src, offset", [
         ("(" * 3000 + "x" + ")" * 3000, MAX_EXPR_DEPTH),
         ("-" * 3000 + "x", MAX_EXPR_DEPTH),
@@ -218,6 +227,13 @@ class TestParseMap:
         with pytest.raises(ParseError, match="integer literal longer than") as err:
             parse_map(src)
         assert err.value.offset == src.index("-1")
+
+    def test_overlong_variable_index_is_a_parse_error(self):
+        src = json.dumps({"dim": 1, "pieces": [
+            {"region": [], "image": [[["0", "2*x" + "1" * 5000]]]}]})
+        with pytest.raises(ParseError, match="variable index longer than") as err:
+            parse_map(src)
+        assert err.value.offset == 2  # in the expression, as other expression errors
 
     def test_schema_errors(self):
         with pytest.raises(MapDefinitionError):

@@ -221,6 +221,26 @@ class TestEulerPolygon:
         with pytest.raises(ValueError, match=f"N = {need} .* {MAX_STEPS}"):
             euler_polygon(m, (1.0,), 50.0)
 
+    @pytest.mark.parametrize("horizon, n", [(5e-324, 200000), (5e-324, 2), (1e-323, 3)])
+    def test_mesh_times_that_cannot_increase_are_refused_first(self, monkeypatch,
+                                                               horizon, n):
+        # at the parent all N steps ran, then the Trajectory invariant spoke
+        m = builtin("example2_F")
+
+        def no_eval(x):
+            raise AssertionError("the map was evaluated")
+
+        monkeypatch.setattr(m, "_eval", no_eval)
+        message = (f"mesh times (i/N)*T do not increase strictly at T = {horizon!r} "
+                   f"and N = {n}: the steps are below the spacing of doubles")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            euler_polygon(m, (1.0,), horizon, n, enforce_mesh=False)
+
+    @pytest.mark.parametrize("horizon, n", [(5e-324, 1), (1e-323, 2)])
+    def test_the_finest_increasing_meshes_solve(self, horizon, n):
+        traj = euler_polygon(builtin("example2_F"), (1.0,), horizon, n)
+        assert traj.times[-1] == horizon and traj.steps == n
+
     def test_overflowing_bounds_warn_without_the_mesh_check(self):
         m = builtin("example2_F")
         with pytest.warns(UserWarning, match=r"no finite mesh meets h\*M < 1: T\*M = inf"):
@@ -370,6 +390,17 @@ class TestConverge:
         with pytest.raises(ValueError, match=f"N = {4 * n0} .* {MAX_STEPS}"):
             converge(builtin("example1"), (0.0,), 1.0, n0, 3)
 
+    def test_mesh_times_checked_before_the_first_solve(self, monkeypatch):
+        import diffinc.solver as solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(solver, "euler_polygon", no_solve)
+        # levels 2, 4 and 8: the first two meshes increase, the finest does not
+        with pytest.raises(ValueError, match=re.escape("at T = 1e-323 and N = 8:")):
+            converge(builtin("example1"), (1.0,), 1e-323, 2, 3)
+
     def test_residual_work_checked_before_the_first_solve(self, monkeypatch):
         import diffinc.solver as solver
 
@@ -509,6 +540,15 @@ class TestTrajectoryValidation:
         n = len(times)
         with pytest.raises(ValueError, match="times must increase strictly from 0"):
             Trajectory(times, ((0.0,),) * n, ((1.0,),) * (n - 1))
+
+    @pytest.mark.parametrize("nodes, velocities", [
+        (((0.0,),) * 2, ((1.0,),) * 2),
+        (((0.0,),) * 3, ((1.0,),) * 3),
+        (((0.0,),) * 3, ()),
+    ])
+    def test_counts_must_match_the_mesh(self, nodes, velocities):
+        with pytest.raises(ValueError, match="counts do not match the mesh"):
+            Trajectory((0.0, 1.0, 2.0), nodes, velocities)
 
     def test_at_least_one_step(self):
         with pytest.raises(ValueError, match="at least one step"):

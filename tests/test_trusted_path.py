@@ -20,6 +20,7 @@ import json
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     reference_check_growth,
     reference_check_wcm,
     reference_clip,
+    reference_csv,
     reference_closed_graph,
     reference_cyclic,
     reference_distance,
@@ -56,7 +58,7 @@ from diffinc.analyzer import (
     find_monotonicity_violation,
     residual,
 )
-from diffinc.mapdsl import parse_map
+from diffinc.mapdsl import load_map, parse_map
 from diffinc.selector import (
     SelectionPolicy,
     SignPattern,
@@ -80,6 +82,9 @@ from diffinc.setmap import (
     distance,
 )
 from diffinc.solver import Trajectory, euler_polygon
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bits(v):
@@ -441,6 +446,225 @@ class TestResidual:
         with pytest.raises(ValueError, match="must share a dimension >= 1"):
             Trajectory((0.0, 0.5, 1.0), ((0.0, 0.0), (0.1, 0.1), (0.2, 0.2)),
                        ((1.0, 1.0), (1.0,)))
+
+
+FILE_MAPS = [load_map(str(p)) for p in sorted((ROOT / "maps").glob("*.json"))]
+
+
+def pairs_bits_outcome(fn, x):
+    try:
+        return "ok", [(vbits([lo])[0], vbits([hi])[0]) for lo, hi in fn(x)]
+    except ValueError as e:  # MapDefinitionError, ImageTooLarge
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_eval_is_pure(data):
+    """The fixed-point rule rests on this: two ``_eval`` calls at one
+    point give the same (lo, hi) pairs, bit for bit, or the same error,
+    on the catalog maps, the map files and drawn piecewise, product and
+    union maps, at points with zeros of either sign."""
+    m = data.draw(st.one_of(any_map(), st.sampled_from(FILE_MAPS)))
+    x = data.draw(points(m.dim))
+    assert pairs_bits_outcome(m._eval, x) == pairs_bits_outcome(m._eval, x)
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """Solves that tend to settle: example1 (0 lies in every image),
+    starts at zeros of either sign and at +-1e17, where a step of the
+    velocity is absorbed by the node, zero initial velocities and up to
+    300 steps."""
+    m = draw(st.one_of(st.just(builtin("example1")), any_map()))
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e17, -1e17]),
+                           finite_coordinates)
+    x0 = draw(st.tuples(*[coordinate] * m.dim))
+    v0 = draw(st.sampled_from([None, (0.0,) * m.dim, (-0.0,) * m.dim, draw(points(m.dim))]))
+    return m, x0, draw(horizons), draw(st.integers(1, 300)), draw(policies), v0
+
+
+@st.composite
+def repeating_trajectory_cases(draw):
+    """A map and a trajectory whose steps come in runs of one node and
+    velocity, or of the same with its zeros negated, over spans that are
+    equal, one ulp apart or twice as long."""
+    m = draw(any_map())
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        x, v = draw(points(m.dim)), draw(points(m.dim))
+        states.append((x, v))
+        states.append((tuple(-c if c == 0.0 else c for c in x), v))
+        states.append((x, tuple(-c if c == 0.0 else c for c in v)))
+    steps = draw(st.lists(st.sampled_from(states), min_size=1, max_size=10))
+    spans = draw(st.lists(st.sampled_from([0.25, math.nextafter(0.25, 1.0), 0.5]),
+                          min_size=len(steps), max_size=len(steps)))
+    times = [0.0]
+    for span in spans:
+        times.append(times[-1] + span)
+    nodes = [x for x, _ in steps] + [draw(st.sampled_from(states))[0]]
+    return m, Trajectory(times, nodes, [v for _, v in steps])
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """``count(m)``: a list that grows by one at each ``_eval`` call on m."""
+    def count(m):
+        calls = []
+        inner = m._eval
+
+        def counted(x):
+            calls.append(x)
+            return inner(x)
+
+        monkeypatch.setattr(m, "_eval", counted)
+        return calls
+    return count
+
+
+class TestFixedPoint:
+    """A step that gives back its own node and velocity, bit for bit, is
+    repeated by every later step; the solver fills those in, and
+    ``residual`` and the CSV writer handle each run of them once."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fixed_point_cases())
+    @example((builtin("example1"), (-0.0,), 1.0, 40, SelectionPolicy("project"), None))
+    @example((builtin("example1"), (1e17,), 1.0, 40, SelectionPolicy("lex_max"), None))
+    def test_polygon_matches_the_step_loop(self, case):
+        m, x0, horizon, n, policy, v0 = case
+        got = polygon_outcome(lambda: solve(m, x0, horizon, n, policy, v0))
+        want = polygon_outcome(lambda: reference_polygon(m, x0, horizon, n, policy, v0))
+        assert got == want
+
+    @pytest.mark.parametrize("x0, variant, settles", [
+        ((0.5,), "project", 1),     # v = 0 from the start
+        ((-0.7,), "lex_max", 1),    # [-1, 0] left of 0: lex-max picks 0
+        ((-0.0,), "project", 2),    # the first step turns the node into +0.0
+        ((1e17,), "lex_max", 1),    # v = 1, and 1e17 + h absorbs h
+    ])
+    def test_a_settled_polygon_stops_stepping(self, eval_calls, x0, variant, settles):
+        m = builtin("example1")
+        policy = SelectionPolicy(variant)
+        calls = eval_calls(m)
+        got = polygon_outcome(lambda: solve(m, x0, 1.0, 500, policy, None))
+        # the initial image, then the steps up to the repeating one
+        assert len(calls) == 1 + settles
+        want = polygon_outcome(lambda: reference_polygon(m, x0, 1.0, 500, policy, None))
+        assert got == want
+
+    def test_signed_zero_steps_are_not_repeats(self, eval_calls):
+        """-0.0 == 0.0, but a step is a repeat only bit for bit: from
+        -0.0 a step by h*(-0.0) stays at -0.0 and one by h*(+0.0) lands
+        on +0.0, and the CSV prints the two apart."""
+        m = PiecewiseMap(1, (Piece((), (((Expr.const(-1.0), Expr.const(0.0)),),)),))
+        calls = eval_calls(m)
+        policy = SelectionPolicy("lex_max")
+        got = polygon_outcome(lambda: solve(m, (-0.0,), 1.0, 8, policy, (-0.0,)))
+        assert got == ("ok", vbits([(-0.0,)] * 2 + [(0.0,)] * 7),
+                       vbits([(-0.0,)] + [(0.0,)] * 7))
+        assert len(calls) == 4  # the initial image and three steps
+        assert got == polygon_outcome(
+            lambda: reference_polygon(m, (-0.0,), 1.0, 8, policy, (-0.0,)))
+
+        def fn(x):  # [0, 1] at -0.0 and left of it, [0, 0] from +0.0 on
+            return [((0.0,), (1.0 if math.copysign(1.0, x[0]) < 0 else 0.0,))]
+        m = setmap.NativeMap(1, fn, "signed", {})
+        traj = Trajectory((0.0, 0.5, 1.0), ((-0.0,), (0.0,), (0.0,)), ((1.0,), (1.0,)))
+        assert residual(traj, m) == (1.0, 1.0)
+        assert residual(traj, m) == reference_residual(traj, m)
+
+    def test_eval_counts(self, eval_calls):
+        """The settled example1 solve of the refine workload's slow tail
+        evaluates the map twice in the solve and five times in
+        ``residual``, where it used to take 4,500 and 22,500 calls; a
+        moving polygon keeps one evaluation a node and five a step."""
+        m = builtin("example1")
+        calls = eval_calls(m)
+        traj = euler_polygon(m, (0.5,), 1.0, 4500, SelectionPolicy("project"))
+        assert len(calls) <= 2
+        del calls[:]
+        assert residual(traj, m) == (0.0, 0.0)
+        assert len(calls) <= 10
+        del calls[:]
+        again = solver.trajectory_from_csv(solver.trajectory_to_csv(traj))
+        assert residual(again, m) == (0.0, 0.0)
+        assert len(calls) <= 10  # a read-back shares its repeated rows too
+        n = 1000
+        m = builtin("example2_F")
+        calls = eval_calls(m)
+        traj = euler_polygon(m, (1.0,), 1.0, n, SelectionPolicy("lex_max"))
+        assert traj.terminal[0] > 2.0
+        assert len(calls) == n  # the initial image and n - 1 steps
+        del calls[:]
+        residual(traj, m)
+        assert len(calls) == 5 * n
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fixed_point_cases())
+    def test_residual_of_solved_and_read_back_trajectories(self, case):
+        m, x0, horizon, n, policy, v0 = case
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                traj = euler_polygon(m, x0, horizon, n, policy, v0, enforce_mesh=False)
+        except (ValueError, WcmInfeasible):
+            return
+        want = residual_outcome(lambda: reference_residual(traj, m))
+        assert residual_outcome(lambda: residual(traj, m)) == want
+        text = solver.trajectory_to_csv(traj)
+        assert text == reference_csv(traj)
+        again = solver.trajectory_from_csv(text)
+        assert not {id(p) for p in again.nodes} & {id(p) for p in traj.nodes}
+        assert residual_outcome(lambda: residual(again, m)) == want
+
+    def test_a_trajectory_shares_the_tuples_of_repeated_steps(self):
+        """Steps that repeat bit for bit get one tuple, which is how
+        ``residual`` and the CSV writer tell them; zero-sign twins do
+        not, and a velocity is shared only where its node is too."""
+        traj = Trajectory([0.0, 0.5, 1.0, 1.5], ([0.0], [0.0], [-0.0], (-0.0,)),
+                          ([1.0], (1.0,), [1.0]))
+        a, b, c, d = traj.nodes
+        assert a is b and b is not c and c is d and b == c
+        u, v, w = traj.velocities
+        assert u is v and v is not w and v == w
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(repeating_trajectory_cases())
+    def test_residual_and_csv_of_repeating_steps(self, case):
+        m, traj = case
+        assert residual_outcome(lambda: residual(traj, m)) == \
+            residual_outcome(lambda: reference_residual(traj, m))
+        assert solver.trajectory_to_csv(traj) == reference_csv(traj)
+
+    def test_csv_rows_keep_their_zero_signs(self):
+        traj = Trajectory((0.0, 0.5, 1.0), ((-0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+                          ((0.0, -0.0), (0.0, 0.0)))
+        text = solver.trajectory_to_csv(traj)
+        assert text == reference_csv(traj) == (
+            "t,x_1,x_2,v_1,v_2\n0,-0,1,0,-0\n0.5,0,1,0,0\n1,0,1,0,0\n")
+
+    def test_a_repeated_step_over_a_longer_span_is_sampled(self, eval_calls):
+        """The samples ``x + dt*v`` of a repeated step depend on its span
+        unless v = 0: here only the longer second span reaches x > 1."""
+        m = PiecewiseMap(1, (Piece((Condition(0, "le", 1.0),),
+                                   (((Expr.const(1.0), Expr.const(1.0)),),)),
+                             Piece((Condition(0, "ge", 1.0),),
+                                   (((Expr.const(5.0), Expr.const(5.0)),),))))
+        moving = Trajectory((0.0, 1.0, 3.0), ((0.0,), (0.0,), (0.0,)), ((1.0,), (1.0,)))
+        got = residual(moving, m)
+        assert got == (0.0, 4.0)
+        assert got == reference_residual(moving, m)
+        resting = Trajectory((0.0, 1.0, 3.0), ((1.5,), (1.5,), (1.5,)), ((0.0,), (0.0,)))
+        calls = eval_calls(m)
+        got = residual(resting, m)
+        # one node image and four samples: the second step repeats the first
+        assert len(calls) == 5
+        assert got == reference_residual(resting, m) == (5.0, 5.0)
 
 
 @pytest.fixture
