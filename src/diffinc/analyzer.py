@@ -877,8 +877,8 @@ def residual(traj, m: SetValuedMap) -> tuple[float, float]:
       equal gaps up to the sign of a zero, which ``hypot`` drops); its
       distance is not computed again;
     * a step whose node and velocity are the previous step's objects
-      (a ``Trajectory`` shares them between steps that repeat bit for
-      bit), as on a polygon that sits at a fixed point, has that step's
+      (as ``euler_polygon`` makes the steps of a fixed point, and
+      ``trajectory_from_csv`` the rows that repeat), has that step's
       node image, since ``_eval`` is a pure function of its point, and
       so its node distance; neither is computed again;
     * such a step's interior samples ``x + dt * v`` are the previous

@@ -8,8 +8,9 @@ arguments, ``--help``, an unknown command) gets the parser of all four,
 with the same usage, help and error text either way.
 
 Output: on exit 0, 2 or 3 a command prints one JSON document on stdout,
-the same bytes on every run; on exit 1 it prints nothing there and the
-error goes to stderr.  ``solve --output`` writes the trajectory CSV,
+in strict JSON (an infinite float as "inf" or "-inf") and the same
+bytes on every run; on exit 1 it prints nothing there and the error
+goes to stderr.  ``solve --output`` writes the trajectory CSV,
 the only file a command writes, and only when the solve succeeds.
 
 Exit codes: 0 success / pass, 1 usage or map errors, 2 infeasible
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -79,9 +81,26 @@ def _policy(args: argparse.Namespace) -> SelectionPolicy:
     return SelectionPolicy(args.policy.replace("-", "_"))
 
 
+def _finite(obj: object) -> object:
+    """``obj`` with each infinite float, at any depth, as "inf" or "-inf"."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(payload: dict | list) -> None:
-    """Print ``payload`` as the command's one JSON document."""
-    print(json.dumps(payload, indent=2))
+    """Print ``payload`` as the command's one JSON document, in strict
+    JSON: an infinite float is the string "inf" or "-inf", and a NaN is
+    refused (ValueError) before anything is printed."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:  # an infinite float: only then is the payload walked
+        text = json.dumps(_finite(payload), indent=2, allow_nan=False)
+    print(text)
 
 
 def _add_map_options(p: argparse.ArgumentParser) -> None:

@@ -41,6 +41,8 @@ long; deeper input is a ``ParseError`` at the offset where the limit
 is crossed.  Likewise a document nests at most ``MAX_MAP_DEPTH`` JSON
 arrays and objects, and an integer literal or a variable index longer
 than ``int()`` converts (4300 digits by default) is a ``ParseError`` too.
+An expression's ``ParseError`` in a map file names the JSON path of
+its string before the offset into it.
 """
 
 from __future__ import annotations
@@ -333,6 +335,16 @@ def _map_from_obj(obj: object, path: str) -> SetValuedMap:
     return m
 
 
+def _expr_at(path: str, src: str) -> Expr:
+    """``parse_expr(src)``, with the JSON path of the string in front of
+    a ParseError's message; its offset stays the one into ``src``."""
+    try:
+        return parse_expr(src)
+    except ParseError as e:
+        e.args = (f"{path}: {e}",)
+        raise
+
+
 def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
     _require(isinstance(pieces_obj, list) and pieces_obj,
              f"{path}: 'pieces' must be a nonempty array")
@@ -369,8 +381,8 @@ def _pieces_from_obj(dim: int, pieces_obj: object, path: str) -> PiecewiseMap:
                 _require(isinstance(pair, list) and len(pair) == 2
                          and all(isinstance(s, str) for s in pair),
                          f"{ppath}.image[{bi}][{ci}]: expected [lo, hi] expression strings")
-                lo = parse_expr(pair[0])
-                hi = parse_expr(pair[1])
+                lo, hi = (_expr_at(f"{ppath}.image[{bi}][{ci}][{side}]", text)
+                          for side, text in enumerate(pair))
                 k = max(lo.max_var_index(), hi.max_var_index()) + 1
                 _require(k <= dim,
                          f"{path}: image expression uses x{k} in a {dim}-dimensional map")

@@ -2,10 +2,14 @@
 
 At each polygon step the new velocity w must satisfy, coordinate by
 coordinate, ``s_j * (w_j - prev_v_j) >= 0`` where ``s_j`` is the sign
-of the previous displacement.  For box-union images that feasible set
-is again a box union (each coordinate interval is clipped by a
-half-line at ``prev_v_j``), so feasibility and the selection itself are
-exact interval operations with no tolerance.
+of the previous velocity ``prev_v_j``.  That is the sign of the previous
+displacement ``h * prev_v_j`` in exact arithmetic, but not in floats
+where ``x_j + h * prev_v_j`` rounds back to ``x_j``: there the node
+does not move, yet ``s_j`` is still the velocity's sign.  For
+box-union images that feasible set is again a box union (each
+coordinate interval is clipped by a half-line at ``prev_v_j``), so
+feasibility and the selection itself are exact interval operations
+with no tolerance.
 
 One core works on (lo, hi) pairs: ``_clip`` cuts them by the sign
 constraint and ``_pick`` takes the policy's point.  The public
@@ -27,10 +31,12 @@ from .setmap import (CompactSet, Vector, _image, as_vector, checked_vector, dist
 
 @dataclass(frozen=True)
 class SignPattern:
-    """Componentwise signs of the previous displacement (exact zero test).
+    """Componentwise signs of the previous velocity (exact zero test).
 
-    Because the displacement over one mesh interval is h times the
-    previous velocity, these are exactly the signs of that velocity.
+    The displacement over one mesh interval is h times that velocity,
+    so these are its signs in exact arithmetic; in floats a coordinate
+    whose step ``h * v_j`` is absorbed by ``x_j`` has displacement 0
+    while its sign here is that of ``v_j``.
     """
 
     signs: tuple[int, ...]

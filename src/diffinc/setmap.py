@@ -672,8 +672,9 @@ class SetValuedMap:
         return _image(self._eval(checked_vector(x, self.dim, "point", self)))
 
     def _eval(self, x: Vector) -> list[tuple[Vector, Vector]]:
-        """Image boxes as (lo, hi) pairs at a trusted point: a float tuple
-        of the map's dimension.  Each pair is finite with lo <= hi."""
+        """Image boxes as (lo, hi) pairs of float tuples at a trusted
+        point: a float tuple of the map's dimension.  Each pair is
+        finite with lo <= hi."""
         raise NotImplementedError
 
     def __str__(self) -> str:

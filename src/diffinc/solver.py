@@ -3,19 +3,20 @@
 The polygon is piecewise linear: ``x(t) = x(t_i) + (t - t_i) * v_i`` on
 each mesh interval, with ``v_0`` taken from the initial image and every
 later velocity chosen so it never moves against the sign of the
-previous displacement.  The rule is exact, with no tolerance, so each
+previous velocity.  The rule is exact, with no tolerance, so each
 coordinate of the polygon and of its derivative is monotone, and every
 velocity lies in the image at its node (node residual exactly 0).
 
 A step depends on nothing but the previous node and velocity, so a
 polygon whose step reproduces its input bit for bit, as at a point
-with 0 in F(x), has reached a fixed point: ``euler_polygon`` appends
-the remaining steps without computing them.  A ``Trajectory`` gives
-the steps that repeat bit for bit one shared tuple, so
-``analyzer.residual`` measures each run of repeated steps once and
-``trajectory_to_csv`` formats a repeated row's node and velocity once,
-both telling a repeat by identity.  This rests on the maps being pure
-(see ``setmap``), and the bytes are those of stepping.
+with 0 in F(x), has reached a fixed point: ``euler_polygon`` repeats
+that step's node and velocity tuples for the remaining steps without
+computing them.  ``trajectory_from_csv`` likewise repeats the objects
+of a row whose cells repeat the row before, so ``analyzer.residual``
+measures each run of repeated steps once and ``trajectory_to_csv``
+formats a repeated row's node and velocity once, both telling a repeat
+by identity.  This rests on the maps being pure (see ``setmap``), and
+the bytes are those of stepping.
 
 A-priori bounds: if ``sup_norm(F(x)) <= A + B*|x|`` then every solution
 of the inflated inclusion satisfies ``|x(t)| <= L`` and speed ``<= M``
@@ -115,43 +116,21 @@ def min_steps(bounds: GrowthBounds) -> int:
     return int(math.floor(tm)) + 1
 
 
-_PACKERS: dict[int, object] = {}  # dimension -> struct.Struct(f"{n}d").pack
-
-
 def _identical(a: Vector, b: Vector) -> bool:
-    """Whether two float tuples hold the same doubles bit for bit: one
-    object, or equal under ``==`` with zeros of the same sign
-    (``-0.0 == 0.0``, yet ``x + h*v`` and the CSV tell them apart).  A
-    NaN matches only itself as the same object."""
-    if a is b:
-        return True
-    if a != b:
-        return False
-    if 0.0 not in a:
-        return True
-    pack = _PACKERS.get(len(a))
-    if pack is None:
-        pack = _PACKERS[len(a)] = struct.Struct(f"{len(a)}d").pack
-    return pack(*a) == pack(*b)
+    """Whether two float tuples equal under ``==`` hold the same doubles
+    bit for bit, that is, have zeros of the same signs (``-0.0 == 0.0``,
+    yet ``x + h*v`` and the CSV tell them apart)."""
+    return 0.0 not in a or struct.pack(f"{len(a)}d", *a) == struct.pack(f"{len(a)}d", *b)
 
 
-def _vectors(points: Sequence[Sequence[float]],
-             nodes: Sequence[Vector] | None = None) -> Iterator[Vector]:
-    """``as_vector`` of each point, where a point that repeats the one
-    before bit for bit (``_identical``) gets that point's tuple; a
-    velocity (``nodes`` given) only where its node did too, since only
-    a whole repeated step is of use.  So the steps of a fixed point
-    share their tuples, whether they come from the solver or from a
-    CSV, and ``analyzer.residual`` and ``trajectory_to_csv`` tell a
-    repeated step by identity."""
-    last = vec = None
-    for i, p in enumerate(points):
+def _vectors(points: Sequence[Sequence[float]]) -> Iterator[Vector]:
+    """``as_vector`` of each point, where a point that is the previous
+    point's object gets that point's tuple, so a caller that repeats a
+    step's objects repeats its tuples."""
+    last = vec = object()
+    for p in points:
         if p is not last:
-            last = p
-            q = as_vector(p)
-            if not ((nodes is None or nodes[i] is nodes[i - 1]) and q == vec
-                    and _identical(q, vec)):
-                vec = q
+            last, vec = p, as_vector(p)
         yield vec
 
 
@@ -163,11 +142,12 @@ class Trajectory:
     coarse grid bit-exactly.  Velocities are held constant on
     ``[t_i, t_{i+1})``; the final interval is closed.
 
-    Its ``__init__`` converts each field once, gives a step that repeats
-    the one before bit for bit that step's node and velocity tuples
-    (``_vectors``), and raises ValueError unless the counts match the
-    mesh, the times increase strictly from 0 and every node and velocity
-    shares one dimension >= 1.
+    Its ``__init__`` converts each field, giving a point that is the
+    previous point's object that point's tuple (``_vectors``), and raises
+    ValueError unless the counts match the mesh, the times increase
+    strictly from 0 and every node and velocity shares one dimension
+    >= 1.  ``euler_polygon``, whose fields hold by construction, builds
+    its trajectory through ``_trusted`` instead.
     """
 
     times: tuple[float, ...]
@@ -180,10 +160,7 @@ class Trajectory:
         nodes = tuple(_vectors(nodes))
         if len(nodes) != len(times) or len(velocities) != len(times) - 1:
             raise ValueError("node/velocity counts do not match the mesh")
-        velocities = tuple(_vectors(velocities, nodes))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "velocities", velocities)
+        velocities = tuple(_vectors(velocities))
         if not velocities:
             raise ValueError("a trajectory needs at least one step")
         if times[0] != 0.0 or any(not a < b for a, b in zip(times, times[1:])):
@@ -191,6 +168,17 @@ class Trajectory:
         dim = len(nodes[0])
         if not dim or any(len(p) != dim for p in chain(nodes, velocities)):
             raise ValueError("trajectory nodes and velocities must share a dimension >= 1")
+        vars(self).update(times=times, nodes=nodes, velocities=velocities)
+
+    @classmethod
+    def _trusted(cls, times: tuple[float, ...], nodes: tuple[Vector, ...],
+                 velocities: tuple[Vector, ...]) -> Trajectory:
+        """The trajectory of fields taken as they are, neither converted
+        nor checked: times from ``_mesh_times`` and float tuples of one
+        dimension, in the counts of that mesh."""
+        traj = object.__new__(cls)
+        vars(traj).update(times=times, nodes=nodes, velocities=velocities)
+        return traj
 
     @property
     def steps(self) -> int:
@@ -266,8 +254,8 @@ def euler_polygon(
     map's ``_eval`` and the selector core are), so once a step gives
     back its own input, bit for bit (``_identical``), as at an
     equilibrium where 0 lies in F(x) or where ``h*v`` is absorbed by
-    the node, the remaining nodes and velocities repeat it and are
-    appended without stepping.
+    the node, the remaining nodes and velocities repeat that input's
+    tuples and are appended without stepping.
 
     Raises WcmInfeasible, annotated with step, time and state, when no
     image point satisfies the sign constraint at some node, ValueError
@@ -321,7 +309,6 @@ def euler_polygon(
     variant = policy.variant
     for i in range(1, n):
         y = tuple([xc + h * vc for xc, vc in zip(x, v)])
-        nodes.append(y)
         signs = tuple([(c > 0) - (c < 0) for c in v])
         image = evaluate(y)
         region, _ = _clip(image, v, signs)
@@ -329,17 +316,19 @@ def euler_polygon(
             raise WcmInfeasible(v, SignPattern(signs), _image(image),
                                 state=y, step=i, time=times[i])
         w = _pick(region, v, variant)
-        velocities.append(w)
         # ``==`` first, so a moving step costs no call
         if y == x and w == v and _identical(y, x) and _identical(w, v):
             # a fixed point of the step: each later step has this input
             # (x, v), bit for bit, so it repeats this one
-            nodes += [y] * (n - 1 - i)
-            velocities += [w] * (n - 1 - i)
+            nodes += [x] * (n + 1 - i)
+            velocities += [v] * (n - i)
             break
+        nodes.append(y)
+        velocities.append(w)
         x, v = y, w
-    nodes.append(tuple(xc + h * vc for xc, vc in zip(x, v)))
-    return Trajectory(times, nodes, velocities)
+    else:
+        nodes.append(tuple([xc + h * vc for xc, vc in zip(x, v)]))
+    return Trajectory._trusted(times, tuple(nodes), tuple(velocities))
 
 
 @dataclass(frozen=True)
@@ -469,9 +458,8 @@ def _csv_header(n: int) -> list[str]:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Header and one row ``t, node, velocity`` per node; a row whose
-    node and velocity are the previous row's objects, as ``Trajectory``
-    shares them between steps that repeat bit for bit, reuses that
-    row's formatted cells."""
+    node and velocity are the previous row's objects, as in the steps
+    that ``euler_polygon`` repeats, reuses that row's formatted cells."""
     lines = [",".join(_csv_header(traj.dim))]
     velocities = chain(traj.velocities, traj.velocities[-1:])  # last row repeats v^{N-1}
     node = v = None
@@ -488,7 +476,9 @@ def trajectory_from_csv(text: str) -> Trajectory:
     """The trajectory of a ``trajectory_to_csv`` text: the header
     ``t,x_1..x_n,v_1..v_n`` and at least two rows of finite cells
     (ValueError otherwise, naming the row, and the column of a bad
-    cell).  Lines may end in CRLF."""
+    cell).  Lines may end in CRLF.  A row whose node and velocity cells
+    repeat the text of the row before, and so its bits, repeats that
+    row's node and velocity objects, as ``euler_polygon`` does."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     header = lines[0].rstrip("\r").split(",") if lines else []
     n = (len(header) - 1) // 2
@@ -499,6 +489,7 @@ def trajectory_from_csv(text: str) -> Trajectory:
     times: list[float] = []
     nodes: list[list[float]] = []
     velocities: list[list[float]] = []
+    state = None  # the node and velocity cells of the previous row
     for row, ln in enumerate(lines[1:], 1):
         texts = ln.rstrip("\r").split(",")
         if len(texts) != 1 + 2 * n:
@@ -512,7 +503,9 @@ def trajectory_from_csv(text: str) -> Trajectory:
             if not math.isfinite(cells[-1]):
                 raise ValueError(f"row {row}, column {name}: {cells[-1]!r} is not finite")
         times.append(cells[0])
-        nodes.append(cells[1 : 1 + n])
-        velocities.append(cells[1 + n :])
+        if texts[1:] != state:
+            state, node, v = texts[1:], cells[1 : 1 + n], cells[1 + n :]
+        nodes.append(node)
+        velocities.append(v)
     velocities.pop()  # final row repeats the last interval velocity
     return Trajectory(times, nodes, velocities)

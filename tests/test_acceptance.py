@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
+import itertools
 import math
 import pathlib
 import random
@@ -11,7 +12,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from helpers import (
     compiled_eval,
@@ -210,26 +210,28 @@ def test_criterion_7_infeasibility_certificate():
         assert feasible_region(m.evaluate(e.state), e.prev_v, e.signs) is None
 
 
+def _linspace(lo, hi, n):
+    """The points of ``numpy.linspace(lo, hi, n)``, bit for bit:
+    ``lo + i*step`` for i < n - 1, then ``hi`` itself."""
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def _grid_oracle(image_x, image_y, x, y, per_coord=20):
     sigma = [(a > b) - (a < b) for a, b in zip(x, y)]
+
+    def fits(ybox, p):
+        return all(s == 0 or (ybox.lo[j] <= c if s > 0 else ybox.hi[j] >= c)
+                   for j, (s, c) in enumerate(zip(sigma, p)))
+
     for box in image_x.boxes:
-        axes = [
-            np.linspace(lo, hi, 1 if lo == hi else per_coord)
-            for lo, hi in zip(box.lo, box.hi)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
-        feasible = np.zeros(len(grid), dtype=bool)
-        for ybox in image_y.boxes:
-            fits = np.ones(len(grid), dtype=bool)
-            for j, s in enumerate(sigma):
-                if s > 0:
-                    fits &= ybox.lo[j] <= grid[:, j]
-                elif s < 0:
-                    fits &= ybox.hi[j] >= grid[:, j]
-            feasible |= fits
-        if not feasible.all():
-            return False
+        axes = [_linspace(lo, hi, 1 if lo == hi else per_coord)
+                for lo, hi in zip(box.lo, box.hi)]
+        for p in itertools.product(*axes):
+            if not any(fits(ybox, p) for ybox in image_y.boxes):
+                return False
     return True
 
 

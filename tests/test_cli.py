@@ -77,8 +77,8 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--map", str(path), "--x0", "0",
                              "--T", "1", "--N", "4")
         assert code == 1 and out == ""
-        assert err == (f"error: variable index longer than {sys.get_int_max_str_digits()}"
-                       " digits at byte 0\n")
+        assert err == ("error: $.pieces[0].image[0][0][1]: variable index longer than"
+                       f" {sys.get_int_max_str_digits()} digits at byte 0\n")
 
     def test_pinned_example1(self, capsys):
         code, out, _ = run(
@@ -98,6 +98,24 @@ class TestSolve:
         assert cert["prev_velocity"] == [-1.0]
         assert "step" in cert and cert["state"][0] < 0
         assert "no feasible velocity" in err
+
+    def test_sign_pattern_is_the_previous_velocitys(self, capsys, tmp_path):
+        """The constraint takes the signs of the previous velocity, not of
+        the displacement: at x1 = 1e17 the step h*v1 = 0.1 is absorbed,
+        so x1 does not move, yet the sign pattern holds +1 for it."""
+        path = tmp_path / "absorbed.json"
+        path.write_text(json.dumps({"dim": 2, "pieces": [
+            {"region": [{"var": 2, "op": "gt", "bound": 0}], "image": [[["0", "0"], ["1", "1"]]]},
+            {"region": [{"var": 2, "op": "le", "bound": 0}], "image": [[["1", "1"], ["1", "1"]]]},
+        ]}))
+        with pytest.warns(UserWarning, match="declares no growth constants"):
+            code, out, _ = run(capsys, "solve", "--map", str(path), "--x0", "1e17,0",
+                               "--T", "1", "--N", "10")
+        assert code == 2
+        cert = json.loads(out)["infeasible"]
+        assert (cert["step"], cert["state"]) == (1, [1e17, 0.1])
+        assert cert["state"][0] - 1e17 == 0.0
+        assert (cert["prev_velocity"], cert["sign_pattern"]) == ([1.0, 1.0], [1, 1])
 
     def test_mesh_enforcement_message(self, capsys):
         code, _, err = run(
@@ -244,11 +262,10 @@ class TestCheck:
         code, out, _ = run(capsys, "check", condition, "--map", str(path),
                            "--radius", "1e300")
         assert code == 3
-        assert '"value": -Infinity' in out
-        doc = json.loads(out)
+        assert '"value": "-inf"' in out
+        doc = strict_json(out)
         assert doc["verdict"] == "fail"
         cert = doc["certificate"]
-        assert cert["value"] == -math.inf
         if condition == "monotone":
             exact = sum((Fraction(a) - Fraction(b)) * (Fraction(v) - Fraction(w))
                         for a, b, v, w in zip(cert["x"], cert["y"], cert["v"], cert["w"]))
@@ -510,7 +527,7 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert "nested deeper" in err
 
-    def test_exit_codes_stay_in_contract(self, capsys):
+    def test_exit_codes_stay_in_contract(self, capsys, tmp_path):
         codes = set()
         codes.add(run(capsys, "list-examples")[0])
         codes.add(run(capsys, "solve", "--map", "nosuch", "--x0", "0", "--T", "1")[0])
@@ -525,6 +542,21 @@ class TestUsageErrors:
                                "--samples", "50", "--seed", "1")
             assert code in (0, 3)
             assert strict_json(out)["verdict"] in ("pass-sampled", "fail")
+        # an infinite value in a certificate is written as a string
+        big = "1.7e308"
+        monotone = {"dim": 1, "pieces": [
+            {"region": [{"var": 1, "op": "ge", "bound": 0}], "image": [[["-" + big] * 2]]},
+            {"region": [{"var": 1, "op": "le", "bound": 0}], "image": [[[big] * 2]]}]}
+        growth = {"dim": 2, "growth": [1, 0],
+                  "pieces": [{"region": [], "image": [[[big] * 2] * 2]}]}
+        for doc, argv, field, value in (
+                (monotone, ["monotone", "--radius", "1e300", "--samples", "5"], "value", "-inf"),
+                (growth, ["growth", "--samples", "3"], "norm", "inf")):
+            path = tmp_path / f"{argv[0]}.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "check", *argv, "--map", str(path), "--seed", "1")
+            assert code == 3
+            assert strict_json(out)["certificate"][field] == value
 
 
 class TestBuiltinParameters:

@@ -235,6 +235,27 @@ class TestParseMap:
             parse_map(src)
         assert err.value.offset == 2  # in the expression, as other expression errors
 
+    @pytest.mark.parametrize("expr, path, wrap", [
+        ("x1 +* 2", "$.pieces[0].image[0][1][1]",
+         lambda pieces: {"dim": 2, "pieces": pieces}),
+        ("2*x" + "1" * 5000, "$.product[1].product[1].pieces[0].image[0][1][1]",
+         lambda pieces: {"dim": 4, "product": [
+             {"dim": 1, "builtin": {"name": "example1"}},
+             {"dim": 3, "product": [{"dim": 1, "builtin": {"name": "example1"}},
+                                    {"dim": 2, "pieces": pieces}]}]}),
+    ])
+    def test_expression_errors_name_their_json_path(self, expr, path, wrap):
+        """An expression's ParseError names the JSON path of its string
+        and keeps the offset into it and the expected tokens."""
+        with pytest.raises(ParseError) as alone:
+            parse_expr(expr)
+        pieces = [{"region": [], "image": [[["0", "1"], ["0", expr]]]}]
+        with pytest.raises(ParseError) as err:
+            parse_map(json.dumps(wrap(pieces)))
+        assert str(err.value) == f"{path}: {alone.value}"
+        assert (err.value.offset, err.value.expected) == \
+            (alone.value.offset, alone.value.expected)
+
     def test_schema_errors(self):
         with pytest.raises(MapDefinitionError):
             parse_map('{"dim": 1}')

@@ -622,15 +622,70 @@ class TestFixedPoint:
         assert residual_outcome(lambda: residual(again, m)) == want
 
     def test_a_trajectory_shares_the_tuples_of_repeated_steps(self):
-        """Steps that repeat bit for bit get one tuple, which is how
-        ``residual`` and the CSV writer tell them; zero-sign twins do
-        not, and a velocity is shared only where its node is too."""
-        traj = Trajectory([0.0, 0.5, 1.0, 1.5], ([0.0], [0.0], [-0.0], (-0.0,)),
-                          ([1.0], (1.0,), [1.0]))
+        """The public constructor gives a point that is the previous
+        point's object that point's tuple, which is how ``residual`` and
+        the CSV writer tell a repeated step; bit-equal points that are
+        distinct objects stay distinct.  A read-back CSV repeats the
+        objects of a row whose cells repeat the row before."""
+        x, v = [0.0], [1.0]
+        traj = Trajectory([0.0, 0.5, 1.0, 1.5], (x, x, [0.0], (0.0,)), (v, v, [1.0]))
         a, b, c, d = traj.nodes
-        assert a is b and b is not c and c is d and b == c
+        assert a is b and b is not c and c is not d and a == c == d
         u, v, w = traj.velocities
         assert u is v and v is not w and v == w
+        again = solver.trajectory_from_csv("t,x_1,v_1\n0,0,1\n0.5,0,1\n1,-0,1\n1.5,-0,1\n")
+        a, b, c, d = again.nodes
+        assert a is b and b is not c and c is d and b == c
+        u, v, w = again.velocities
+        assert u is v and v is not w and v == w
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fixed_point_cases())
+    def test_the_solver_trajectory_is_the_checked_one(self, case):
+        """``euler_polygon`` builds its trajectory without
+        ``Trajectory.__init__``, and the result equals the checked
+        trajectory of the same numbers in fresh lists, field for field
+        and bit for bit, with the same CSV bytes and residual; a step
+        that repeats the one before bit for bit is that step's objects,
+        and so is every later step."""
+        m, x0, horizon, n, policy, v0 = case
+        inits = []
+        init = Trajectory.__init__
+
+        def counted(self, *args):
+            inits.append(args)
+            init(self, *args)
+
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(Trajectory, "__init__", counted)
+            warnings.simplefilter("ignore")
+            try:
+                traj = euler_polygon(m, x0, horizon, n, policy, v0, enforce_mesh=False)
+            except (ValueError, WcmInfeasible):
+                return
+        assert not inits
+        checked = Trajectory(traj.times, [list(p) for p in traj.nodes],
+                             [list(v) for v in traj.velocities])
+        for t in (traj, checked):
+            assert type(t.times) is type(t.nodes) is type(t.velocities) is tuple
+            assert all(type(c) is float for p in t.nodes + t.velocities for c in p)
+        assert [vbits(f) for f in ([traj.times], traj.nodes, traj.velocities)] == \
+            [vbits(f) for f in ([checked.times], checked.nodes, checked.velocities)]
+        assert solver.trajectory_to_csv(traj) == solver.trajectory_to_csv(checked)
+        assert residual_outcome(lambda: residual(traj, m)) == \
+            residual_outcome(lambda: residual(checked, m))
+        nodes, velocities = traj.nodes, traj.velocities
+        repeats = [i for i in range(1, traj.steps)
+                   if vbits(nodes[i - 1 : i + 1]) == vbits([nodes[i]] * 2)
+                   and vbits(velocities[i - 1 : i + 1]) == vbits([velocities[i]] * 2)]
+        if repeats:
+            k = repeats[0] - 1
+            assert repeats == list(range(k + 1, traj.steps))
+            assert all(p is nodes[k] for p in nodes[k:])
+            assert all(v is velocities[k] for v in velocities[k:])
+        else:
+            assert len({id(p) for p in nodes}) == len(nodes)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
